@@ -49,7 +49,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.plan import ExecutionPlan
 from repro.core.tasks import Phase, TaskGraph
-from repro.exec.channels import ChannelChaos, ChannelTimeout, ProcessChannel
+from repro.exec.channels import (
+    STOP,
+    ChannelChaos,
+    ChannelTimeout,
+    ProcessChannel,
+)
 from repro.exec.faults import FaultPlan, RobustnessPolicy
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, Location, WriteBuffer
@@ -282,8 +287,10 @@ class ExecutionEngine:
     - ``respawn()`` returning ``(wid, handle)`` for a replacement worker
       already leased to this job;
     - ``cancelled()`` polled by the committer loop;
-    - ``teardown(producer, processes, done, join_timeout)`` (cooperative)
-      and ``halt(producer, processes, join_timeout)`` (emergency).
+    - ``teardown(producer, processes, done, join_timeout)`` (cooperative;
+      called after the engine has put the end-of-stream tokens on
+      ``work``, so it must not drain that channel) and
+      ``halt(producer, processes, join_timeout)`` (emergency).
     """
 
     def __init__(
@@ -421,6 +428,7 @@ class ExecutionEngine:
         start: int,
         resume_checkpoint: Optional[Checkpoint],
     ) -> EngineResult:
+        entered = time.monotonic()
         policy = self.policy
         metrics = self.metrics
         manager = self.checkpoint_manager
@@ -699,6 +707,8 @@ class ExecutionEngine:
                 worker_claims.get(info[0], set()).discard(i)
             serial_needed.discard(i)
             last_activity = time.monotonic()
+            if metrics.commits == 1:
+                metrics.startup_seconds = last_activity - entered
             claimed_ns = claim_arrival_ns.pop(i, None)
             if claimed_ns is not None and commit_ns >= claimed_ns:
                 lag_seconds = (commit_ns - claimed_ns) / 1e9
@@ -1005,6 +1015,7 @@ class ExecutionEngine:
             raise
         finally:
             shutdown.set()
+        loop_ended = time.monotonic()
 
         # The telemetry plane stops here, not after teardown: on the
         # degradation path the sequential finisher bypasses the registry,
@@ -1019,12 +1030,12 @@ class ExecutionEngine:
             )
             if tracer is not None:
                 tracer.instant(EventKind.DEGRADE, arg=next_commit)
-            self._degrade(
-                spec, store, accumulator, next_commit, pending, producer,
-                processes,
-            )
+            self._halt(producer, processes)
         else:
-            self._teardown(producer, processes, done)
+            self._teardown(producer, processes, work, done)
+        metrics.teardown_seconds = time.monotonic() - loop_ended
+        if degraded:
+            self._degrade(spec, store, accumulator, next_commit, pending)
 
         if throttle is not None:
             metrics.throttle_shrinks = throttle.shrinks
@@ -1054,10 +1065,9 @@ class ExecutionEngine:
         accumulator: Any,
         next_commit: int,
         pending: Dict[int, Tuple[Any, dict, dict]],
-        producer,
-        processes,
     ) -> None:
-        """Graceful degradation: finish the run sequentially, in-process.
+        """Graceful degradation: finish the run sequentially, in-process
+        (the caller has already halted the pipeline's children).
 
         Phase A is replayed from iteration 0 on the engine's own (pristine,
         never-called) copy of ``produce`` — workload determinism guarantees
@@ -1069,19 +1079,6 @@ class ExecutionEngine:
         metrics = self.metrics
         manager = self.checkpoint_manager
         metrics.degraded_to_sequential = True
-        if self.external_runtime is not None:
-            # The pool replaces killed leased workers on release; the
-            # sequential finish below is identical in both modes.
-            self.external_runtime.halt(
-                producer, processes, self.policy.join_timeout
-            )
-        else:
-            for proc in [producer] + list(processes.values()):
-                if proc is not None and proc.is_alive():
-                    proc.terminate()
-            for proc in [producer] + list(processes.values()):
-                if proc is not None:
-                    proc.join(self.policy.join_timeout)
 
         def committed(i: int) -> None:
             metrics.commits += 1
@@ -1116,11 +1113,12 @@ class ExecutionEngine:
     def _halt(self, producer, processes) -> None:
         """Emergency stop: terminate and reap every child, unconditionally.
 
-        The crashed-committer path.  Cooperative shutdown is not enough
-        here: with no consumer left a worker can be blocked mid-put
-        (credit starvation polls forever), so the children are killed
-        outright and joined — nothing may outlive the run and keep
-        touching its shared state.
+        The degradation and crashed-committer path.  Cooperative shutdown
+        is not enough here: with no consumer left a worker can be blocked
+        mid-put (credit starvation polls forever), so the children are
+        killed outright and joined — nothing may outlive the run and keep
+        touching its shared state.  (The pool replaces killed leased
+        workers on release.)
         """
         if self.external_runtime is not None:
             self.external_runtime.halt(
@@ -1138,25 +1136,40 @@ class ExecutionEngine:
                     proc.kill()
                     proc.join(self.policy.join_timeout)
 
-    def _teardown(self, producer, processes, done: ProcessChannel) -> None:
-        """Normal completion: let children observe shutdown and exit."""
+    def _teardown(
+        self, producer, processes, work: ProcessChannel, done: ProcessChannel
+    ) -> None:
+        """Normal completion and cooperative cancel: end the stream with one
+        ``STOP`` per live worker — what wakes each out of its blocking
+        ``work`` read — then wait for the children to exit."""
+        if self.metrics.cancelled:
+            work.drain()  # nothing a cancelled run queued goes ahead of STOP
+        # A private view: in pool mode the phase-A thread owns the slot
+        # channel's send buffer, and STOP flushes the buffer it is put on.
+        tokens = work.for_caller()
+        procs = [p for p in processes.values() if p is not None]
+        try:
+            # Counted before the first put: any worker may take any token,
+            # so re-checking liveness between puts would short a sibling.
+            for _ in [p for p in procs if p.is_alive()]:
+                tokens.put(STOP, timeout=self.policy.poll_interval)
+        except ChannelTimeout:
+            pass  # no credit left: the idle poll ends whoever got no token
         if self.external_runtime is not None:
-            # Pool workers observe the slot shutdown event, flush, send
-            # their release, and go idle — they are not joined or killed.
+            # Pool workers flush, send their release, and go idle — they
+            # are not joined or killed.
             self.external_runtime.teardown(
                 producer, processes, done, self.policy.join_timeout
             )
             return
         deadline = time.monotonic() + self.policy.join_timeout
-        procs = [producer] + [p for p in processes.values() if p is not None]
-        while time.monotonic() < deadline:
-            # Keep draining so a worker blocked on a full done channel can
-            # finish its put and see the shutdown event.
-            done.drain()
-            if not any(proc.is_alive() for proc in procs):
-                break
-            time.sleep(0.01)
-        for proc in procs:
+        for proc in [producer] + procs:
+            while proc.is_alive() and time.monotonic() < deadline:
+                # join() waits on the child's sentinel; the bounded slice
+                # only re-drains, so a worker blocked on a full done channel
+                # can finish its put and reach its token.
+                done.drain()
+                proc.join(self.policy.poll_interval)
             if proc.is_alive():
                 proc.terminate()
             proc.join(self.policy.join_timeout)

@@ -39,6 +39,12 @@ class EngineMetrics:
 
     # -- wall-clock observability ------------------------------------------------
     wall_seconds: float = 0.0
+    #: the run's fixed costs, the two ends of ``wall_seconds`` no stage is
+    #: busy in: run entry -> first commit (spawn/lease, channel set-up,
+    #: pipeline fill) and end of the commit loop -> children reaped or
+    #: released (end-of-stream handshake, joins)
+    startup_seconds: float = 0.0
+    teardown_seconds: float = 0.0
     #: per-stage busy time summed over tasks (A: produce, B: worker compute,
     #: C: commit callbacks) — the measured analog of the simulator's
     #: per-phase costs
@@ -147,6 +153,8 @@ class EngineMetrics:
             "batch_size": self.batch_size,
             "transport": self.transport,
             "wall_seconds": round(self.wall_seconds, 6),
+            "startup_seconds": round(self.startup_seconds, 6),
+            "teardown_seconds": round(self.teardown_seconds, 6),
             "sequential_seconds": (
                 round(self.sequential_seconds, 6)
                 if self.sequential_seconds is not None
@@ -207,6 +215,8 @@ class EngineMetrics:
             f"wall clock        {self.wall_seconds:.3f}s  "
             f"(A {self.stage_seconds['A']:.3f}s, B {self.stage_seconds['B']:.3f}s, "
             f"C {self.stage_seconds['C']:.3f}s busy)",
+            f"fixed costs       startup {self.startup_seconds:.3f}s, "
+            f"teardown {self.teardown_seconds:.3f}s",
         ]
         if self.sequential_seconds is not None:
             lines.append(

@@ -19,7 +19,14 @@ Message protocol (all on the ``done`` channel, tagged tuples):
     A soft fault: the task raised; the worker survives and the committer
     re-executes the claimed task serially.
 ``("stopped", wid)``
-    Clean worker exit (shutdown event observed).
+    Clean worker exit.
+
+End of stream travels the other way, on the ``work`` channel: once the
+last iteration has committed (or the run is cancelled) the committer puts
+one ``STOP`` per live worker, and a worker that reads one says
+``stopped`` and leaves.  The shutdown event, checked whenever a bounded
+wait (``_IDLE_POLL``) expires, is the backstop for a token that never
+comes — a crashed committer, a SIGKILLed parent, the degrade/halt paths.
 
 Per-producer FIFO ordering of :class:`multiprocessing.Queue` guarantees a
 claim is visible before its result or fault; batched transport preserves
@@ -61,7 +68,8 @@ from repro.obs.spool import open_tracer
 
 logger = logging.getLogger(__name__)
 
-#: How often an idle stage re-checks the shutdown event (seconds).
+#: How often an idle stage re-checks the shutdown event (seconds) — the
+#: safety net for runs that end without an end-of-stream token.
 _IDLE_POLL = 0.2
 #: How often a throttle-gated worker re-checks the commit watermark.
 _GATE_POLL = 0.005

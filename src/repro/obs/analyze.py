@@ -583,13 +583,13 @@ def _project_what_ifs(
     ``(ranked what-ifs, baseline replay wall, baseline analytic wall)``.
 
     Projections are anchored to the *measured* wall, not the raw replay:
-    the unexplained residual (worker spawn, teardown, scheduling slack the
-    per-item model cannot see) is carried as a fixed cost into every
-    edited schedule — an edit can shrink the modeled pipeline, never the
-    overhead outside it.  When the replay overshoots the measurement the
-    residual flips to a proportional correction instead.  Either way the
-    baseline and edited walls share the same bias, so it cancels in the
-    reported speedup.
+    the gap between them (the engine's startup and teardown, which
+    :func:`_model_block` names, plus scheduling slack the per-item model
+    cannot see) is carried as a fixed cost into every edited schedule —
+    an edit can shrink the modeled pipeline, never the overhead outside
+    it.  When the replay overshoots the measurement the gap flips to a
+    proportional correction instead.  Either way the baseline and edited
+    walls share the same bias, so it cancels in the reported speedup.
     """
     baseline = replay(costs, workers, capacity)
     baseline_analytic = analytic_wall(costs, workers)
@@ -630,6 +630,29 @@ def _project_what_ifs(
         )
     what_ifs.sort(key=lambda w: -w["projected_speedup"])
     return what_ifs, baseline, baseline_analytic
+
+
+def _model_block(
+    baseline: float, baseline_analytic: float, wall: float, metrics: dict
+) -> Dict[str, Any]:
+    """The ``model`` block of a verdict: how the replay compares with the
+    measured wall, and what the gap is made of.  The engine's measured
+    fixed costs (``startup_seconds``/``teardown_seconds`` in its metrics)
+    are named; ``residual_s`` is only what is left of ``wall - replay``
+    once they are taken out (negative when they overlap the replay's own
+    pipeline fill)."""
+    fidelity = (baseline - wall) / wall if wall > 0 else None
+    startup = float(metrics.get("startup_seconds") or 0.0)
+    teardown = float(metrics.get("teardown_seconds") or 0.0)
+    return {
+        "replay_wall_s": round(baseline, 6),
+        "analytic_wall_s": round(baseline_analytic, 6),
+        "measured_wall_s": round(wall, 6),
+        "fidelity_error": round(fidelity, 4) if fidelity is not None else None,
+        "startup_s": round(startup, 6),
+        "teardown_s": round(teardown, 6),
+        "residual_s": round(wall - baseline - startup - teardown, 6),
+    }
 
 
 # -- the report ----------------------------------------------------------------------
@@ -765,6 +788,11 @@ class BottleneckReport:
                 f"analytic bound {model.get('analytic_wall_s', 0.0):.3f}s"
                 f"{error_text}"
             )
+            lines.append(
+                f"fixed costs       startup {model.get('startup_s', 0.0):.3f}s, "
+                f"teardown {model.get('teardown_s', 0.0):.3f}s "
+                f"(unexplained residual {model.get('residual_s', 0.0):+.3f}s)"
+            )
         for note in self.notes:
             lines.append(f"note              {note}")
         return "\n".join(lines)
@@ -842,13 +870,7 @@ def analyze_trace(
         costs, workers, capacity, batch_size, transport, measured_wall=wall
     )
     report.what_ifs = what_ifs
-    fidelity = (baseline - wall) / wall if wall > 0 else None
-    report.model = {
-        "replay_wall_s": round(baseline, 6),
-        "analytic_wall_s": round(baseline_analytic, 6),
-        "measured_wall_s": round(wall, 6),
-        "fidelity_error": round(fidelity, 4) if fidelity is not None else None,
-    }
+    report.model = _model_block(baseline, baseline_analytic, wall, metrics)
     wasted = sum(
         span.seconds for ch in chains.values() for span in ch.wasted_work
     )
@@ -946,15 +968,7 @@ def estimate_bottleneck(metrics) -> dict:
             measured_wall=wall,
         )
         report.what_ifs = what_ifs
-        fidelity = (baseline - wall) / wall if wall > 0 else None
-        report.model = {
-            "replay_wall_s": round(baseline, 6),
-            "analytic_wall_s": round(baseline_analytic, 6),
-            "measured_wall_s": round(wall, 6),
-            "fidelity_error": (
-                round(fidelity, 4) if fidelity is not None else None
-            ),
-        }
+        report.model = _model_block(baseline, baseline_analytic, wall, data)
     return report.to_json()
 
 

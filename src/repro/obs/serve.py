@@ -174,6 +174,28 @@ def prometheus_exposition(
     return "\n".join(lines) + "\n"
 
 
+def send_whole(
+    handler: BaseHTTPRequestHandler, status: int, content_type: str,
+    body: bytes, extra_headers: Iterable[Tuple[str, str]] = (),
+) -> None:
+    """One response in one socket write — shared by this server and the
+    job API (:mod:`repro.service.api`).
+
+    ``end_headers()`` followed by ``wfile.write(body)`` is two small
+    segments on an unbuffered socket: Nagle holds the second until the
+    first is acknowledged, and a keep-alive client's delayed ACK makes
+    that ~40 ms on every response.  So the blank line and the body are
+    queued behind the buffered headers and flushed together.
+    """
+    handler.send_response(status)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(len(body)))
+    for name, value in extra_headers:
+        handler.send_header(name, value)
+    handler._headers_buffer += (b"\r\n", body)
+    handler.flush_headers()
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler bound to one :class:`MetricsServer`."""
 
@@ -187,11 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("http %s", format % args)
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        send_whole(self, status, content_type, body)
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         try:

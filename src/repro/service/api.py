@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.serve import PROMETHEUS_CONTENT_TYPE
+from repro.obs.serve import PROMETHEUS_CONTENT_TYPE, send_whole
 from repro.service.jobs import JobState, TERMINAL_STATES
 
 logger = logging.getLogger(__name__)
@@ -63,13 +63,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, content_type: str, body: bytes,
               extra_headers=()) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        send_whole(self, status, content_type, body, extra_headers)
 
     def _json(self, status: int, payload, extra_headers=()) -> None:
         body = json.dumps(payload, indent=2, default=str).encode()

@@ -44,6 +44,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.channels import ChannelTimeout, ProcessChannel
@@ -594,15 +595,15 @@ class WorkerPool:
     def _teardown_lease(
         self, lease: LeaseRuntime, producer, join_timeout: float
     ) -> None:
-        """Cooperative end-of-job: wait for every live member to send its
-        release, draining the channels so none of them wedges on a full
-        pipe; stragglers (a cancelled job's long task) are terminated and
-        replaced at release time."""
-        slot = lease.slot
+        """Cooperative end-of-job: the engine has put one end-of-stream
+        token per live member on ``slot.work``, so this only waits for
+        their releases — ``work`` is left alone (draining it would eat the
+        tokens).  Stragglers (a cancelled job's long task) are terminated
+        and replaced at release time."""
         deadline = time.monotonic() + max(join_timeout, 1.0)
         if producer is not None:
             producer.join(max(0.0, deadline - time.monotonic()))
-        self._await_released(lease, deadline)
+        self._await_released(lease, deadline, drain_work=False)
 
     def _halt_lease(
         self, lease: LeaseRuntime, producer, join_timeout: float
@@ -620,15 +621,19 @@ class WorkerPool:
         slot = lease.slot
         slot.shutdown.set()
         deadline = time.monotonic() + max(join_timeout, 1.0)
-        self._await_released(lease, deadline)
+        self._await_released(lease, deadline, drain_work=True)
         if producer is not None:
             producer.join(max(0.1, deadline - time.monotonic()))
         slot.done.drain()
         slot.work.drain()
 
-    def _await_released(self, lease: LeaseRuntime, deadline: float) -> None:
-        """Drain the slot while waiting for every live member's "released"
-        control message; terminate whoever misses the deadline."""
+    def _await_released(
+        self, lease: LeaseRuntime, deadline: float, drain_work: bool
+    ) -> None:
+        """Wait on the control pipes for every live member's "released";
+        terminate whoever misses the deadline.  The bounded wait slice
+        only re-drains the slot so no member wedges on a full pipe;
+        ``drain_work`` (halt only) also starves members of work."""
         slot = lease.slot
         pending = {
             wid: w for wid, w in lease._members.items()
@@ -636,7 +641,12 @@ class WorkerPool:
         }
         while pending and time.monotonic() < deadline:
             slot.done.drain()
-            slot.work.drain()
+            if drain_work:
+                slot.work.drain()
+            wait_ready(
+                [w.conn for w in pending.values()],
+                timeout=self.policy.poll_interval,
+            )
             for wid, worker in list(pending.items()):
                 try:
                     while worker.conn.poll(0):
@@ -646,8 +656,6 @@ class WorkerPool:
                             break
                 except (EOFError, OSError):
                     pending.pop(wid, None)
-            if pending:
-                time.sleep(0.01)
         for worker in pending.values():
             logger.warning(
                 "pool worker %d did not release slot %d in time; "

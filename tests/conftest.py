@@ -15,6 +15,29 @@ from repro.ir.types import IntType
 
 
 @pytest.fixture
+def job_gate(monkeypatch):
+    """Holds every ``synthetic`` service job open at its fifth iteration
+    until the test sets the returned event — "still running" stated as a
+    fact instead of hoped for from job size and teardown latency.  Phase A
+    of a pooled job runs on a server thread, so the gate only works for an
+    in-process :class:`PipelineService`."""
+    import threading
+
+    from repro.service import jobs
+
+    gate = threading.Event()
+
+    def gated_produce(i: int) -> int:
+        if i == 4:
+            gate.wait(60)
+        return i
+
+    monkeypatch.setattr(jobs, "_synthetic_produce", gated_produce)
+    yield gate
+    gate.set()
+
+
+@pytest.fixture
 def counter_program():
     """A tiny program with a global-counter loop (one natural loop)."""
     pb = ProgramBuilder("counter")

@@ -357,6 +357,20 @@ class TestEstimateBottleneck:
         assert data["bottleneck"]["top"] == "compute:B"
         assert "bottleneck" in metrics.format_summary()
 
+    def test_fixed_costs_are_named_not_left_in_the_residual(self):
+        metrics = EngineMetrics(
+            workers=1, capacity=4, iterations=10, commits=10,
+            wall_seconds=0.75, startup_seconds=0.03, teardown_seconds=0.2,
+        )
+        metrics.stage_seconds = {"A": 0.01, "B": 0.45, "C": 0.01}
+        block = estimate_bottleneck(metrics)
+        assert validate_bottleneck(block) == []  # additive keys only
+        model = block["model"]
+        assert model["startup_s"] == 0.03 and model["teardown_s"] == 0.2
+        gap = model["measured_wall_s"] - model["replay_wall_s"]
+        assert model["residual_s"] == pytest.approx(gap - 0.23, abs=1e-5)
+        assert abs(model["residual_s"]) < gap
+
 
 # -- Chrome-trace round-trip -------------------------------------------------------
 

@@ -8,6 +8,7 @@ conflicts roll back and re-execute serially.
 """
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.exec import (
     spec_from_task_graph,
 )
 from repro.profiling.tracer import Tracer
+from repro.service.pool import WorkerPool
 from repro.workloads.bzip2_w import Bzip2Workload
 from repro.workloads.parser_w import ParserWorkload
 
@@ -344,6 +346,13 @@ class TestMetricsAndEdges:
         assert data["workers"] == 2
         assert set(data["stage_seconds"]) == {"A", "B", "C"}
         assert "work" in data["channels"] and "done" in data["channels"]
+        # the fixed costs are the two ends of the wall, named
+        assert data["startup_seconds"] > 0 and data["teardown_seconds"] > 0
+        assert (
+            data["startup_seconds"] + data["teardown_seconds"]
+            <= data["wall_seconds"]
+        )
+        assert "fixed costs" in result.metrics.format_summary()
         import json
 
         json.loads(result.metrics.to_json_str())  # serializable
@@ -384,3 +393,169 @@ class TestMetricsAndEdges:
         result = ExecutionEngine(workers=2, capacity=4).run(spec)
         assert result.output == 6
         assert result.metrics.commits == 6
+
+
+# -- end of stream is a message, not a timeout -------------------------------------
+
+#: ``join_timeout`` is the only clock in these tests, and it is a deadline
+#: nothing may reach: a stage it had to terminate shows as a non-zero
+#: exitcode (own processes) or a replaced pool worker.
+EOS_POLICY = RobustnessPolicy(
+    task_timeout=5.0, stall_timeout=10.0, poll_interval=0.01, join_timeout=5
+)
+
+EOS_MODES = [
+    ("pipe", "own"), ("shm", "own"), ("thread", "own"),
+    ("pipe", "pool"), ("shm", "pool"),
+]
+
+
+class _StreamHarness:
+    """Runs specs either on the engine's own process tree or on a lease of
+    a two-worker :class:`WorkerPool`, and remembers the stage handles the
+    last cooperative teardown was given."""
+
+    def __init__(self, transport, mode, monkeypatch):
+        self.transport = transport
+        self.stages = []
+        self.pool = None
+        real_teardown = ExecutionEngine._teardown
+
+        def spy(engine, producer, processes, work, done):
+            real_teardown(engine, producer, processes, work, done)
+            self.stages = [producer] + [
+                proc for proc in processes.values() if proc is not None
+            ]
+
+        monkeypatch.setattr(ExecutionEngine, "_teardown", spy)
+        if mode == "pool":
+            self.pool = WorkerPool(
+                workers=2, slots=1, capacity=8, batch_size=4,
+                policy=EOS_POLICY, transport=transport,
+            ).start()
+
+    def run(self, spec, fault_plan=None, during=None):
+        """``during(engine, lease)`` runs on a side thread while the engine
+        does (the cancel case drives the lease from there)."""
+        lease = self.pool.try_lease() if self.pool is not None else None
+        try:
+            engine = ExecutionEngine(
+                workers=2, capacity=8, batch_size=4, policy=EOS_POLICY,
+                transport=self.transport, fault_plan=fault_plan,
+                runtime=lease,
+            )
+            side = None
+            if during is not None:
+                side = threading.Thread(target=during, args=(engine, lease))
+                side.start()
+            try:
+                return engine.run(spec)
+            finally:
+                if side is not None:
+                    side.join(60)
+                    assert not side.is_alive()
+        finally:
+            if lease is not None:
+                self.pool.release(lease)
+
+    def assert_nobody_terminated(self, respawned=0):
+        if self.pool is None:
+            # every stage left on its own: a join-deadline kill is -SIGTERM,
+            # a thread that never finished has no exitcode at all
+            assert [stage.exitcode for stage in self.stages] == [0] * len(
+                self.stages
+            )
+        else:
+            # a member terminated at the release deadline is replaced
+            stats = self.pool.stats()
+            assert stats["spawned_total"] == 2 + respawned
+            assert stats["alive"] == stats["idle"] == 2
+
+
+@pytest.fixture(params=EOS_MODES, ids="-".join)
+def stream(request, monkeypatch):
+    # With the idle poll pushed out of reach, the only way a worker leaves
+    # its blocking ``work`` read inside the join deadline is its STOP token
+    # (children inherit the patched constant through fork).
+    monkeypatch.setattr("repro.exec.workers._IDLE_POLL", 60.0)
+    harness = _StreamHarness(*request.param, monkeypatch)
+    yield harness
+    if harness.pool is not None:
+        harness.pool.shutdown()
+
+
+def _work_channel_balanced(result):
+    stats = result.metrics.channel_stats["work"]
+    return stats["produces"] == stats["consumes"]
+
+
+class TestEndOfStream:
+    def test_clean_run_ends_on_tokens(self, stream):
+        expected, _ = run_sequential(arithmetic_spec(40))
+        result = stream.run(arithmetic_spec(40))
+        assert result.output == expected
+        assert not result.metrics.degraded_to_sequential
+        # one token per worker, every one of them read
+        assert _work_channel_balanced(result)
+        stream.assert_nobody_terminated()
+        if stream.pool is not None:
+            # the same processes, woken the same way, serve the next job
+            pids = stream.pool.worker_pids()
+            assert stream.run(arithmetic_spec(40)).output == expected
+            assert stream.pool.worker_pids() == pids
+            stream.assert_nobody_terminated()
+
+    def test_token_count_follows_live_workers_after_respawn(self, stream):
+        """A worker dies mid-run and is replaced: the dead one gets no
+        token (it would be left in the channel), the replacement does."""
+        expected, _ = run_sequential(arithmetic_spec(40))
+        result = stream.run(
+            arithmetic_spec(40), fault_plan=FaultPlan(crash_iterations={9})
+        )
+        assert result.output == expected
+        assert result.metrics.worker_crashes == 1
+        assert result.metrics.respawns == 1
+        assert not result.metrics.degraded_to_sequential
+        assert _work_channel_balanced(result)
+        stream.assert_nobody_terminated(respawned=1)
+
+    @pytest.mark.parametrize(
+        "stream", [mode for mode in EOS_MODES if mode[1] == "pool"],
+        indirect=True, ids="-".join,
+    )
+    def test_cancel_ends_on_tokens(self, stream):
+        """Cooperative cancel (only a lease can be cancelled) takes the same
+        token path: the workers are released, not terminated, and serve the
+        next job."""
+        reached, gate = threading.Event(), threading.Event()
+
+        def gated_produce(i):
+            # phase A of a lease is a thread of this process; the four
+            # iterations it still dispatches afterwards fit the channel
+            if i == 8:
+                reached.set()
+                assert gate.wait(30)
+            return i * 3
+
+        def cancel_at_gate(engine, lease):
+            assert reached.wait(30)
+            lease.cancel()
+            deadline = time.monotonic() + 30
+            while not engine.metrics.cancelled:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            gate.set()
+
+        spec = arithmetic_spec(12)
+        spec.produce = gated_produce
+        pids = stream.pool.worker_pids()
+        result = stream.run(spec, during=cancel_at_gate)
+        assert result.metrics.cancelled
+        assert result.metrics.commits <= 8
+        assert result.output == run_sequential(arithmetic_spec(12))[0][
+            : result.metrics.commits
+        ]
+        stream.assert_nobody_terminated()
+        expected, _ = run_sequential(arithmetic_spec(40))
+        assert stream.run(arithmetic_spec(40)).output == expected
+        assert stream.pool.worker_pids() == pids

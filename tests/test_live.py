@@ -66,8 +66,10 @@ from repro.obs.registry import (
 )
 from repro.obs.serve import (
     MetricsServer,
+    _Handler,
     escape_label_value,
     prometheus_exposition,
+    send_whole,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -361,6 +363,32 @@ class TestPrometheusExposition:
             watchdog={"health": "degraded", "stalls": 1},
         )
         assert "repro_healthy 0" in degraded
+
+
+def test_response_is_one_socket_write():
+    """Headers and body leave together: split in two, the second small
+    segment waits out the keep-alive client's delayed ACK (~40 ms)."""
+
+    class Wire:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    handler = object.__new__(_Handler)  # no socket: just the response path
+    handler.wfile = Wire()
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET /health HTTP/1.1"
+    send_whole(
+        handler, 429, "application/json", b'{"error": "quota"}',
+        [("Retry-After", "3")],
+    )
+    (wire,) = handler.wfile.writes
+    head, _, body = wire.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 429") or head.startswith(b"HTTP/1.1 429")
+    assert b"Content-Length: 18" in head and b"Retry-After: 3" in head
+    assert body == b'{"error": "quota"}'
 
 
 # -- the live engine run: scrapes, health transition, consistency -------------------

@@ -285,7 +285,7 @@ class TestAdmissionOverHttp:
 
 
 class TestGracefulDrain:
-    def test_drain_finishes_running_rejects_new(self):
+    def test_drain_finishes_running_rejects_new(self, job_gate):
         """Satellite 3: drain lets running jobs finish, cancels queued
         ones, refuses new submissions, and stops cleanly."""
         svc = PipelineService(
@@ -298,22 +298,31 @@ class TestGracefulDrain:
             base = f"http://127.0.0.1:{svc.port}"
             running = []
             for tenant in ("d1", "d2"):
-                _, job, _ = submit(
-                    base, tenant,
-                    params={"iterations": 300, "spin": 400},
-                )
+                _, job, _ = submit(base, tenant)
                 running.append(job["id"])
             # a queued job behind d1's running quota
             _, queued, _ = submit(base, "d1")
-            time.sleep(0.2)  # let the dispatcher lease both running jobs
+            deadline = time.monotonic() + 10
+            while any(
+                svc.get_job(job_id).state.value != "running"
+                for job_id in running
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
 
+            # both jobs are held open by the gate: drain finds them running
+            svc.request_drain()
+            assert submit(base, "d3")[0] == 503
+            assert svc.get_job(queued["id"]).state.value == "cancelled"
+            for job_id in running:
+                assert svc.get_job(job_id).state.value == "running"
+            job_gate.set()
             clean = svc.drain_and_stop(timeout=30)
             assert clean
 
             for job_id in running:
                 job = svc.get_job(job_id)
                 assert job.state.value == "done", (job_id, job.state)
-            assert svc.get_job(queued["id"]).state.value == "cancelled"
             # pool fully torn down
             assert svc.pool.stats()["alive"] == 0
         finally:

@@ -431,11 +431,12 @@ class TestEagerQuotaRelease:
     """Satellite: cancelling a queued job frees the tenant's queued quota
     immediately — the next submit must not 429 against a ghost entry."""
 
-    def test_cancel_then_resubmit_within_quota(self, tmp_path):
+    def test_cancel_then_resubmit_within_quota(self, tmp_path, job_gate):
         svc = durable_service(
             tmp_path / "state", slots=1, tenant_queued_quota=1,
         )
         try:
+            # held open by the gate, so the slot stays taken throughout
             running, _ = svc.submit(
                 "acme", "synthetic", {"iterations": 64, "spin": 2000}
             )
@@ -457,6 +458,7 @@ class TestEagerQuotaRelease:
                 "acme", "synthetic", {"iterations": 8}
             )
             assert decision.status == 202, decision.reason
+            job_gate.set()
             wait_terminal([running, replacement])
         finally:
             svc.drain_and_stop()
