@@ -62,8 +62,10 @@ from repro.exec.transport import TRANSPORT_KINDS
 from repro.exec.workers import (
     HardExit,
     ShutdownGuard,
+    ThrottleGate,
     producer_main,
     raise_hard_exit,
+    signal_shutdown,
     worker_main,
 )
 from repro.obs.clock import now_ns
@@ -268,7 +270,7 @@ class ExecutionEngine:
     ``runtime`` (default: none) runs the pipeline against a *pre-existing*
     worker-pool lease (:class:`repro.service.pool.LeaseRuntime`) instead of
     forking a fresh producer/worker tree: the runtime supplies the
-    channels, shutdown event, watermark/window values, metrics registry,
+    channels, shutdown event, throttle gate, metrics registry,
     producer handle, and leased worker processes, and takes over respawn,
     teardown, halt, and cancellation.  The committer loop, speculation
     validation, throttling, and degradation machinery are identical in
@@ -276,7 +278,7 @@ class ExecutionEngine:
     contract the runtime must satisfy:
 
     - attributes ``work``/``done`` (:class:`ProcessChannel`), ``shutdown``
-      (cleared event), ``watermark``/``window`` (shared ``Value("l")``),
+      (cleared event), ``gate`` (:class:`ThrottleGate`),
       ``registry`` (:class:`MetricsRegistry` or None), and
       ``job_throttle`` (a :class:`SpeculationThrottle`-shaped controller
       or None — per-tenant persistent in the service);
@@ -387,20 +389,7 @@ class ExecutionEngine:
         started = time.monotonic()
         result = self._run_pipeline(spec, start, checkpoint)
         self.metrics.wall_seconds = time.monotonic() - started
-        self._attach_bottleneck_estimate()
         return result
-
-    def _attach_bottleneck_estimate(self) -> None:
-        """Every run ships a bottleneck verdict, trace or not: the coarse
-        metrics-only estimate here; callers that recorded a trace replace
-        it with the critical-path analysis (``repro.obs.analyze``)."""
-        try:
-            from repro.obs.analyze import estimate_bottleneck
-
-            self.metrics.bottleneck = estimate_bottleneck(self.metrics)
-        except Exception:
-            # Diagnosis must never take down a successful run.
-            self.metrics.bottleneck = None
 
     def _resolve_resume(
         self, spec: PipelineSpec, resume_from: Union[Checkpoint, str, None]
@@ -489,12 +478,7 @@ class ExecutionEngine:
         # tenant's storm carries a shrunk window into its next lease.
         if rt is not None:
             throttle = rt.job_throttle
-            watermark_value = rt.watermark
-            window_value = rt.window
-            watermark_value.value = start
-            window_value.value = (
-                throttle.window if throttle else _UNTHROTTLED_WINDOW
-            )
+            gate = rt.gate
         else:
             throttle = (
                 SpeculationThrottle(
@@ -506,10 +490,12 @@ class ExecutionEngine:
                 if self.throttle_config.enabled
                 else None
             )
-            watermark_value = ctx.Value("l", start)
-            window_value = ctx.Value(
-                "l", throttle.window if throttle else _UNTHROTTLED_WINDOW
-            )
+            gate = ThrottleGate(ctx)
+        gate.reset(
+            start, throttle.window if throttle else _UNTHROTTLED_WINDOW
+        )
+        watermark_value = gate.watermark
+        window_value = gate.window
 
         # Live telemetry: the shared-memory registry must exist before any
         # child is spawned (the shared arrays travel through process args).
@@ -532,34 +518,35 @@ class ExecutionEngine:
             registry.set_gauge("window", window_value.value)
             registry.set_gauge("workers_alive", self.workers)
 
+        def start_stage(name: str, target, args: tuple):
+            """One own-process stage, as a thread or a process.  ``args``
+            end where the stage's ``hard_exit`` parameter comes next, and
+            carry the stage's own views of the channels and the gate
+            (private buffers, its own seat on the wake-ups) — made here,
+            in the spawning process."""
+            if threaded:
+                stage = _ThreadHandle(
+                    target, args + (raise_hard_exit,), name=name
+                )
+            else:
+                stage = ctx.Process(
+                    target=target, args=args, name=name, daemon=True
+                )
+            stage.start()
+            return stage
+
         if rt is not None:
             producer = rt.start_producer(
                 spec, start=start, batch_size=self.batch_size,
                 fault_plan=self.fault_plan,
             )
         else:
-            if threaded:
-                # Thread stages share the channel objects; each gets its
-                # own per-caller view so send buffers never interleave.
-                producer = _ThreadHandle(
-                    producer_main,
-                    (work.for_caller(), spec.iterations, spec.produce,
-                     self.fault_plan, child_shutdown, start, self.batch_size,
-                     self.trace_config, registry, WRITER_PRODUCER, True,
-                     raise_hard_exit),
-                    name="exec-A",
-                )
-            else:
-                producer = ctx.Process(
-                    target=producer_main,
-                    args=(work, spec.iterations, spec.produce,
-                          self.fault_plan, child_shutdown, start,
-                          self.batch_size, self.trace_config, registry,
-                          WRITER_PRODUCER),
-                    name="exec-A",
-                    daemon=True,
-                )
-            producer.start()
+            producer = start_stage(
+                "exec-A", producer_main,
+                (work.for_stage(), spec.iterations, spec.produce,
+                 self.fault_plan, child_shutdown, start, self.batch_size,
+                 self.trace_config, registry, WRITER_PRODUCER, True),
+            )
 
         processes: Dict[int, Any] = {}
         next_worker_id = 0
@@ -578,28 +565,13 @@ class ExecutionEngine:
             row = WRITER_WORKER0 + wid
             if registry is not None and row >= registry.writers:
                 row = registry.writers - 1
-            if threaded:
-                proc = _ThreadHandle(
-                    worker_main,
-                    (wid, work.for_caller(), done.for_caller(), spec.work,
-                     spec.speculative, store.snapshot(), self.fault_plan,
-                     child_shutdown, watermark_value, window_value,
-                     self.batch_size, self.trace_config, registry, row,
-                     raise_hard_exit),
-                    name=f"exec-B{wid}",
-                )
-            else:
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, work, done, spec.work, spec.speculative,
-                          store.snapshot(), self.fault_plan, child_shutdown,
-                          watermark_value, window_value, self.batch_size,
-                          self.trace_config, registry, row),
-                    name=f"exec-B{wid}",
-                    daemon=True,
-                )
-            proc.start()
-            processes[wid] = proc
+            processes[wid] = start_stage(
+                f"exec-B{wid}", worker_main,
+                (wid, work.for_stage(), done.for_stage(), spec.work,
+                 spec.speculative, store.snapshot(), self.fault_plan,
+                 child_shutdown, gate.seat(), self.batch_size,
+                 self.trace_config, registry, row),
+            )
             return wid
 
         if rt is not None:
@@ -647,6 +619,20 @@ class ExecutionEngine:
         respawns_left = policy.max_respawns
         producer_failed = False
         last_activity = time.monotonic()
+        # Per-item latency samples collect in plain lists and reach
+        # ``metrics.latency`` in bulk (``fold_samples``): a list append per
+        # sample on the commit path instead of a histogram update.
+        samples: Dict[str, List[float]] = {
+            "task_a": [], "task_b": [], "task_c": [], "commit_lag": [],
+        }
+        a_samples = samples["task_a"].append
+        b_samples = samples["task_b"].append
+        c_samples = samples["task_c"].append
+        lag_samples = samples["commit_lag"].append
+
+        def fold_samples() -> None:
+            for series, values in samples.items():
+                metrics.fold_latency(series, values)
 
         def respawn(wid: int, reason: str) -> None:
             nonlocal respawns_left
@@ -684,7 +670,7 @@ class ExecutionEngine:
             return result
 
         def commit(i: int, result: Any, misspeculated: bool = False) -> None:
-            nonlocal next_commit, last_activity
+            nonlocal next_commit
             t0_ns = now_ns()
             spec.commit(i, result, accumulator)
             # One clock pair feeds stage_seconds, the latency histogram,
@@ -692,7 +678,7 @@ class ExecutionEngine:
             commit_ns = now_ns()
             elapsed = (commit_ns - t0_ns) * 1e-9
             metrics.stage_seconds["C"] += elapsed
-            metrics.record_latency("task_c", elapsed)
+            c_samples(elapsed)
             metrics.commits += 1
             if i == next_commit:
                 metrics.in_order_commits += 1
@@ -706,13 +692,12 @@ class ExecutionEngine:
             if info is not None:
                 worker_claims.get(info[0], set()).discard(i)
             serial_needed.discard(i)
-            last_activity = time.monotonic()
             if metrics.commits == 1:
-                metrics.startup_seconds = last_activity - entered
+                metrics.startup_seconds = time.monotonic() - entered
             claimed_ns = claim_arrival_ns.pop(i, None)
             if claimed_ns is not None and commit_ns >= claimed_ns:
                 lag_seconds = (commit_ns - claimed_ns) / 1e9
-                metrics.record_latency("commit_lag", lag_seconds)
+                lag_samples(lag_seconds)
                 if registry is not None:
                     registry.observe(
                         WRITER_COMMITTER, "commit_lag_seconds", lag_seconds
@@ -741,22 +726,18 @@ class ExecutionEngine:
                             EventKind.THROTTLE, arg=new_window,
                             detail=0 if shrink else 1,
                         )
-            if manager is not None:
-                taken_before = manager.taken
-                manager.maybe(next_commit, store, accumulator, metrics)
+            if manager is not None and manager.due(next_commit):
+                fold_samples()  # the checkpoint carries metrics.to_json()
+                manager.take(next_commit, store, accumulator, metrics)
                 metrics.checkpoints_taken = manager.taken
-                if manager.taken > taken_before:
-                    if registry is not None:
-                        registry.add(
-                            WRITER_COMMITTER, "checkpoints",
-                            manager.taken - taken_before,
-                        )
-                    logger.info(
-                        "checkpoint %d taken at commit watermark %d",
-                        manager.taken, next_commit,
-                    )
-                    if tracer is not None:
-                        tracer.instant(EventKind.CHECKPOINT, arg=next_commit)
+                if registry is not None:
+                    registry.add(WRITER_COMMITTER, "checkpoints")
+                logger.info(
+                    "checkpoint %d taken at commit watermark %d",
+                    manager.taken, next_commit,
+                )
+                if tracer is not None:
+                    tracer.instant(EventKind.CHECKPOINT, arg=next_commit)
 
         def advance_commits() -> None:
             while next_commit < spec.iterations:
@@ -877,8 +858,6 @@ class ExecutionEngine:
                     )
 
         def handle_message(message: tuple) -> None:
-            nonlocal last_activity
-            last_activity = time.monotonic()
             tag = message[0]
             if tag == "claim":
                 _, wid, i, value, a_seconds = message
@@ -903,7 +882,7 @@ class ExecutionEngine:
                 # timeout), so a previously scheduled serial retry yields.
                 serial_needed.discard(i)
                 metrics.stage_seconds["A"] += a_seconds
-                metrics.record_latency("task_a", a_seconds)
+                a_samples(a_seconds)
             elif tag == "result":
                 _, wid, i, result, reads, writes, b_seconds = message
                 if i < next_commit:
@@ -916,7 +895,7 @@ class ExecutionEngine:
                     return
                 pending[i] = (result, reads, writes)
                 metrics.stage_seconds["B"] += b_seconds
-                metrics.record_latency("task_b", b_seconds)
+                b_samples(b_seconds)
                 metrics.worker_iterations[wid] = (
                     metrics.worker_iterations.get(wid, 0) + 1
                 )
@@ -938,10 +917,19 @@ class ExecutionEngine:
                 pass  # clean exit; health check sees exitcode 0
 
         # -- main loop ----------------------------------------------------------
+        # One iteration per transport read: a whole decoded frame, one
+        # clock pair, one queue-wait sample, one cancel check.
         degraded = False
+        gate_woken_at = next_commit
         try:
             while next_commit < spec.iterations:
                 advance_commits()
+                if next_commit != gate_woken_at:
+                    # At most one wake per drained frame, and none unless a
+                    # worker declared itself gated.
+                    gate_woken_at = next_commit
+                    last_activity = time.monotonic()
+                    gate.wake()
                 if next_commit >= spec.iterations:
                     break
                 if rt is not None and rt.cancelled():
@@ -955,14 +943,19 @@ class ExecutionEngine:
                     break
                 wait_started = time.monotonic()
                 try:
-                    message = done.get(timeout=policy.poll_interval)
+                    frame = done.get_many(
+                        done.batch_size, timeout=policy.poll_interval
+                    )
                 except ChannelTimeout:
                     pass
                 else:
+                    last_activity = time.monotonic()
                     metrics.record_latency(
-                        "queue_wait", time.monotonic() - wait_started
+                        "queue_wait", last_activity - wait_started
                     )
-                    handle_message(message)
+                    for message in frame:
+                        handle_message(message)
+                        advance_commits()
                     continue  # drain greedily before health checks
                 work.sample_occupancy()
                 done.sample_occupancy()
@@ -1003,7 +996,7 @@ class ExecutionEngine:
             # everything, release the channels, then let the crash
             # propagate (the committer's spool is closed cleanly so a
             # post-mortem trace survives).
-            shutdown.set()
+            signal_shutdown(shutdown, work, done, gate)
             stop_live()  # before channel.close(): the final sample reads them
             self._halt(producer, processes)
             if rt is None:
@@ -1014,7 +1007,8 @@ class ExecutionEngine:
                 tracer.close()
             raise
         finally:
-            shutdown.set()
+            signal_shutdown(shutdown, work, done, gate)
+            fold_samples()
         loop_ended = time.monotonic()
 
         # The telemetry plane stops here, not after teardown: on the

@@ -12,10 +12,13 @@ simulated-vs-measured loop.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.obs.hist import LatencyHistogram, format_seconds, summarize
+
+logger = logging.getLogger(__name__)
 
 
 def _round_floats(summary: dict, digits: int = 6) -> dict:
@@ -99,11 +102,8 @@ class EngineMetrics:
     watchdog: Optional[dict] = None
 
     # -- bottleneck analysis -----------------------------------------------------
-    #: The analyzer's verdict for this run (``repro.obs.analyze``): top
-    #: blame category, blame fractions, and ranked what-if projections.
-    #: Trace-based when the run was traced; otherwise the coarse
-    #: metrics-only estimate the engine attaches at the end of ``run()``.
-    bottleneck: Optional[dict] = None
+    #: Backing store of :attr:`bottleneck`; ``False`` = not resolved yet.
+    _bottleneck: Union[dict, None, bool] = field(default=False, repr=False)
 
     # -- latency distributions ---------------------------------------------------
     #: Per-event latency histograms the committer populates live (no
@@ -112,11 +112,52 @@ class EngineMetrics:
     #: ``queue_wait`` (the committer's blocking done-channel reads).
     latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
 
-    def record_latency(self, series: str, seconds: float) -> None:
+    def _histogram(self, series: str) -> LatencyHistogram:
         histogram = self.latency.get(series)
         if histogram is None:
             histogram = self.latency[series] = LatencyHistogram()
-        histogram.add(seconds)
+        return histogram
+
+    def record_latency(self, series: str, seconds: float) -> None:
+        self._histogram(series).add(seconds)
+
+    def fold_latency(self, series: str, samples: list) -> None:
+        """Move a batch of locally collected samples into ``series`` (the
+        committer appends per-item samples to plain lists and folds them
+        here in bulk); empties ``samples``."""
+        if samples:
+            self._histogram(series).extend(samples)
+            samples.clear()
+
+    @property
+    def bottleneck(self) -> Optional[dict]:
+        """The analyzer's verdict for this run (``repro.obs.analyze``): top
+        blame category, blame fractions, and ranked what-if projections.
+        Trace-based when a caller that recorded a trace assigned one;
+        otherwise the coarse metrics-only estimate, computed the first
+        time it is read after the run (``wall_seconds`` known) — never on
+        the run's own wall, and not by a checkpoint taken mid-run."""
+        if self._bottleneck is False:
+            self.to_json()
+        return self._bottleneck or None
+
+    @bottleneck.setter
+    def bottleneck(self, verdict: Optional[dict]) -> None:
+        self._bottleneck = verdict
+
+    def _resolve_bottleneck(self, data: dict) -> Optional[dict]:
+        """``data`` is this object's ``to_json()`` dict, under construction
+        (the estimator reads nothing else)."""
+        if self._bottleneck is False and self.wall_seconds:
+            try:
+                from repro.obs.analyze import estimate_bottleneck
+
+                self._bottleneck = estimate_bottleneck(data)
+            except Exception:
+                # Diagnosis must never take down a successful run.
+                logger.debug("bottleneck estimate failed", exc_info=True)
+                self._bottleneck = None
+        return self._bottleneck or None
 
     @property
     def measured_speedup(self) -> Optional[float]:
@@ -196,12 +237,12 @@ class EngineMetrics:
             "final_window": self.final_window,
             "channels": self.channel_stats,
             "watchdog": self.watchdog,
-            "bottleneck": self.bottleneck,
             "latency_histograms": {
                 name: _round_floats(summary)
                 for name, summary in summarize(self.latency).items()
             },
         }
+        data["bottleneck"] = self._resolve_bottleneck(data)
         return data
 
     def to_json_str(self, indent: int = 2) -> str:
@@ -265,14 +306,15 @@ class EngineMetrics:
                 + (", ABORTED" if self.watchdog.get("aborted") else "")
                 + ")"
             )
-        if self.bottleneck:
-            top = self.bottleneck.get("top", "?")
-            fractions = self.bottleneck.get("fractions") or {}
-            recommendation = self.bottleneck.get("recommendation")
+        bottleneck = self.bottleneck
+        if bottleneck:
+            top = bottleneck.get("top", "?")
+            fractions = bottleneck.get("fractions") or {}
+            recommendation = bottleneck.get("recommendation")
             lines.append(
                 f"bottleneck        {top} "
                 f"({fractions.get(top, 0.0):.0%} blame, "
-                f"{self.bottleneck.get('source', '?')}-based"
+                f"{bottleneck.get('source', '?')}-based"
                 + (
                     f"; try: {recommendation}" if recommendation else ""
                 )

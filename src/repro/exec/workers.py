@@ -45,21 +45,23 @@ committer exempts all but a worker's oldest unresolved claim from the
 hung-task timeout.
 
 Speculation throttling: the committer publishes its commit watermark and
-the controller's current window in shared memory; a worker holding
-iteration ``i`` waits (after claiming, so the committer can still recover
-the value) while ``i - watermark >= window``.  Pending results are flushed
-before the wait — gating must never hold back the very commits that would
-open the window.
+the controller's current window in shared memory (:class:`ThrottleGate`);
+a worker holding iteration ``i`` waits (after claiming, so the committer
+can still recover the value) while ``i - watermark >= window``, and the
+committer wakes the gate when the watermark has moved.  Pending results
+are flushed before the wait — gating must never hold back the very
+commits that would open the window.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
 import time
 from typing import Any, Callable, Optional
 
-from repro.exec.channels import ChannelTimeout, ProcessChannel, STOP
+from repro.exec.channels import ChannelTimeout, ProcessChannel, STOP, Wakeup
 from repro.exec.faults import FaultPlan, InjectedFault
 from repro.exec.rollback import Snapshot, WriteBuffer
 from repro.obs.clock import now_ns
@@ -71,8 +73,6 @@ logger = logging.getLogger(__name__)
 #: How often an idle stage re-checks the shutdown event (seconds) — the
 #: safety net for runs that end without an end-of-stream token.
 _IDLE_POLL = 0.2
-#: How often a throttle-gated worker re-checks the commit watermark.
-_GATE_POLL = 0.005
 
 
 class HardExit(BaseException):
@@ -121,12 +121,62 @@ class ShutdownGuard:
         self._shutdown.set()
 
 
+class ThrottleGate:
+    """The speculative window as the stages share it: the committer's
+    commit watermark, the controller's current window, and the wake a
+    gated worker sleeps on.  Single writer (the committer), so the two
+    cells are plain aligned stores with no lock to read through."""
+
+    def __init__(self, ctx) -> None:
+        self.watermark = ctx.RawValue("l", 0)
+        self.window = ctx.RawValue("l", 0)
+        self._opened = Wakeup(ctx)
+
+    def seat(self) -> "ThrottleGate":
+        """A view for one worker about to be spawned, with its own seat on
+        the wake-up (see :class:`Wakeup`)."""
+        view = copy.copy(self)
+        view._opened = self._opened.seat()
+        return view
+
+    def admits(self, i: int) -> bool:
+        return i - self.watermark.value < self.window.value
+
+    def wait(self, i: int, shutdown) -> None:
+        """Block until iteration ``i`` is inside the window (or shutdown)."""
+        self._opened.wait(lambda: self.admits(i) or shutdown.is_set())
+
+    def wake(self) -> None:
+        """For the committer, after it moved the watermark or the window
+        — and for whoever sets ``shutdown``."""
+        self._opened.wake()
+
+    def reset(self, watermark: int, window: int) -> None:
+        """Re-arm for another run; only legal while no worker waits."""
+        self.watermark.value = watermark
+        self.window.value = window
+        self._opened.reset()
+
+
+def signal_shutdown(shutdown, work: ProcessChannel, done: ProcessChannel,
+                    gate: ThrottleGate) -> None:
+    """Set the stages' shutdown event *and* wake whoever is blocked on
+    channel credit or the gate, so they see it now rather than when a
+    backstop slice runs out."""
+    shutdown.set()
+    work.wake()
+    done.wake()
+    gate.wake()
+
+
 def _drain_flush(channel: ProcessChannel, shutdown) -> bool:
-    """Blockingly flush everything pending, re-checking ``shutdown``
-    between bounded attempts; False when interrupted by shutdown."""
+    """Blockingly flush everything pending; False when interrupted by
+    shutdown (seen at once if the setter woke the channel, else when a
+    bounded attempt expires)."""
+    abort = shutdown.is_set if shutdown is not None else None
     while channel.pending_items:
         try:
-            channel.flush(timeout=_IDLE_POLL)
+            channel.flush(timeout=_IDLE_POLL, abort=abort)
         except ChannelTimeout:
             if shutdown is not None and shutdown.is_set():
                 return False
@@ -230,8 +280,7 @@ def worker_main(
     snapshot: Snapshot,
     fault_plan: Optional[FaultPlan],
     shutdown,
-    watermark=None,
-    window=None,
+    gate: Optional[ThrottleGate] = None,
     max_chunk: int = 1,
     trace: Optional[TraceConfig] = None,
     registry=None,
@@ -261,7 +310,7 @@ def worker_main(
     try:
         _worker_loop(
             worker_id, work, done, work_fn, speculative, snapshot,
-            fault_plan, shutdown, watermark, window, max_chunk, stop, tracer,
+            fault_plan, shutdown, gate, max_chunk, stop, tracer,
             registry, writer, hard_exit,
         )
     finally:
@@ -278,8 +327,7 @@ def _worker_loop(
     snapshot: Snapshot,
     fault_plan: Optional[FaultPlan],
     shutdown,
-    watermark,
-    window,
+    gate: Optional[ThrottleGate],
     max_chunk: int,
     stop: Callable[[], None],
     tracer,
@@ -318,20 +366,15 @@ def _worker_loop(
             # Throttle gate: hold execution until iteration i enters the
             # speculative window.  Flush first — buffered results feed the
             # very commits that advance the watermark.
-            if watermark is not None and window is not None:
-                if i - watermark.value >= window.value:
-                    gate_t0 = now_ns()
-                    _drain_flush(done, shutdown)
-                    while (
-                        i - watermark.value >= window.value
-                        and not shutdown.is_set()
-                    ):
-                        time.sleep(_GATE_POLL)
-                    if tracer is not None:
-                        tracer.span(
-                            EventKind.GATE_WAIT, gate_t0, now_ns(),
-                            arg=i, arg2=worker_id,
-                        )
+            if gate is not None and not gate.admits(i):
+                gate_t0 = now_ns()
+                _drain_flush(done, shutdown)
+                gate.wait(i, shutdown)
+                if tracer is not None:
+                    tracer.span(
+                        EventKind.GATE_WAIT, gate_t0, now_ns(),
+                        arg=i, arg2=worker_id,
+                    )
 
             # Begin marker *before* the injection checks: a task this
             # process never finishes (crash, hang-then-kill) leaves an

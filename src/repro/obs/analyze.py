@@ -35,8 +35,8 @@ This module closes that gap:
 
 Everything degrades gracefully: an empty trace, a service-only trace, or
 a metrics JSON without any trace at all (:func:`estimate_bottleneck`, the
-coarse aggregate-only estimator the engine attaches to every run) all
-produce a valid — if less precise — report, never an exception.
+coarse aggregate-only estimator ``EngineMetrics.bottleneck`` falls back
+to) all produce a valid — if less precise — report, never an exception.
 """
 
 from __future__ import annotations
@@ -897,7 +897,8 @@ def crosscheck_with_graph(report: BottleneckReport, graph) -> List:
 
 def estimate_bottleneck(metrics) -> dict:
     """A coarse bottleneck block from aggregate :class:`EngineMetrics`
-    alone — what the engine attaches to every run, trace or not.
+    alone — what ``EngineMetrics.bottleneck`` resolves to, on first read,
+    for a run nobody analyzed a trace of.
 
     Per-item costs are synthesized uniformly from stage totals, so the
     same replay/what-if machinery runs; blame comes from wall-clock

@@ -17,8 +17,10 @@ so two identical runs report identical numbers) while ``count``, ``total``,
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional
 
 #: Default sample retention: 64 Ki floats ~ 512 KiB worst case per series.
@@ -35,7 +37,12 @@ def percentile(samples: List[float], q: float) -> float:
         raise ValueError("percentile of an empty sample set")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(samples)
+    return _rank(sorted(samples), q)
+
+
+def _rank(ordered: List[float], q: float) -> float:
+    """:func:`percentile` over an already-sorted, non-empty list — lets a
+    summary sort its samples once and index every rank from that."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -77,7 +84,24 @@ class LatencyHistogram:
             self.samples[slot] = value
 
     def extend(self, values) -> None:
-        for value in values:
+        """Bulk :meth:`add`, same end state: whatever fits under
+        ``max_samples`` is folded in with one C-speed call per aggregate;
+        the overflow takes the reservoir path sample by sample."""
+        values = list(values)
+        room = max(0, self.max_samples - len(self.samples))
+        bulk = values if len(values) <= room else values[:room]
+        if bulk:
+            self.count += len(bulk)
+            # reduce, not sum(): plain left-to-right adds on every Python,
+            # so the total is bit-identical to one add() per sample.
+            self.total = reduce(operator.add, bulk, self.total)
+            low, high = min(bulk), max(bulk)
+            if self.min_value is None or low < self.min_value:
+                self.min_value = low
+            if self.max_value is None or high > self.max_value:
+                self.max_value = high
+            self.samples.extend(bulk)
+        for value in values[room:]:
             self.add(value)
 
     @property
@@ -108,8 +132,9 @@ class LatencyHistogram:
         # exact, but percentiles are unknowable — omit them rather than
         # raising or reporting a degenerate p50=p99=0.
         if self.samples:
+            ordered = sorted(self.samples)
             for q in SUMMARY_PERCENTILES:
-                data[f"p{q:g}"] = self.percentile(q)
+                data[f"p{q:g}"] = _rank(ordered, q)
         return data
 
     def format_line(self) -> str:
@@ -122,8 +147,9 @@ class LatencyHistogram:
                 f"max {format_seconds(self.max_value)}  "
                 f"n={self.count}  (no retained samples)"
             )
+        ordered = sorted(self.samples)
         parts = [
-            f"p{q:g} {format_seconds(self.percentile(q))}"
+            f"p{q:g} {format_seconds(_rank(ordered, q))}"
             for q in SUMMARY_PERCENTILES
         ]
         parts.append(f"max {format_seconds(self.max_value)}")

@@ -157,9 +157,14 @@ class CheckpointManager:
         metrics: EngineMetrics,
     ) -> Optional[Checkpoint]:
         """Checkpoint if ``interval`` commits have landed since the last one."""
-        if next_commit - self._last_marked_commit < self.config.interval:
+        if not self.due(next_commit):
             return None
         return self.take(next_commit, store, accumulator, metrics)
+
+    def due(self, next_commit: int) -> bool:
+        """Would :meth:`maybe` checkpoint at this watermark?  Lets the
+        committer bring ``metrics`` up to date only when one is taken."""
+        return next_commit - self._last_marked_commit >= self.config.interval
 
     def take(
         self,

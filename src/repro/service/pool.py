@@ -4,7 +4,7 @@ Fork-per-job pays a process spawn, a channel allocation, and a shared-memory
 mapping for every pipeline run — fine for one run, ruinous for a job server.
 This pool amortizes all of it: a fixed set of worker processes is spawned
 once, every process inherits every *slot* (one slot = the channel pair,
-shutdown event, watermark/window values, and metrics registry for one
+shutdown event, throttle gate, and metrics registry for one
 concurrent job), and a job *leases* workers into a slot instead of forking.
 
 The split matters because of multiprocessing's inheritance rule: shared
@@ -39,6 +39,7 @@ the serial re-execution path preserves exactness.
 
 from __future__ import annotations
 
+import copy
 import logging
 import multiprocessing
 import os
@@ -50,7 +51,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.exec.channels import ChannelTimeout, ProcessChannel
 from repro.exec.faults import FaultPlan, RobustnessPolicy
 from repro.exec.rollback import CommittedStore
-from repro.exec.workers import _worker_loop, producer_main
+from repro.exec.workers import (
+    ThrottleGate,
+    _worker_loop,
+    producer_main,
+    signal_shutdown,
+)
 from repro.obs.events import TraceConfig
 from repro.obs.registry import MetricsRegistry, WRITER_PRODUCER, WRITER_WORKER0
 from repro.obs.spool import open_tracer
@@ -98,10 +104,19 @@ class _Slot:
             batch_size=batch_size, flush_interval=flush_interval,
             transport=transport,
         )
-        self.watermark = ctx.Value("l", 0)
-        self.window = ctx.Value("l", 0)
+        self.gate = ThrottleGate(ctx)
         self.shutdown = ctx.Event()
         self.registry = MetricsRegistry.create(ctx, writer_rows)
+
+    def for_worker(self) -> "_Slot":
+        """The slot as one pool worker about to be spawned gets it: the
+        same skeleton seen through that worker's own channel and gate
+        views (private buffers, its own seats on the wake-ups)."""
+        view = copy.copy(self)
+        view.work = self.work.for_stage()
+        view.done = self.done.for_stage()
+        view.gate = self.gate.seat()
+        return view
 
 
 class _OrphanGuard:
@@ -177,7 +192,7 @@ def pool_worker_main(
             _worker_loop(
                 worker_id, slot.work, slot.done, work_fn, speculative,
                 snapshot, fault_plan, _OrphanGuard(slot.shutdown, parent),
-                slot.watermark, slot.window, max_chunk, stop, tracer,
+                slot.gate, max_chunk, stop, tracer,
                 registry, writer,
             )
         except (EOFError, OSError):
@@ -301,12 +316,8 @@ class LeaseRuntime:
         return self.slot.shutdown
 
     @property
-    def watermark(self):
-        return self.slot.watermark
-
-    @property
-    def window(self):
-        return self.slot.window
+    def gate(self) -> ThrottleGate:
+        return self.slot.gate
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -451,7 +462,7 @@ class WorkerPool:
             self._started = False
             self._pool_shutdown.set()
             for slot in self._slots:
-                slot.shutdown.set()
+                signal_shutdown(slot.shutdown, slot.work, slot.done, slot.gate)
             for worker in self._workers.values():
                 try:
                     worker.conn.send(("stop",))
@@ -619,7 +630,7 @@ class WorkerPool:
         release-time counter reset quarantines the slot if they wedged it.
         """
         slot = lease.slot
-        slot.shutdown.set()
+        signal_shutdown(slot.shutdown, slot.work, slot.done, slot.gate)
         deadline = time.monotonic() + max(join_timeout, 1.0)
         self._await_released(lease, deadline, drain_work=True)
         if producer is not None:
@@ -676,8 +687,9 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=pool_worker_main,
-            args=(wid, child_conn, tuple(self._slots), self._pool_shutdown,
-                  WRITER_WORKER0 + row_index),
+            args=(wid, child_conn,
+                  tuple(slot.for_worker() for slot in self._slots),
+                  self._pool_shutdown, WRITER_WORKER0 + row_index),
             name=f"pool-B{wid}",
             daemon=True,
         )
@@ -719,9 +731,7 @@ class WorkerPool:
             slot.work.reset_local()
             slot.done.reset_local()
             slot.shutdown.clear()
-            slot.watermark.value = 0
-            slot.window.value = 0
-            return slot
+            return slot  # the engine re-arms slot.gate for its run
         return None
 
     # -- introspection -------------------------------------------------------------

@@ -328,6 +328,14 @@ class TestBottleneckBlock:
 # -- metrics-only estimation -------------------------------------------------------
 
 
+def _times_three(i):
+    return i * 3
+
+
+def _plus(i, value):
+    return value + i
+
+
 class TestEstimateBottleneck:
     def test_b_bound_metrics_name_stage_b(self):
         metrics = EngineMetrics(
@@ -356,6 +364,42 @@ class TestEstimateBottleneck:
         data = metrics.to_json()
         assert data["bottleneck"]["top"] == "compute:B"
         assert "bottleneck" in metrics.format_summary()
+
+    def test_verdict_is_resolved_when_read_not_when_the_run_ends(
+        self, monkeypatch
+    ):
+        """``ExecutionEngine.run`` no longer pays for the estimate; the
+        first reader of a finished run's metrics does, once."""
+        from repro.exec import ExecutionEngine, PipelineSpec
+        from repro.obs import analyze
+
+        calls = []
+        real = analyze.estimate_bottleneck
+
+        def counting(metrics):
+            calls.append(1)
+            return real(metrics)
+
+        monkeypatch.setattr(analyze, "estimate_bottleneck", counting)
+        result = ExecutionEngine(workers=2, capacity=4).run(
+            PipelineSpec(iterations=12, produce=_times_three, work=_plus)
+        )
+        assert calls == []
+        block = result.metrics.to_json()["bottleneck"]
+        assert validate_bottleneck(block) == [] and block["source"] == "metrics"
+        assert result.metrics.bottleneck is block
+        assert "bottleneck" in result.metrics.format_summary()
+        assert calls == [1]
+        # a trace-based analysis still replaces it
+        result.metrics.bottleneck = {"top": "compute:B", "source": "trace"}
+        assert result.metrics.to_json()["bottleneck"]["source"] == "trace"
+
+    def test_unfinished_run_has_no_verdict(self):
+        metrics = EngineMetrics(workers=2, iterations=10, commits=4)
+        assert metrics.to_json()["bottleneck"] is None  # a mid-run checkpoint
+        assert metrics.bottleneck is None
+        metrics.wall_seconds = 0.5
+        assert metrics.bottleneck["source"] == "metrics"
 
     def test_fixed_costs_are_named_not_left_in_the_residual(self):
         metrics = EngineMetrics(

@@ -177,6 +177,39 @@ class TestLatencyHistogram:
         # Seeded reservoir: identical runs summarize identically.
         assert first.summary() == second.summary()
 
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=0, max_value=1e3, allow_nan=False),
+                max_size=12,
+            ),
+            max_size=8,
+        )
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_bulk_extend_ends_where_one_add_per_sample_does(self, batches):
+        """The committer folds per-item samples in batches; the histogram
+        must not be able to tell — under ``max_samples``, across the
+        boundary, and on the reservoir path beyond it."""
+        bulk = LatencyHistogram(max_samples=16)
+        single = LatencyHistogram(max_samples=16)
+        for batch in batches:
+            bulk.extend(batch)
+            for value in batch:
+                single.add(value)
+        assert bulk.samples == single.samples
+        assert (bulk.count, bulk.total) == (single.count, single.total)
+        assert bulk.summary() == single.summary()
+        assert bulk.format_line() == single.format_line()
+
+    def test_summary_ranks_match_the_free_function(self):
+        histogram = LatencyHistogram()
+        values = [((i * 7919) % 1013) / 1013.0 for i in range(500)]
+        histogram.extend(values)
+        summary = histogram.summary()
+        for q in (50, 90, 95, 99):
+            assert summary[f"p{q}"] == percentile(values, q)
+
 
 # -- spool files -------------------------------------------------------------------
 
