@@ -9,8 +9,8 @@ the CI perf job replays this file with ``PERF_GATE=1`` and fails on
 regression against the recorded baseline.
 
 The producer runs on the calling thread and a consumer thread drains
-concurrently, so the measurement includes the real queue wakeups, feeder
-handoffs, and shared-counter traffic the engine pays — per item at batch
+concurrently, so the measurement includes the real pipe writes, reader
+wakeups, and shared-counter traffic the engine pays — per item at batch
 size 1, per frame above it.
 """
 
@@ -202,9 +202,8 @@ def test_transport_matrix(benchmark, results_sink):
             for name, spec in WIRE_PAYLOADS.items()
         },
         # Informational, deliberately NOT named items_per_sec: absolute
-        # wire rates swing hugely with core count and box load (the pipe's
-        # feeder thread alone moves them 3x), so check_perf gates only the
-        # shm ratios below.
+        # wire rates swing hugely with core count and box load, so
+        # check_perf gates only the shm ratios below.
         "wire_items_per_sec": {
             kind: {name: round(rate, 1) for name, rate in row.items()}
             for kind, row in measured.items()
@@ -218,12 +217,15 @@ def test_transport_matrix(benchmark, results_sink):
         "pr3_anchor_items_per_sec": PR3_BATCHED_PIPE_ANCHORS,
     }
 
-    # Sanity even un-gated: every backend moved data, and shm beat the
-    # pipe on large blocks (its whole reason to exist).
+    # Sanity even un-gated: every backend moved data, and shm is no
+    # slower than the same-run pipe on large blocks (its whole reason to
+    # exist).  Only "no slower": the pipe writes blocks with one gathered
+    # ``writev`` now, and a floor above 1 punishes every gain on its side
+    # (observed 2.4x; 4.8-10x against the old queue-and-feeder pipe).
     for kind, row in measured.items():
         for name, rate in row.items():
             assert rate > 0, f"{kind}/{name} measured no throughput"
-    assert shm_vs_pipe["blocks_64k"] >= 1.5, (
+    assert shm_vs_pipe["blocks_64k"] >= 1.0, (
         f"shm ring slower than pipe on 64KiB blocks: "
         f"{shm_vs_pipe['blocks_64k']:.2f}x"
     )
@@ -237,11 +239,3 @@ def test_transport_matrix(benchmark, results_sink):
                 f"{ratio:.1f}x the PR 3 batched-pipe anchor "
                 f"({PR3_BATCHED_PIPE_ANCHORS[name]:,.0f}/s); gate is 5x"
             )
-        # Same-run cross-check on big blocks.  The floor is 3x, not 5x:
-        # the pipe side of this ratio swings ~3x between runs (feeder
-        # thread scheduling), so a 5x same-run gate would flake on rates
-        # the anchored gates above already prove.  Observed 5.6-10.3x.
-        assert shm_vs_pipe["blocks_64k"] >= 3.0, (
-            f"shm/blocks_64k: only {shm_vs_pipe['blocks_64k']:.1f}x the "
-            f"same-run pipe rate; floor is 3x"
-        )

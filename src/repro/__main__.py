@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exec_parser.add_argument(
         "--transport", default="pipe", choices=("pipe", "shm", "thread"),
-        help="channel wire backend: 'pipe' (mp.Queue, the default), 'shm' "
+        help="channel wire backend: 'pipe' (an OS pipe, the default), 'shm' "
              "(shared-memory ring buffer — the zero-copy fast path), or "
              "'thread' (in-process workers, no pickling; for debugging "
              "and as a GIL-bound upper bound)",

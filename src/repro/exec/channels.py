@@ -7,16 +7,16 @@ is empty — the synchronization-array behaviour the simulator models on its
 256 32-entry queues, realized on real OS pipes.
 
 The wire beneath the channel is pluggable (:mod:`repro.exec.transport`):
-the classic ``multiprocessing.Queue`` pipe, a zero-copy shared-memory ring
+an OS pipe of length-prefixed messages, a zero-copy shared-memory ring
 (``transport="shm"``), or an in-process deque for thread-mode pipelines
 (``transport="thread"``).  The channel layer adds what the engine needs on
 top of any wire:
 
 **Batched framed transport (the fast path).**  The paper's synchronization
-array moves a value between cores in a handful of cycles; a naive
-``Queue.put`` per work item instead pays a pickle, a pipe write, and two
-shared-memory lock acquisitions per item, so small-payload pipelines are
-dominated by communication overhead.  A channel constructed with
+array moves a value between cores in a handful of cycles; a message per
+work item instead pays a pickle, a pipe write, and two shared-memory lock
+acquisitions per item, so small-payload pipelines are dominated by
+communication overhead.  A channel constructed with
 ``batch_size > 1`` therefore *frames* its traffic: producers accumulate up
 to ``batch_size`` items and flush them as one frame — a single serialized
 payload, one pipe round-trip — when the batch fills, when ``flush_interval``
@@ -26,9 +26,12 @@ at close).  Consumers unframe transparently: :meth:`get` still hands back
 one item at a time, in order, so the committer, throttle watermarks, chaos
 schedules, and exactly-once dedup all keep their per-item semantics.
 
-Frames are serialized once with ``pickle.dumps(protocol=HIGHEST_PROTOCOL)``
-so the queue's feeder only re-pickles an opaque bytes blob; homogeneous
-``bytes`` payloads skip pickle entirely via a length-prefixed raw mode.
+Frames are serialized once, by the wire, with
+``pickle.dumps(protocol=HIGHEST_PROTOCOL)``; homogeneous ``bytes`` payloads
+skip pickle entirely via a length-prefixed raw mode.  A multi-item frame
+the wire can never hold (``transport.FrameTooLarge``: 32 items of 64 KiB
+against a 2 MiB ring) is split, down to single items, and the channel
+keeps to the smaller frame from then on.
 
 **Capacity is counted in items, not frames.**  The bounded-queue invariant
 ("no channel ever observed above its 32-entry capacity") must survive
@@ -69,6 +72,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional
 from repro.obs.events import CHANNEL_IDS, ChaosCode, EventKind
 from repro.exec import transport as _transport
 from repro.exec.transport import (
+    FrameTooLarge,
     TransportEmpty,
     TransportFull,
     make_transport,
@@ -209,10 +213,11 @@ class Wakeup:
 def encode_frame(items: List[Any]) -> tuple:
     """Serialize ``items`` into one frame payload.
 
-    Homogeneous ``bytes`` payloads use a length-prefixed raw concatenation
-    (no pickle of the items at all); everything else is pickled once at
-    ``HIGHEST_PROTOCOL`` so the queue's feeder thread only copies an opaque
-    blob instead of re-walking the object graph.
+    The frame codec as a pure function, for callers that carry frames
+    over a wire of their own (the transports in this package serialize
+    straight onto theirs).  Homogeneous ``bytes`` payloads use a
+    length-prefixed raw concatenation (no pickle of the items at all);
+    everything else is pickled once at ``HIGHEST_PROTOCOL``.
     """
     if len(items) > 1 and all(type(item) is bytes for item in items):
         return (_RAW_TAG, tuple(len(item) for item in items), b"".join(items))
@@ -293,9 +298,9 @@ class ProcessChannel:
             raise ValueError("flush interval must be positive")
         ctx = ctx or multiprocessing.get_context()
         self.capacity = capacity
-        #: Frames never outnumber their items, so a frame-count bound of
-        #: ``capacity`` can never bound tighter than the item credit does;
-        #: the credit check below is the real full/empty discipline.
+        #: A frame takes its item credit in one piece, so it can be no
+        #: larger than the channel (and shrinks further if the wire turns
+        #: out unable to hold a frame of these items: see :meth:`flush`).
         self.batch_size = min(batch_size, capacity)
         self.flush_interval = flush_interval
         self.name = name
@@ -445,11 +450,12 @@ class ProcessChannel:
 
         ``partial=False`` sends only full frames (leaving a short remainder
         buffered for the next batch); the default drains everything.  Raises
-        :class:`ChannelTimeout` if item credit does not free up in time —
-        or, with no credit to be had, as soon as ``abort()`` holds (the
-        stages pass their shutdown check; :meth:`wake` makes a blocked
-        flush look at it).  The unsent items stay buffered and a later
-        flush retries them without re-applying chaos.
+        :class:`ChannelTimeout` if item credit (or room on the wire) does
+        not free up in time — or, with none to be had, as soon as
+        ``abort()`` holds (the stages pass their shutdown check;
+        :meth:`wake` makes a flush blocked on credit look at it).  The
+        unsent items stay buffered and a later flush retries them without
+        re-applying chaos.
         """
         deadline = self._deadline(timeout)
         buffer = self._send_buffer
@@ -457,7 +463,15 @@ class ProcessChannel:
             count = min(len(buffer), self.batch_size)
             if count < self.batch_size and not partial:
                 return
-            self._send_frame(buffer[:count], deadline, count > 1, abort)
+            try:
+                self._send_frame(buffer[:count], deadline, count > 1, abort)
+            except FrameTooLarge:
+                if count == 1:
+                    raise
+                # Items this size will come again: frame them smaller
+                # from here on instead of finding out once per chunk.
+                self.batch_size = (count + 1) // 2
+                continue
             del buffer[:count]
         self._send_since = None
 
@@ -469,17 +483,18 @@ class ProcessChannel:
         abort: Optional[Callable[[], bool]] = None,
     ) -> None:
         self._acquire_credit(len(items), deadline, abort)
-        # Credit guarantees a frame slot on the pipe wire (frames <= items
-        # <= capacity) but not ring *bytes* on the shm wire, so the send
-        # timeout is a real bound there and a defensive one elsewhere;
-        # either way the deadline the caller set caps the wait.
+        # Credit counts items; the pipe and the ring hold *bytes*, so the
+        # send can still find the wire full and its timeout is a real
+        # bound: the deadline the caller set, five seconds without one.
         wait = (
             5.0
             if deadline is None
             else max(0.0, min(5.0, deadline - time.monotonic()))
         )
         try:
-            self._serialize_local += self._transport.send(items, framed, wait)
+            self._serialize_local += self._transport.send(
+                items, framed, wait, abort
+            )
         except TransportFull:
             with self._produces.get_lock():
                 self._produces.value -= len(items)
@@ -772,17 +787,18 @@ class ProcessChannel:
         """Flush this process's pending items to the wire, then close.
 
         A process about to hard-exit (``os._exit``) must call this first:
-        batched items live in the send buffer and (on the pipe wire)
-        queued puts are serviced by a feeder thread, so an immediate exit
-        could drop messages that the committer's crash recovery depends
-        on.  Closing only releases *this process's* side: an shm segment
-        is unlinked solely by its owning (creating) process.
+        batched items live in the send buffer, and an immediate exit
+        would drop messages the committer's crash recovery depends on.
+        (Once ``flush`` returns they are on the wire — no transport holds
+        anything back in the sender.)  Closing only releases *this
+        process's* side: an shm segment is unlinked solely by its owning
+        (creating) process.
         """
         try:
             self.flush(timeout=flush_timeout)
         except ChannelTimeout:
             pass  # full channel with no consumer left; don't wedge the exit
-        self._transport.close(join=True)
+        self._transport.close()
 
     def close(self) -> None:
         """Close the transport without waiting on peers.
@@ -792,7 +808,7 @@ class ProcessChannel:
         an shm ring, so even ``_halt()`` after a crashed run leaves no
         ``/dev/shm`` segment behind.
         """
-        self._transport.close(join=False)
+        self._transport.close()
 
     @property
     def transport_kind(self) -> str:

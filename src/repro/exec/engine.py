@@ -63,6 +63,7 @@ from repro.exec.workers import (
     HardExit,
     ShutdownGuard,
     ThrottleGate,
+    done_capacity,
     producer_main,
     raise_hard_exit,
     signal_shutdown,
@@ -231,16 +232,17 @@ class ExecutionEngine:
     timeout it is meant to exercise.
 
     ``batch_size`` (default 16, clamped to ``capacity``) is the fast path:
-    the producer dispatches adaptively-growing chunks of up to this many
-    iterations per frame, workers batch their claim/result messages the
-    same way, and both channels run the framed transport — one pickle and
-    one pipe round-trip per frame instead of per item.  ``batch_size=1``
+    the producer dispatches chunks of up to this many iterations per frame
+    (fewer while the pipeline fills and as it drains), workers answer with
+    one claims and one results message per chunk, and both channels run
+    the framed transport — one pickle and one pipe round-trip per frame
+    instead of per item.  ``batch_size=1``
     restores the classic unbatched wire format.  ``flush_interval`` bounds
     how long a partial batch may wait before it is flushed anyway.
 
     ``transport`` selects the wire beneath both channels (see
-    :mod:`repro.exec.transport`): ``"pipe"`` (the default, a
-    ``multiprocessing.Queue``), ``"shm"`` (the zero-copy shared-memory
+    :mod:`repro.exec.transport`): ``"pipe"`` (the default, an OS pipe of
+    length-prefixed messages), ``"shm"`` (the zero-copy shared-memory
     ring — the high-throughput data plane), or ``"thread"`` (stages run
     as threads of the calling process; items move by reference, injected
     crashes unwind via :class:`HardExit` instead of ``os._exit``, and
@@ -441,12 +443,8 @@ class ExecutionEngine:
                 batch_size=self.batch_size, flush_interval=self.flush_interval,
                 transport=self.transport,
             )
-            # Worst-case in-flight done traffic: a claim and a result for
-            # every item in the transport plus every item held in a worker's
-            # chunk, plus one "stopped" per worker.
             done = ProcessChannel(
-                2 * (self.capacity + self.workers * self.batch_size)
-                + self.workers + 8,
+                done_capacity(self.capacity, self.workers, self.batch_size),
                 name="done", ctx=ctx,
                 batch_size=self.batch_size, flush_interval=self.flush_interval,
                 transport=self.transport,
@@ -545,7 +543,8 @@ class ExecutionEngine:
                 "exec-A", producer_main,
                 (work.for_stage(), spec.iterations, spec.produce,
                  self.fault_plan, child_shutdown, start, self.batch_size,
-                 self.trace_config, registry, WRITER_PRODUCER, True),
+                 self.trace_config, registry, WRITER_PRODUCER, True,
+                 self.workers),
             )
 
         processes: Dict[int, Any] = {}
@@ -606,16 +605,18 @@ class ExecutionEngine:
                 monitor.stop()
                 metrics.watchdog = monitor.watchdog.summary()
 
-        # Committer state.  ``inflight_values`` holds each claimed
-        # iteration's phase-A value until commit, so any lost task can be
-        # re-executed serially.
-        inflight_values: Dict[int, Any] = {}
-        claim_info: Dict[int, Tuple[int, float]] = {}
-        claim_arrival_ns: Dict[int, int] = {}
-        worker_claims: Dict[int, Set[int]] = {}
-        pending: Dict[int, Tuple[Any, dict, dict]] = {}
+        # Committer state.  ``claims`` holds, per claimed and uncommitted
+        # iteration, ``[claimant, claim clock (hung-task timeout), phase-A
+        # value, first arrival (ns)]`` — the value so that any lost task
+        # can be re-executed serially.  ``pending`` is the reorder buffer:
+        # result entries as the workers sent them, ``(i, result, reads,
+        # writes, b_seconds)``.
+        claims: Dict[int, list] = {}
+        pending: Dict[int, tuple] = {}
         serial_needed: Set[int] = set()
         next_commit = start
+        iterations = spec.iterations
+        speculative = spec.speculative
         respawns_left = policy.max_respawns
         producer_failed = False
         last_activity = time.monotonic()
@@ -650,9 +651,9 @@ class ExecutionEngine:
 
         def serial_reexecute(i: int) -> Any:
             """Misspeculation-as-re-execution: run task *i* on live state."""
-            value = inflight_values[i]
+            value = claims[i][2]
             t0_ns = now_ns()
-            if spec.speculative:
+            if speculative:
                 buffer = WriteBuffer(store.snapshot())
                 result = spec.work(i, value, buffer)
                 store.apply(buffer.writes)
@@ -669,104 +670,132 @@ class ExecutionEngine:
                 tracer.record(EventKind.SERIAL_REEXEC, t0_ns, t1_ns, arg=i)
             return result
 
-        def commit(i: int, result: Any, misspeculated: bool = False) -> None:
-            nonlocal next_commit
-            t0_ns = now_ns()
-            spec.commit(i, result, accumulator)
-            # One clock pair feeds stage_seconds, the latency histogram,
-            # commit lag, *and* the trace span — tracing adds no clock calls.
-            commit_ns = now_ns()
-            elapsed = (commit_ns - t0_ns) * 1e-9
-            metrics.stage_seconds["C"] += elapsed
-            c_samples(elapsed)
-            metrics.commits += 1
-            if i == next_commit:
-                metrics.in_order_commits += 1
-            next_commit = i + 1
-            watermark_value.value = next_commit
+        def tell_throttle(misspeculated: bool, commits: int) -> None:
+            new_window = throttle.record(misspeculated, commits)
+            if new_window is None:
+                return
+            shrink = new_window < window_value.value
+            window_value.value = new_window
             if registry is not None:
-                registry.add(WRITER_COMMITTER, "committed")
-                registry.set_gauge("watermark", next_commit)
-            inflight_values.pop(i, None)
-            info = claim_info.pop(i, None)
-            if info is not None:
-                worker_claims.get(info[0], set()).discard(i)
-            serial_needed.discard(i)
-            if metrics.commits == 1:
-                metrics.startup_seconds = time.monotonic() - entered
-            claimed_ns = claim_arrival_ns.pop(i, None)
-            if claimed_ns is not None and commit_ns >= claimed_ns:
-                lag_seconds = (commit_ns - claimed_ns) / 1e9
-                lag_samples(lag_seconds)
-                if registry is not None:
-                    registry.observe(
-                        WRITER_COMMITTER, "commit_lag_seconds", lag_seconds
-                    )
+                registry.set_gauge("window", new_window)
+            logger.debug(
+                "throttle %s: speculative window now %d",
+                "shrink" if shrink else "grow", new_window,
+            )
             if tracer is not None:
-                # The span's end *is* the commit point and arg2 carries the
-                # misspeculation flag; the merger synthesizes the COMMIT
-                # instant from it, halving committer record volume.
-                tracer.record(
-                    EventKind.TASK_C, t0_ns, commit_ns, arg=i,
-                    arg2=1 if misspeculated else 0,
+                tracer.instant(
+                    EventKind.THROTTLE, arg=new_window,
+                    detail=0 if shrink else 1,
                 )
-            if throttle is not None:
-                new_window = throttle.record(misspeculated)
-                if new_window is not None:
-                    shrink = new_window < window_value.value
-                    window_value.value = new_window
-                    if registry is not None:
-                        registry.set_gauge("window", new_window)
-                    logger.debug(
-                        "throttle %s: speculative window now %d",
-                        "shrink" if shrink else "grow", new_window,
-                    )
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.THROTTLE, arg=new_window,
-                            detail=0 if shrink else 1,
-                        )
-            if manager is not None and manager.due(next_commit):
-                fold_samples()  # the checkpoint carries metrics.to_json()
-                manager.take(next_commit, store, accumulator, metrics)
-                metrics.checkpoints_taken = manager.taken
-                if registry is not None:
-                    registry.add(WRITER_COMMITTER, "checkpoints")
-                logger.info(
-                    "checkpoint %d taken at commit watermark %d",
-                    manager.taken, next_commit,
-                )
-                if tracer is not None:
-                    tracer.instant(EventKind.CHECKPOINT, arg=next_commit)
+
+        def settle(frontier: int, c_seconds: float) -> None:
+            """Book the commits ``next_commit .. frontier`` and publish the
+            new watermark."""
+            nonlocal next_commit
+            run = frontier - next_commit
+            if not run:
+                return
+            if not metrics.commits:
+                metrics.startup_seconds = time.monotonic() - entered
+            metrics.commits += run
+            metrics.in_order_commits += run
+            metrics.stage_seconds["C"] += c_seconds
+            next_commit = watermark_value.value = frontier
+            if registry is not None:
+                registry.add(WRITER_COMMITTER, "committed", run)
+                registry.set_gauge("watermark", frontier)
 
         def advance_commits() -> None:
-            while next_commit < spec.iterations:
-                i = next_commit
-                if i in pending:
-                    result, reads, writes = pending.pop(i)
-                    stale = store.validate(reads) if spec.speculative else []
-                    if stale:
-                        metrics.conflicts += 1
-                        if registry is not None:
-                            registry.add(WRITER_COMMITTER, "conflicts")
-                        if tracer is not None:
-                            tracer.instant(EventKind.CONFLICT, arg=i)
-                        commit(i, serial_reexecute(i), misspeculated=True)
-                    else:
-                        store.apply(writes)
-                        commit(i, result)
-                elif i in serial_needed and i in inflight_values:
-                    commit(i, serial_reexecute(i), misspeculated=True)
+            """Commit the contiguous run at the frontier: buffered results
+            (validated first when speculative) and tasks owed a serial
+            retry.  Per item: the callback, one clock pair, the latency
+            samples, the trace span.  Counters, the watermark and the
+            throttle settle once per run — a conflict or a checkpoint
+            inside it only settles early."""
+            i = next_commit
+            clean = 0  # clean commits the throttle has not heard of yet
+            c_seconds = 0.0
+            while i < iterations:
+                entry = pending.pop(i, None)
+                misspeculated = False
+                if entry is not None:
+                    result = entry[1]
+                    if speculative:
+                        if store.validate(entry[2]):
+                            misspeculated = True
+                            metrics.conflicts += 1
+                            if registry is not None:
+                                registry.add(WRITER_COMMITTER, "conflicts")
+                            if tracer is not None:
+                                tracer.instant(EventKind.CONFLICT, arg=i)
+                        else:
+                            store.apply(entry[3])
+                elif i in serial_needed and i in claims:
+                    misspeculated = True
                 else:
-                    return
+                    break
+                if misspeculated:
+                    result = serial_reexecute(i)
+                if serial_needed:
+                    serial_needed.discard(i)
+                # One clock pair feeds stage_seconds, the latency histogram,
+                # commit lag, *and* the trace span — tracing adds no clock calls.
+                t0_ns = now_ns()
+                spec.commit(i, result, accumulator)
+                commit_ns = now_ns()
+                elapsed = (commit_ns - t0_ns) * 1e-9
+                c_seconds += elapsed
+                c_samples(elapsed)
+                claim = claims.pop(i, None)
+                if claim is not None and commit_ns >= claim[3]:
+                    lag_seconds = (commit_ns - claim[3]) / 1e9
+                    lag_samples(lag_seconds)
+                    if registry is not None:
+                        registry.observe(
+                            WRITER_COMMITTER, "commit_lag_seconds", lag_seconds
+                        )
+                if tracer is not None:
+                    # The span's end *is* the commit point and arg2 carries the
+                    # misspeculation flag; the merger synthesizes the COMMIT
+                    # instant from it, halving committer record volume.
+                    tracer.record(
+                        EventKind.TASK_C, t0_ns, commit_ns, arg=i,
+                        arg2=1 if misspeculated else 0,
+                    )
+                i += 1
+                if throttle is not None:
+                    if misspeculated:
+                        # in commit order: the epochs must see what the
+                        # item-at-a-time committer showed them
+                        if clean:
+                            tell_throttle(False, clean)
+                            clean = 0
+                        tell_throttle(True, 1)
+                    else:
+                        clean += 1
+                if manager is not None and manager.due(i):
+                    settle(i, c_seconds)
+                    c_seconds = 0.0
+                    fold_samples()  # the checkpoint carries metrics.to_json()
+                    manager.take(i, store, accumulator, metrics)
+                    metrics.checkpoints_taken = manager.taken
+                    if registry is not None:
+                        registry.add(WRITER_COMMITTER, "checkpoints")
+                    logger.info(
+                        "checkpoint %d taken at commit watermark %d",
+                        manager.taken, i,
+                    )
+                    if tracer is not None:
+                        tracer.instant(EventKind.CHECKPOINT, arg=i)
+            settle(i, c_seconds)
+            if clean:
+                tell_throttle(False, clean)
 
         def handle_lost_worker(wid: int) -> None:
             """Route a dead/hung worker's unresolved claims to serial retry."""
-            for i in worker_claims.pop(wid, set()):
-                info = claim_info.get(i)
-                if info is not None and info[0] != wid:
-                    continue  # re-claimed by a live worker since
-                if i >= next_commit and i not in pending:
+            for i, claim in claims.items():
+                # (a claim re-made by a live worker since is that worker's)
+                if claim[0] == wid and i >= next_commit and i not in pending:
                     serial_needed.add(i)
                     metrics.retries += 1
 
@@ -776,16 +805,19 @@ class ExecutionEngine:
             # A chunk executes serially within its worker, so only each
             # worker's *oldest* unresolved claim can actually be running;
             # younger chunk-mates are queued behind it, not hung.
+            unresolved = [
+                (i, claim) for i, claim in claims.items()
+                if i >= next_commit and i not in pending
+                and i not in serial_needed
+            ]
             oldest_claim: Dict[int, int] = {}
-            for i, (wid, _) in claim_info.items():
-                if i < next_commit or i in pending or i in serial_needed:
-                    continue
+            for i, claim in unresolved:
+                wid = claim[0]
                 if wid not in oldest_claim or i < oldest_claim[wid]:
                     oldest_claim[wid] = i
             # Hung tasks: claimed long ago by a still-live worker.
-            for i, (wid, claimed_at) in list(claim_info.items()):
-                if i < next_commit or i in pending or i in serial_needed:
-                    continue
+            for i, claim in unresolved:
+                wid, claimed_at = claim[0], claim[1]
                 proc = processes.get(wid)
                 if proc is None or not proc.is_alive():
                     continue  # crash handling below covers dead workers
@@ -793,10 +825,10 @@ class ExecutionEngine:
                     # Throttle-gated, not hung: the worker is deliberately
                     # waiting for the window.  Refresh its claim clock so it
                     # gets a full timeout once it becomes eligible.
-                    claim_info[i] = (wid, now)
+                    claim[1] = now
                     continue
                 if i != oldest_claim.get(wid):
-                    claim_info[i] = (wid, now)  # queued behind a chunk-mate
+                    claim[1] = now  # queued behind a chunk-mate
                     continue
                 if now - claimed_at > policy.task_timeout:
                     metrics.worker_timeouts += 1
@@ -858,47 +890,68 @@ class ExecutionEngine:
                     )
 
         def handle_message(message: tuple) -> None:
+            """One report from a worker: a chunk's claims, or the results
+            finished since its last report."""
             tag = message[0]
-            if tag == "claim":
-                _, wid, i, value, a_seconds = message
-                if i < next_commit:
-                    return  # late duplicate of an already-committed task
-                inflight_values[i] = value
-                claim_info[i] = (wid, last_activity)
-                if i not in claim_arrival_ns:
-                    # First claim wins: one timestamp serves both commit-lag
-                    # accounting and the CLAIM trace record (re-claims after
-                    # a crash hand-back keep the original arrival).
-                    claim_ns = now_ns()
-                    claim_arrival_ns[i] = claim_ns
-                    if tracer is not None:
-                        tracer.record(
-                            EventKind.CLAIM, claim_ns, claim_ns,
-                            arg=i, arg2=wid,
-                        )
-                worker_claims.setdefault(wid, set()).add(i)
-                # A fresh claim transfers ownership: the live claimant will
-                # deliver a result or fault (or fall to the hung-task
-                # timeout), so a previously scheduled serial retry yields.
-                serial_needed.discard(i)
-                metrics.stage_seconds["A"] += a_seconds
-                a_samples(a_seconds)
-            elif tag == "result":
-                _, wid, i, result, reads, writes, b_seconds = message
-                if i < next_commit:
-                    metrics.duplicates_dropped += 1
-                    return
-                if i != next_commit:
-                    metrics.out_of_order_completions += 1
-                if i in pending:
-                    metrics.duplicates_dropped += 1
-                    return
-                pending[i] = (result, reads, writes)
+            if tag == "results":
+                _, wid, entries = message
+                # Where the frontier will stand once the entries before
+                # this one have committed: what "arrived out of order"
+                # is measured against, as if they came one at a time.
+                frontier = next_commit
+                accepted = 0
+                b_seconds = 0.0
+                for entry in entries:
+                    i = entry[0]
+                    if i < frontier:
+                        metrics.duplicates_dropped += 1
+                        continue
+                    if i != frontier:
+                        metrics.out_of_order_completions += 1
+                    if i in pending:
+                        metrics.duplicates_dropped += 1
+                        continue
+                    pending[i] = entry
+                    accepted += 1
+                    b_seconds += entry[4]
+                    b_samples(entry[4])
+                    while frontier in pending or (
+                        frontier in serial_needed and frontier in claims
+                    ):
+                        frontier += 1
                 metrics.stage_seconds["B"] += b_seconds
-                b_samples(b_seconds)
                 metrics.worker_iterations[wid] = (
-                    metrics.worker_iterations.get(wid, 0) + 1
+                    metrics.worker_iterations.get(wid, 0) + accepted
                 )
+            elif tag == "claims":
+                _, wid, items = message
+                # One timestamp per report serves commit-lag accounting and
+                # the CLAIM trace records of every item in it.
+                claim_ns = now_ns()
+                a_seconds = 0.0
+                for i, value, seconds in items:
+                    if i < next_commit:
+                        continue  # late duplicate of an already-committed task
+                    claim = claims.get(i)
+                    if claim is None:
+                        claims[i] = [wid, last_activity, value, claim_ns]
+                        if tracer is not None:
+                            tracer.record(
+                                EventKind.CLAIM, claim_ns, claim_ns,
+                                arg=i, arg2=wid,
+                            )
+                    else:
+                        # Re-claimed after a crash hand-back: the first
+                        # arrival stays, ownership moves.
+                        claim[0], claim[1] = wid, last_activity
+                    # A fresh claim transfers ownership: the live claimant will
+                    # deliver a result or fault (or fall to the hung-task
+                    # timeout), so a previously scheduled serial retry yields.
+                    if serial_needed:
+                        serial_needed.discard(i)
+                    a_seconds += seconds
+                    a_samples(seconds)
+                metrics.stage_seconds["A"] += a_seconds
             elif tag == "fault":
                 _, wid, i, fault_message = message
                 metrics.soft_faults += 1
@@ -1058,7 +1111,7 @@ class ExecutionEngine:
         store: CommittedStore,
         accumulator: Any,
         next_commit: int,
-        pending: Dict[int, Tuple[Any, dict, dict]],
+        pending: Dict[int, tuple],
     ) -> None:
         """Graceful degradation: finish the run sequentially, in-process
         (the caller has already halted the pipeline's children).
@@ -1086,7 +1139,7 @@ class ExecutionEngine:
             if i < next_commit:
                 continue
             if i in pending:
-                result, reads, writes = pending.pop(i)
+                _, result, reads, writes, _ = pending.pop(i)
                 stale = store.validate(reads) if spec.speculative else []
                 if not stale:
                     store.apply(writes)

@@ -5,12 +5,16 @@ control, STOP discipline, chaos injection, and occupancy statistics.  This
 module owns the *wire* — how an encoded frame physically crosses between
 processes — behind a small duck-typed interface:
 
-``send(items, framed, timeout) -> serialize_seconds``
+``send(items, framed, timeout, abort=None) -> serialize_seconds``
     Deliver one message (a frame of items, or a single unframed object when
-    ``framed`` is false).  Returns the seconds spent serializing so the
-    channel can account comm overhead.  Raises :class:`TransportFull` when
-    the wire cannot accept the message within ``timeout`` — the channel
-    refunds the frame's credit and surfaces a ``ChannelTimeout``.
+    ``framed`` is false); it is on the wire when the call returns — no
+    backend keeps anything back in the sender.  Returns the seconds spent
+    serializing so the channel can account comm overhead.  Raises
+    :class:`TransportFull` when the wire cannot accept the message within
+    ``timeout``, or as soon as ``abort()`` (the sender's shutdown check)
+    holds while it waits — the channel refunds the frame's credit and
+    surfaces a ``ChannelTimeout`` — and :class:`FrameTooLarge` for a
+    message it could never accept.
 
 ``recv(timeout) -> (items, single, deserialize_seconds)``
     Block up to ``timeout`` for one message.  Exactly one of ``items``
@@ -22,17 +26,16 @@ processes — behind a small duck-typed interface:
     Non-blocking :meth:`recv` for drain paths; must never wedge, even when
     a peer died holding a transport lock.
 
-``close(join=False)``
-    Release wire resources.  ``join=True`` is the cooperative variant (a
-    child about to hard-exit flushing its side); ``join=False`` is the
-    teardown variant that must not block on dead peers.
+``close()``
+    Release this process's wire resources; must not block on dead peers.
 
 Three backends:
 
 :class:`PipeTransport`
-    The PR 3 wire: a ``multiprocessing.Queue`` carrying pickled frames.
-    Portable, kernel-buffered, but every item pays pickle + pipe write +
-    kernel copy.
+    One OS pipe of length-prefixed messages, written and read by the
+    calling thread itself under a send lock and a recv lock.  Portable and
+    kernel-buffered; every frame pays one pickle (raw ``bytes`` frames:
+    none), one ``writev`` and the kernel's copy.
 
 :class:`ShmRingTransport`
     A shared-memory ring buffer (``multiprocessing.shared_memory``) of
@@ -65,14 +68,15 @@ as well.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
-import queue as _queue_module
+import select
 import struct
 import time
 from collections import deque
 from threading import Condition
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Prefix for every shared-memory segment this package creates — the
 #: auditable namespace ``repro shm-audit`` scans for leaks.
@@ -122,69 +126,257 @@ class TransportEmpty(Exception):
     """No message arrived within the timeout."""
 
 
+class FrameTooLarge(ValueError):
+    """A message no amount of waiting gets onto this wire.  The channel
+    answers by splitting a multi-item frame; a single item this large is
+    the caller's to fix."""
+
+
+def _pack_raw_index(lengths: List[int]) -> bytes:
+    """Head of a raw frame's payload: item count, then every length."""
+    return struct.pack(f"<I{len(lengths)}I", len(lengths), *lengths)
+
+
+def _unpack_raw(buf, body: int) -> List[bytes]:
+    """The items of the raw frame whose payload starts at ``buf[body]``."""
+    (count,) = struct.unpack_from("<I", buf, body)
+    lengths = struct.unpack_from(f"<{count}I", buf, body + 4)
+    cursor = body + 4 + 4 * count
+    items = []
+    for length in lengths:
+        end = cursor + length
+        items.append(bytes(buf[cursor:end]))
+        cursor = end
+    return items
+
+
+def _is_raw(items: List[Any], framed: bool) -> bool:
+    return (
+        framed
+        and len(items) > 1
+        and all(type(item) is bytes for item in items)
+    )
+
+
 class PipeTransport:
-    """The PR 3 wire: one ``multiprocessing.Queue`` of pickled frames."""
+    """One OS pipe carrying length-prefixed messages, written and read
+    directly by the calling thread.
+
+    A message is ``_HEADER`` (payload length, flag) and its payload:
+    one pickle of the frame's item list, one pickle of an unframed object,
+    or — homogeneous ``bytes`` frames — the raw index and the items
+    themselves, gathered by ``writev`` with no copy on this side of the
+    kernel.  Writers serialize on ``send_lock``, readers on ``recv_lock``
+    (both channels have several writers, ``work`` several readers), so
+    the bytes of one message are contiguous in the pipe.
+
+    Both ends are non-blocking; whoever finds the pipe full or empty polls
+    it in ``_WAIT_SLICE`` slices, so every wait can look at its deadline
+    and at ``abort``.  A message up to ``PIPE_BUF`` is written atomically.
+    A longer one may be accepted in part, and a message is never torn:
+
+    - a writer that *began* a message finishes it, however long the
+      readers take, unless ``abort()`` holds (without an ``abort``: unless
+      the deadline passed).  Then it abandons the wire — it keeps
+      ``send_lock`` for good, so nothing is ever appended to the torn
+      message and every later ``send`` on this pipe ends in
+      :class:`TransportFull`.  A writer killed mid-message leaves the
+      same state behind.
+    - a reader whose deadline passes inside a message keeps what it has,
+      *and* ``recv_lock``, and reports :class:`TransportEmpty`: to its
+      caller the message has not arrived yet.  Its next ``recv`` resumes;
+      other readers find the lock busy, which reads as empty.  One reading
+      thread per process.
+
+    The pipe buffer is raised to the most an unprivileged process may ask
+    for: a frame of a few hundred KiB then fits whole, and the writer is
+    back at its stage instead of trickling the frame out in step with the
+    reader (there is no feeder thread to do that for it).
+    """
 
     kind = "pipe"
 
-    def __init__(self, ctx, capacity: int) -> None:
-        # Frames never outnumber their items, so a frame-count maxsize of
-        # ``capacity`` can never bound tighter than the channel's item
-        # credit does; the credit check is the real full/empty discipline.
-        self._queue = ctx.Queue(maxsize=capacity)
+    #: payload length (u32), ``_FLAG_SINGLE`` / ``_FLAG_FRAME`` / ``_FLAG_RAW``
+    _HEADER = struct.Struct("<IB")
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        for end in (self._reader, self._writer):
+            os.set_blocking(end.fileno(), False)
+        try:
+            with open("/proc/sys/fs/pipe-max-size") as limit:
+                fcntl.fcntl(
+                    self._writer.fileno(), fcntl.F_SETPIPE_SZ, int(limit.read())
+                )
+        except (OSError, ValueError, AttributeError):
+            pass  # not Linux, or refused: the default buffer still works
+        self.send_lock = ctx.Lock()
+        self.recv_lock = ctx.Lock()
+        self._iov_max = os.sysconf("SC_IOV_MAX")
+        self._abandoned = False
+        #: The message this process is part-way through reading:
+        #: ``[flag (None: still the header), buffer, filled, pid]``.
+        self._partial: Optional[list] = None
+
+    # -- send ---------------------------------------------------------------------
 
     def send(
-        self, items: List[Any], framed: bool, timeout: Optional[float]
+        self,
+        items: List[Any],
+        framed: bool,
+        timeout: Optional[float],
+        abort: Optional[Callable[[], bool]] = None,
     ) -> float:
-        from repro.exec.channels import encode_frame
-
-        serialize_seconds = 0.0
-        if framed:
-            started = time.perf_counter()
-            payload = encode_frame(items)
-            serialize_seconds = time.perf_counter() - started
+        deadline = _deadline(timeout)
+        started = time.perf_counter()
+        if _is_raw(items, framed):
+            flag = _FLAG_RAW
+            parts = [_pack_raw_index([len(item) for item in items]), *items]
         else:
-            payload = items[0]
-        try:
-            self._queue.put(payload, block=True, timeout=timeout)
-        except _queue_module.Full:
-            raise TransportFull("pipe transport full") from None
+            flag = _FLAG_FRAME if framed else _FLAG_SINGLE
+            parts = [
+                pickle.dumps(
+                    list(items) if framed else items[0],
+                    pickle.HIGHEST_PROTOCOL,
+                )
+            ]
+        length = sum(len(part) for part in parts)
+        if length > 0xFFFFFFFF:
+            raise FrameTooLarge(
+                f"message of {length} bytes exceeds the pipe wire's 4 GiB "
+                f"length prefix"
+            )
+        parts.insert(0, self._HEADER.pack(length, flag))
+        serialize_seconds = time.perf_counter() - started
+        if self._abandoned or not self.send_lock.acquire(
+            timeout=_remaining(deadline)
+        ):
+            raise TransportFull("pipe transport send lock busy")
+        self._write(parts, deadline, abort)
+        self.send_lock.release()
         return serialize_seconds
+
+    def _write(self, parts: list, deadline, abort) -> None:
+        """Write ``parts`` out, holding the send lock.  Returns once all
+        of it is in the pipe; :class:`TransportFull`, with the lock
+        released, if none of it is.  In between there is no way back: the
+        wire is abandoned (send lock kept) and the caller gets
+        :class:`TransportFull` all the same."""
+        fd = self._writer.fileno()
+        begun = False
+        while parts:
+            try:
+                sent = os.writev(fd, parts[: self._iov_max])
+            except BlockingIOError:
+                if abort is not None and abort():
+                    break
+                expired = deadline is not None and time.monotonic() >= deadline
+                if expired and (abort is None or not begun):
+                    break
+                _poll(fd, select.POLLOUT, None if begun else deadline)
+                continue
+            begun = True
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if sent:
+                parts[0] = memoryview(parts[0])[sent:]
+        else:
+            return
+        if begun:
+            self._abandoned = True
+            raise TransportFull("pipe transport abandoned inside a message")
+        self.send_lock.release()
+        raise TransportFull("pipe transport full")
+
+    # -- recv ---------------------------------------------------------------------
 
     def recv(
         self, timeout: Optional[float]
     ) -> Tuple[Optional[List[Any]], Any, float]:
-        try:
-            raw = self._queue.get(block=True, timeout=timeout)
-        except _queue_module.Empty:
-            raise TransportEmpty("pipe transport empty") from None
-        return self._decode(raw)
+        return self._recv(_deadline(timeout), timeout)
 
     def recv_nowait(self) -> Tuple[Optional[List[Any]], Any, float]:
+        # Bounded acquire: a peer killed while holding the lock must not
+        # wedge drain/teardown paths — they treat "busy" as "empty".
+        return self._recv(time.monotonic(), 0.01)
+
+    def _recv(self, deadline, lock_timeout):
+        partial = self._partial
+        if partial is not None and partial[3] != os.getpid():
+            partial = self._partial = None  # the forking parent's, not ours
+        if partial is None and not self.recv_lock.acquire(timeout=lock_timeout):
+            raise TransportEmpty("pipe transport recv lock busy")
         try:
-            raw = self._queue.get_nowait()
-        except _queue_module.Empty:
-            raise TransportEmpty("pipe transport empty") from None
-        return self._decode(raw)
-
-    @staticmethod
-    def _decode(raw: Any) -> Tuple[Optional[List[Any]], Any, float]:
-        from repro.exec.channels import decode_frame
-
+            flag, payload = self._read(deadline)
+        except BaseException:
+            if self._partial is None:
+                self.recv_lock.release()
+            raise
+        self.recv_lock.release()
         started = time.perf_counter()
-        items = decode_frame(raw)
-        deserialize_seconds = time.perf_counter() - started
-        if items is None:
-            return None, raw, deserialize_seconds
-        return items, None, deserialize_seconds
-
-    def close(self, join: bool = False) -> None:
-        if join:
-            self._queue.close()
-            self._queue.join_thread()
+        items: Optional[List[Any]] = None
+        single: Any = None
+        if flag == _FLAG_RAW:
+            items = _unpack_raw(payload, 0)
+        elif flag == _FLAG_FRAME:
+            items = pickle.loads(payload)
         else:
-            self._queue.cancel_join_thread()
-            self._queue.close()
+            single = pickle.loads(payload)
+        return items, single, time.perf_counter() - started
+
+    def _read(self, deadline) -> Tuple[int, bytearray]:
+        """One whole message, holding the recv lock; resumes the message a
+        timed-out call left in ``_partial``.  :class:`TransportEmpty` at
+        the deadline — with ``_partial`` set iff any of it was read."""
+        fd = self._reader.fileno()
+        flag, buf, filled, _ = self._partial or (
+            None, bytearray(self._HEADER.size), 0, 0
+        )
+        self._partial = None
+        while True:
+            while filled < len(buf):
+                try:
+                    got = os.readv(fd, [memoryview(buf)[filled:]])
+                except BlockingIOError:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        if filled or flag is not None:
+                            self._partial = [flag, buf, filled, os.getpid()]
+                        raise TransportEmpty("pipe transport empty") from None
+                    _poll(fd, select.POLLIN, deadline)
+                    continue
+                if not got:
+                    raise EOFError("pipe transport: every writer is gone")
+                filled += got
+            if flag is not None:
+                return flag, buf
+            length, flag = self._HEADER.unpack(buf)
+            buf, filled = bytearray(length), 0
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds until ``deadline`` for a lock acquire (None: no deadline)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def _poll(fd: int, event: int, deadline: Optional[float]) -> None:
+    """Sleep until ``fd`` may be ready for ``event`` — one ``_WAIT_SLICE``
+    at most, and not past ``deadline``."""
+    wait = _WAIT_SLICE
+    if deadline is not None:
+        wait = min(wait, max(0.0, deadline - time.monotonic()))
+    poller = select.poll()
+    poller.register(fd, event)
+    poller.poll(wait * 1000)
 
 
 class ShmRingTransport:
@@ -303,12 +495,9 @@ class ShmRingTransport:
         """Contiguous slots a message of ``payload_len`` bytes occupies."""
         return -(-(payload_len + _SLOT_HEADER.size) // self.slot_bytes)
 
-    @staticmethod
-    def _deadline(timeout: Optional[float]) -> Optional[float]:
-        return None if timeout is None else time.monotonic() + timeout
-
-    def _wait_space(self, buf, tail: int, cells: int, deadline) -> None:
-        """Block (holding the send lock) until ``cells`` slots are free."""
+    def _wait_space(self, buf, tail: int, cells: int, deadline, abort) -> None:
+        """Block (holding the send lock) until ``cells`` slots are free —
+        or the deadline passes, or ``abort()`` holds."""
         if tail + cells - _I64.unpack_from(buf, _OFF_HEAD)[0] <= self.slots:
             return
         # Declare the wait in the header first (a plain aligned store the
@@ -328,6 +517,8 @@ class ShmRingTransport:
                     <= self.slots
                 ):
                     return
+                if abort is not None and abort():
+                    raise TransportFull("shm ring full, sender told to stop")
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -341,16 +532,16 @@ class ShmRingTransport:
     # -- send ---------------------------------------------------------------------
 
     def send(
-        self, items: List[Any], framed: bool, timeout: Optional[float]
+        self,
+        items: List[Any],
+        framed: bool,
+        timeout: Optional[float],
+        abort: Optional[Callable[[], bool]] = None,
     ) -> float:
         if self._closed:
             raise OSError("shm ring transport is closed")
-        deadline = self._deadline(timeout)
-        raw = (
-            framed
-            and len(items) > 1
-            and all(type(item) is bytes for item in items)
-        )
+        deadline = _deadline(timeout)
+        raw = _is_raw(items, framed)
         serialize_seconds = 0.0
         if raw:
             # Vectored in-place write: sizes computed here, bytes land
@@ -368,18 +559,13 @@ class ShmRingTransport:
             serialize_seconds = time.perf_counter() - started
             payload_len = len(data)
         if payload_len > self.max_payload:
-            raise ValueError(
+            raise FrameTooLarge(
                 f"message of {payload_len} bytes exceeds shm ring capacity "
                 f"({self.max_payload} bytes); construct the channel with a "
                 f"larger ring or use the pipe transport"
             )
         cells = self._cells(payload_len)
-        acquire_timeout = (
-            -1 if deadline is None else max(0.0, deadline - time.monotonic())
-        )
-        if not self.send_lock.acquire(
-            timeout=None if acquire_timeout == -1 else acquire_timeout
-        ):
+        if not self.send_lock.acquire(timeout=_remaining(deadline)):
             raise TransportFull("shm ring send lock busy")
         try:
             buf = self._shm.buf
@@ -393,7 +579,7 @@ class ShmRingTransport:
                 # leaves a consistent ring — the marker is simply skipped
                 # by the reader and the message retries on fresh credit.
                 skip = self.slots - index
-                self._wait_space(buf, tail, skip, deadline)
+                self._wait_space(buf, tail, skip, deadline, abort)
                 offset = _RING_BASE + index * self.slot_bytes
                 struct.pack_into("<II", buf, offset + 8, 0, _FLAG_WRAP)
                 _I64.pack_into(buf, offset, seq)
@@ -407,16 +593,14 @@ class ShmRingTransport:
                 # freeing the tail of the lap.
                 if _I64.unpack_from(buf, _OFF_DATA_WAIT)[0]:
                     self.data_sem.release()
-            self._wait_space(buf, tail, cells, deadline)
+            self._wait_space(buf, tail, cells, deadline, abort)
             offset = _RING_BASE + index * self.slot_bytes
             body = offset + _SLOT_HEADER.size
             if raw:
                 started = time.perf_counter()
-                count = len(items)
-                struct.pack_into(
-                    f"<I{count}I", buf, body, count, *lengths
-                )
-                cursor = body + 4 + 4 * count
+                head = _pack_raw_index(lengths)
+                cursor = body + len(head)
+                buf[body:cursor] = head
                 for item in items:
                     end = cursor + len(item)
                     buf[cursor:end] = item
@@ -445,7 +629,7 @@ class ShmRingTransport:
     def recv(
         self, timeout: Optional[float]
     ) -> Tuple[Optional[List[Any]], Any, float]:
-        deadline = self._deadline(timeout)
+        deadline = _deadline(timeout)
         if not self.recv_lock.acquire(timeout=timeout):
             raise TransportEmpty("shm ring recv lock busy") from None
         try:
@@ -508,14 +692,7 @@ class ShmRingTransport:
             items: Optional[List[Any]] = None
             single: Any = None
             if flags == _FLAG_RAW:
-                (count,) = struct.unpack_from("<I", buf, body)
-                lengths = struct.unpack_from(f"<{count}I", buf, body + 4)
-                cursor = body + 4 + 4 * count
-                items = []
-                for item_len in lengths:
-                    end = cursor + item_len
-                    items.append(bytes(buf[cursor:end]))
-                    cursor = end
+                items = _unpack_raw(buf, body)
             elif flags == _FLAG_FRAME:
                 items = pickle.loads(buf[body : body + length])
             else:
@@ -536,7 +713,7 @@ class ShmRingTransport:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def close(self, join: bool = False) -> None:
+    def close(self) -> None:
         if self._closed:
             return
         self._closed = True
@@ -575,7 +752,11 @@ class ThreadTransport:
         self._ready = Condition()
 
     def send(
-        self, items: List[Any], framed: bool, timeout: Optional[float]
+        self,
+        items: List[Any],
+        framed: bool,
+        timeout: Optional[float],
+        abort: Optional[Callable[[], bool]] = None,
     ) -> float:
         message = (list(items), framed)
         with self._ready:
@@ -605,7 +786,7 @@ class ThreadTransport:
             return items, None, 0.0
         return None, items[0], 0.0
 
-    def close(self, join: bool = False) -> None:
+    def close(self) -> None:
         # Shared by every thread of the pipeline; a "crashing" worker
         # thread closing its channel must not sever the others.
         pass
@@ -629,9 +810,11 @@ def make_transport(
     ring_slots: int = ShmRingTransport.DEFAULT_SLOTS,
     ring_slot_bytes: int = ShmRingTransport.DEFAULT_SLOT_BYTES,
 ):
-    """Build a transport backend by name (see :data:`TRANSPORT_KINDS`)."""
+    """Build a transport backend by name (see :data:`TRANSPORT_KINDS`).
+    ``capacity`` is the channel's, for callers that have one to state: no
+    wire bounds its traffic by message count, item credit does that."""
     if kind == "pipe":
-        return PipeTransport(ctx, capacity)
+        return PipeTransport(ctx)
     if kind == "shm":
         return ShmRingTransport(
             ctx, slots=ring_slots, slot_bytes=ring_slot_bytes

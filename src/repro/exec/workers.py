@@ -5,15 +5,18 @@ worker processes; phase C (the committer) stays in the engine's own process
 so commits can touch the authoritative store and the user's accumulator
 without cross-process state.
 
-Message protocol (all on the ``done`` channel, tagged tuples):
+Message protocol (all on the ``done`` channel, tagged tuples) — a chunk
+costs two messages, whatever its size:
 
-``("claim", wid, i, value, a_seconds)``
-    A worker announces it dequeued iteration *i* **before** executing it,
-    carrying the phase-A value.  The committer keeps the value until commit
-    so a task lost to a crash, hang, or soft fault can be re-executed
-    serially without re-running the (stateful, sequential) phase A.
-``("result", wid, i, result, reads, writes, b_seconds)``
-    The speculative outcome: read-set versions and buffered writes for
+``("claims", wid, [(i, value, a_seconds), ...])``
+    A worker announces the chunk it dequeued **before** executing any of
+    it, carrying the phase-A values.  The committer keeps each value until
+    commit so a task lost to a crash, hang, or soft fault can be
+    re-executed serially without re-running the (stateful, sequential)
+    phase A.
+``("results", wid, [(i, result, reads, writes, b_seconds), ...])``
+    The speculative outcomes of the tasks finished since the worker's last
+    report, in execution order: read-set versions and buffered writes for
     commit-time validation (empty for non-speculative specs).
 ``("fault", wid, i, message)``
     A soft fault: the task raised; the worker survives and the committer
@@ -28,28 +31,32 @@ one ``STOP`` per live worker, and a worker that reads one says
 wait (``_IDLE_POLL``) expires, is the backstop for a token that never
 comes — a crashed committer, a SIGKILLed parent, the degrade/halt paths.
 
-Per-producer FIFO ordering of :class:`multiprocessing.Queue` guarantees a
-claim is visible before its result or fault; batched transport preserves
-this (frames decode in order).
+Every wire delivers one sender's messages in the order they were sent, so
+a chunk's claims are visible before any of its results or faults.
 
 **Chunked dispatch (the fast path).**  The producer accumulates iterations
-into *chunks* and dispatches each chunk as one frame — one pickle, one pipe
-round-trip — with an adaptive chunk size: it starts at 1 so the pipeline
-fills and workers ramp immediately, then doubles per dispatch toward
-``max_chunk`` for steady-state amortization.  A worker claims its whole
-chunk with one flushed frame of claim messages *before executing anything*
-(crash recovery needs the claims on the wire), executes the chunk's items
-in order, and batches its result messages, flushing at chunk end and before
-any blocking wait.  A chunk executes serially within its worker, so the
-committer exempts all but a worker's oldest unresolved claim from the
-hung-task timeout.
+into *chunks* and dispatches each chunk as one frame, sized by
+:func:`chunk_target`: 1 at first so the pipeline fills and workers ramp
+immediately, doubling per dispatch toward ``max_chunk`` for steady-state
+amortization, and tapering again once less than two full chunks per
+worker remain, so the workers finish together.  A worker sends a chunk's
+claims and *flushes* before executing anything (crash recovery needs them
+on the wire), executes the chunk's items in order, and reports: at chunk
+end, before any wait that could block (throttle gate, ``done`` credit, an
+empty ``work`` channel), and whenever its oldest unreported result is
+``flush_interval`` old, so a slow item's chunk-mates commit without it.
+At chunk end it first looks for the next chunk without blocking; if one
+is waiting, that chunk's claims ride in the frame that carries the
+results — one ``done`` frame per chunk instead of two.  A chunk executes
+serially within its worker, so the committer exempts all but a worker's
+oldest unresolved claim from the hung-task timeout.
 
 Speculation throttling: the committer publishes its commit watermark and
 the controller's current window in shared memory (:class:`ThrottleGate`);
 a worker holding iteration ``i`` waits (after claiming, so the committer
 can still recover the value) while ``i - watermark >= window``, and the
-committer wakes the gate when the watermark has moved.  Pending results
-are flushed before the wait — gating must never hold back the very
+committer wakes the gate when the watermark has moved.  Finished results
+are reported before the wait — gating must never hold back the very
 commits that would open the window.
 """
 
@@ -183,6 +190,26 @@ def _drain_flush(channel: ProcessChannel, shutdown) -> bool:
     return True
 
 
+def done_capacity(capacity: int, workers: int, batch_size: int) -> int:
+    """Item credit of the ``done`` channel, in messages.  A chunk costs
+    two — its claims and a results report — and can be as small as one
+    item (the ramp, the taper, ``batch_size=1``), so the worst case is two
+    per iteration in flight: everything the ``work`` channel holds plus a
+    chunk in every worker.  One ``stopped`` per worker on top; the slack
+    absorbs the extra reports of items slower than ``flush_interval`` and
+    the odd fault.  Too small only ever means a worker waits for credit."""
+    return 2 * (capacity + workers * batch_size) + workers + 8
+
+
+def chunk_target(ramp: int, remaining: int, max_chunk: int, workers: int) -> int:
+    """Items the producer puts in its next chunk: the doubling ``ramp``
+    while the pipeline fills, ``max_chunk`` in steady state, and — guided
+    self-scheduling — no more than half an even share of what ``remaining``
+    once the end is near, so the last chunks are small enough to even out
+    whatever imbalance the big ones left."""
+    return max(1, min(max_chunk, ramp, -(-remaining // (2 * workers))))
+
+
 def producer_main(
     work: ProcessChannel,
     iterations: int,
@@ -195,9 +222,11 @@ def producer_main(
     registry=None,
     writer: int = 0,
     close_channel: bool = True,
+    workers: int = 1,
     hard_exit: Callable[[int], None] = os._exit,
 ) -> None:
-    """Phase A: run ``produce`` per iteration, dispatch chunks downstream.
+    """Phase A: run ``produce`` per iteration, dispatch chunks downstream
+    (sized by :func:`chunk_target` for ``workers`` consumers).
 
     On resume (``start > 0``) every iteration is still *produced* — stateful
     producers must evolve deterministically — but only iterations at or past
@@ -214,7 +243,8 @@ def producer_main(
     """
     tracer = open_tracer(trace, "producer")
     work.tracer = tracer
-    chunk_target = 1
+    ramp = 1
+    target = chunk_target(ramp, iterations - start, max_chunk, workers)
     staged = 0  # dispatched items not yet counted into the registry
 
     def count_staged() -> None:
@@ -256,11 +286,14 @@ def producer_main(
                 continue
             work.put_buffered((i, value, elapsed))
             staged += 1
-            if work.pending_items >= chunk_target or work.flush_due():
+            if work.pending_items >= target or work.flush_due():
                 if not _drain_flush(work, shutdown):
                     return
                 count_staged()
-                chunk_target = min(max_chunk, chunk_target * 2)
+                ramp = min(max_chunk, ramp * 2)
+                target = chunk_target(
+                    ramp, iterations - i - 1, max_chunk, workers
+                )
         if not _drain_flush(work, shutdown):
             return
         count_staged()
@@ -335,10 +368,41 @@ def _worker_loop(
     writer: int = 0,
     hard_exit: Callable[[int], None] = os._exit,
 ) -> None:
+    results: list = []  # finished, not yet handed to the done channel
+    #: when the oldest result or fault not yet sent was ready
+    unsent_since_ns: Optional[int] = None
+    flush_interval_ns = int(done.flush_interval * 1e9)
+
+    def stage_results() -> None:
+        nonlocal results
+        if results:
+            done.put_buffered(("results", worker_id, results))
+            results = []
+
+    def report(claims: Optional[list] = None) -> bool:
+        """Everything this worker holds goes out — finished results, then
+        ``claims`` (the chunk it is about to start); False on shutdown."""
+        nonlocal unsent_since_ns
+        stage_results()
+        if claims is not None:
+            done.put_buffered(("claims", worker_id, claims))
+        unsent_since_ns = None
+        return _drain_flush(done, shutdown)
+
     while True:
-        _drain_flush(done, shutdown)  # bound result latency before blocking
+        # Chunk end.  A chunk already waiting is claimed in the frame that
+        # carries the last one's results; otherwise the results go first,
+        # alone — nothing may sit here through a blocking read.
+        items = None
         try:
-            items = work.get_many(max_chunk, timeout=_IDLE_POLL)
+            if results or done.pending_items:
+                try:
+                    items = work.get_many(max_chunk, timeout=0)
+                except ChannelTimeout:
+                    pass
+            if items is None:
+                report()
+                items = work.get_many(max_chunk, timeout=_IDLE_POLL)
         except ChannelTimeout:
             if shutdown.is_set():
                 stop()
@@ -349,26 +413,25 @@ def _worker_loop(
             # finish sequentially.
             return
         if items[0] == STOP:
+            report()
             stop()
             return
 
         # Claim the whole chunk up front and *flush*: the committer holds
         # each value until commit, so any item this process loses to a
         # crash, hang, or soft fault can be re-executed serially.
-        for i, value, a_seconds in items:
-            done.put_buffered(("claim", worker_id, i, value, a_seconds))
-        if not _drain_flush(done, shutdown):
+        if not report(claims=items):
             return  # shutdown mid-claim: nothing executed, nothing lost
         if registry is not None:
             registry.add(writer, "claimed", len(items))
 
         for i, value, a_seconds in items:
             # Throttle gate: hold execution until iteration i enters the
-            # speculative window.  Flush first — buffered results feed the
-            # very commits that advance the watermark.
+            # speculative window.  Report first — finished results feed
+            # the very commits that advance the watermark.
             if gate is not None and not gate.admits(i):
                 gate_t0 = now_ns()
-                _drain_flush(done, shutdown)
+                report()
                 gate.wait(i, shutdown)
                 if tracer is not None:
                     tracer.span(
@@ -406,12 +469,12 @@ def _worker_loop(
                     if rest:
                         work.chaos = None  # injections already applied
                         try:
+                            # on the wire once this returns: exiting right
+                            # after loses nothing
                             work.put_many(rest, timeout=0.5)
                         except ChannelTimeout:
                             pass
-                        # Joining the feeder thread is what actually pushes
-                        # the hand-back onto the pipe before the hard exit.
-                        work.flush_and_close(flush_timeout=0.5)
+                    stage_results()
                     done.flush_and_close()
                     if tracer is not None:
                         tracer.instant(
@@ -474,7 +537,10 @@ def _worker_loop(
                         EventKind.TASK_B, t0_ns, now_ns(),
                         arg=i, arg2=worker_id,
                     )
-                done.put(("fault", worker_id, i, repr(error)))
+                stage_results()  # they finished first
+                done.put_buffered(("fault", worker_id, i, repr(error)))
+                if unsent_since_ns is None:
+                    unsent_since_ns = now_ns()
                 continue
             # Same clock pair for b_seconds and the span (see producer).
             t1_ns = now_ns()
@@ -527,16 +593,7 @@ def _worker_loop(
                             detail=int(ChaosCode.RESULT_DROP),
                         )
                     continue  # the result message is lost on the wire
-            message = ("result", worker_id, i, result, reads, writes, elapsed)
-            # Bounded, shutdown-aware send: an unbounded put would spin in
-            # the credit wait forever if the committer died mid-chunk (the
-            # one exit path a SIGKILLed parent cannot set the shutdown
-            # event for — the orphan guard is the only way out).
-            try:
-                done.put(message, timeout=_IDLE_POLL)
-            except ChannelTimeout:
-                if not _drain_flush(done, shutdown):
-                    return  # orphaned: nobody is left to read results
+            results.append((i, result, reads, writes, elapsed))
             if (
                 fault_plan is not None
                 and i in fault_plan.duplicate_result_iterations
@@ -548,9 +605,10 @@ def _worker_loop(
                         EventKind.CHAOS, arg=i, arg2=worker_id,
                         detail=int(ChaosCode.RESULT_DUPLICATE),
                     )
-                try:
-                    done.put(message, timeout=_IDLE_POLL)
-                except ChannelTimeout:
-                    if not _drain_flush(done, shutdown):
-                        return
-        _drain_flush(done, shutdown)
+                results.append(results[-1])
+            # The clock read that closed the task also times the report:
+            # a result waits for its chunk-mates at most flush_interval.
+            if unsent_since_ns is None:
+                unsent_since_ns = t1_ns
+            elif t1_ns - unsent_since_ns >= flush_interval_ns and not report():
+                return  # orphaned: nobody is left to read results

@@ -77,9 +77,10 @@ class ThrottleConfig:
 class SpeculationThrottle:
     """AIMD controller over the speculative window.
 
-    ``record(misspeculated)`` is called once per commit by the committer;
-    it returns the new window when the epoch's decision changed it, else
-    ``None`` — the engine publishes changes to the workers' shared value.
+    ``record(misspeculated, commits)`` is called by the committer for every
+    run of like commits; it returns the new window when an epoch's
+    decision changed it, else ``None`` — the engine publishes changes to
+    the workers' shared value.
     """
 
     def __init__(self, config: ThrottleConfig, max_window: int) -> None:
@@ -94,14 +95,25 @@ class SpeculationThrottle:
         self._epoch_events = 0
         self._epoch_bad = 0
 
-    def record(self, misspeculated: bool) -> "int | None":
+    def record(self, misspeculated: bool, commits: int = 1) -> "int | None":
+        """``commits`` consecutive commits that all went the same way.
+        Epochs end where they would have, one call per commit; the return
+        value is the window after the last decision that changed it."""
         if not self.config.enabled:
             return None
-        self._epoch_events += 1
-        if misspeculated:
-            self._epoch_bad += 1
-        if self._epoch_events < self.config.observation:
-            return None
+        changed = None
+        while commits > 0:
+            step = min(commits, self.config.observation - self._epoch_events)
+            commits -= step
+            self._epoch_events += step
+            if misspeculated:
+                self._epoch_bad += step
+            if self._epoch_events >= self.config.observation:
+                changed = self._decide() or changed
+        return changed
+
+    def _decide(self) -> "int | None":
+        """Close the epoch: the new window if it moved."""
         rate = self._epoch_bad / self._epoch_events
         self._epoch_events = 0
         self._epoch_bad = 0

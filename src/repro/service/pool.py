@@ -24,8 +24,8 @@ sequential, and stateful, and a thread spares a fork per job.  Consequence:
 fault plans with ``producer_crash_at`` are rejected (``os._exit`` in a
 thread would kill the server).
 
-Between leases a slot is scrubbed: channels are drained until the shared
-credit counters agree, local buffers and counters are reset, and the
+Between leases a slot is scrubbed: channels are drained, local buffers and
+the shared credit counters are reset, and the
 registry is zeroed so each job's watchdog sees counters that start at zero.
 Workers that died mid-job (chaos, hung-task kills) are retired at release
 and the pool respawns replacements to hold its configured size.
@@ -54,6 +54,7 @@ from repro.exec.rollback import CommittedStore
 from repro.exec.workers import (
     ThrottleGate,
     _worker_loop,
+    done_capacity,
     producer_main,
     signal_shutdown,
 )
@@ -66,17 +67,6 @@ logger = logging.getLogger(__name__)
 #: How often an idle pool worker re-checks its control pipe / the pool
 #: shutdown event (seconds).
 _CONTROL_POLL = 0.2
-
-#: How long a between-lease settle waits for in-flight frames to drain
-#: before giving up on a slot's counters agreeing (seconds).
-_SETTLE_TIMEOUT = 2.0
-
-
-def _done_capacity(capacity: int, workers: int, batch_size: int) -> int:
-    """Worst-case in-flight done traffic — same formula as the engine:
-    a claim and a result per item in the transport or held in a chunk,
-    plus one "stopped" per worker."""
-    return 2 * (capacity + workers * batch_size) + workers + 8
 
 
 class _Slot:
@@ -99,7 +89,7 @@ class _Slot:
             transport=transport,
         )
         self.done = ProcessChannel(
-            _done_capacity(capacity, workers, batch_size),
+            done_capacity(capacity, workers, batch_size),
             name="done", ctx=ctx,
             batch_size=batch_size, flush_interval=flush_interval,
             transport=transport,
@@ -218,26 +208,26 @@ class _ThreadProducer:
 
     def __init__(
         self, work: ProcessChannel, iterations: int, produce, fault_plan,
-        shutdown, start: int, max_chunk: int, registry,
+        shutdown, start: int, max_chunk: int, registry, workers: int,
         trace: Optional[TraceConfig] = None,
     ) -> None:
         self._exit = 0
         self._thread = threading.Thread(
             target=self._run,
             args=(work, iterations, produce, fault_plan, shutdown, start,
-                  max_chunk, registry, trace),
+                  max_chunk, registry, workers, trace),
             name="pool-A",
             daemon=True,
         )
 
     def _run(self, work, iterations, produce, fault_plan, shutdown, start,
-             max_chunk, registry, trace) -> None:
+             max_chunk, registry, workers, trace) -> None:
         try:
             producer_main(
                 work, iterations, produce, fault_plan, shutdown,
                 start=start, max_chunk=max_chunk, trace=trace,
                 registry=registry, writer=WRITER_PRODUCER,
-                close_channel=False,
+                close_channel=False, workers=workers,
             )
         except BaseException:
             logger.exception("pool producer thread failed")
@@ -342,7 +332,7 @@ class LeaseRuntime:
         self._producer = _ThreadProducer(
             self.slot.work, spec.iterations, spec.produce, fault_plan,
             self.slot.shutdown, start, batch_size, self.slot.registry,
-            trace=self.trace_config,
+            len(self._members), trace=self.trace_config,
         )
         self._producer.start()
         return self._producer
@@ -524,8 +514,8 @@ class WorkerPool:
     def release(self, lease: LeaseRuntime) -> None:
         """Return a finished lease's workers and slot to the pool.
 
-        Scrubs the slot for reuse: joins the producer thread, settles the
-        channels until the shared credit counters agree, zeroes counters
+        Scrubs the slot for reuse: joins the producer thread, drains what
+        the channels still hold, zeroes counters
         and the registry, retires dead members, and tops the pool back up
         to its configured size.  A slot whose counters cannot be reset
         (a worker killed mid-update orphaned a counter lock — vanishingly
@@ -564,17 +554,18 @@ class WorkerPool:
             self._free_slots.append(slot.index)
 
     def _settle_channel(self, channel: ProcessChannel) -> None:
-        """Drain until the shared credit counters agree (every flushed item
-        consumed) — transport feeder threads lag their senders, so frames
-        can surface shortly *after* all writers have exited.  Bounded: a
-        worker killed between acquiring credit and enqueueing leaves the
-        counters permanently apart, and the reset handles that."""
-        deadline = time.monotonic() + _SETTLE_TIMEOUT
-        while time.monotonic() < deadline:
-            channel.drain()
-            if channel.produces <= channel.consumes:
-                break
-            time.sleep(0.005)
+        """Empty ``channel`` for the next lease.  Every writer has released
+        or been terminated, and a frame is on the wire when its ``send``
+        returns, so one drain sees everything there is.  Counters still
+        apart afterwards mean a writer died between taking credit and
+        finishing its frame; the reset that follows squares them."""
+        channel.drain()
+        if channel.produces > channel.consumes:
+            logger.warning(
+                "slot channel %r: %d items credited but never delivered "
+                "(a writer was killed mid-send)", channel.name,
+                channel.produces - channel.consumes,
+            )
         channel.reset_local()
 
     # -- internals (called by LeaseRuntime) ---------------------------------------

@@ -63,9 +63,9 @@ class TenantThrottle:
         self._throttle = SpeculationThrottle(config, max_window)
         self._lock = threading.Lock()
 
-    def record(self, misspeculated: bool) -> Optional[int]:
+    def record(self, misspeculated: bool, commits: int = 1) -> Optional[int]:
         with self._lock:
-            return self._throttle.record(misspeculated)
+            return self._throttle.record(misspeculated, commits)
 
     @property
     def window(self) -> int:

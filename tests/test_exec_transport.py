@@ -1,7 +1,19 @@
-"""The shared-memory ring transport's internals and the transport plane.
+"""The wires' internals and the transport plane.
 
 ``tests/test_exec_batching`` proves the *channel* contracts hold on every
-backend; this file covers what only the shm ring can get wrong:
+backend; this file covers what only one wire can get wrong.  The direct
+pipe (no feeder thread: the caller writes and reads the fd itself):
+
+- a message is never torn: a writer SIGKILLed inside one leaves the wire
+  abandoned — readers see it empty, other writers see it full, both within
+  their own deadlines — and nothing after the tear is ever decoded;
+- a full pipe honours the send deadline and ``abort`` (cleanly before the
+  first byte, by abandoning the wire after it), ``recv_nowait`` never
+  blocks, and a reader whose deadline passes inside a message resumes it;
+- an engine parent SIGKILLed while a worker is inside a message larger
+  than the pipe buffer strands nobody.
+
+The shm ring:
 
 - publication ordering: a slot whose seq is not yet published (a writer
   died mid-fill, leaving a torn write) is never consumed;
@@ -19,21 +31,26 @@ backend; this file covers what only the shm ring can get wrong:
   transports that cannot reach their workers.
 """
 
+import fcntl
 import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import termios
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.channels import ProcessChannel
-from repro.exec.engine import ExecutionEngine
+from repro.exec.channels import ChannelTimeout, ProcessChannel
+from repro.exec.engine import ExecutionEngine, PipelineSpec, run_sequential
 from repro.exec.transport import (
     SHM_PREFIX,
+    FrameTooLarge,
+    PipeTransport,
     ShmRingTransport,
     ThreadTransport,
     TransportEmpty,
@@ -49,6 +66,369 @@ CTX = multiprocessing.get_context()
 
 def tiny_ring(slots=4, slot_bytes=64):
     return ShmRingTransport(CTX, slots=slots, slot_bytes=slot_bytes)
+
+
+# -- the direct pipe ------------------------------------------------------------------
+
+#: Every wait below gives up here; nothing should get close.
+DEADLINE = 20.0
+
+
+def _until(condition, what):
+    deadline = time.monotonic() + DEADLINE
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+def _joined(process):
+    process.join(DEADLINE)
+    assert not process.is_alive()
+    return process.exitcode
+
+
+def _queued_bytes(pipe):
+    """Bytes written to the pipe and not yet read."""
+    return int.from_bytes(
+        fcntl.ioctl(pipe._reader.fileno(), termios.FIONREAD, b"\0" * 4),
+        sys.byteorder,
+    )
+
+
+def _pipe_bytes(pipe):
+    return fcntl.fcntl(pipe._writer.fileno(), fcntl.F_GETPIPE_SZ)
+
+
+def stamped(writer, seq, size):
+    """A frame that says what it must contain: any tear or splice shows."""
+    return [bytes([writer]) * size, b"%d:%d" % (writer, seq)]
+
+
+def check_stamped(items):
+    body, tag = items
+    writer, _seq = tag.split(b":")
+    assert body == bytes([int(writer)]) * len(body), "spliced frame decoded"
+    return int(writer)
+
+
+def _write_stamped_frames(pipe, writer, size, sent, stop):
+    """Frames until told to stop — or until the wire refuses one, which is
+    how a writer learns that a peer died holding the send lock.  ``sent``
+    and ``stop`` are raw shared cells: an ``Event`` has a lock inside, and
+    a writer SIGKILLed in it would hang everyone who asks afterwards."""
+    while not stop.value:
+        try:
+            pipe.send(stamped(writer, sent.value, size), True, timeout=0.2)
+        except TransportFull:
+            return
+        sent.value += 1
+
+
+def _send_small_until_refused(pipe, outcome):
+    """What a surviving writer sees on a wire someone else tore."""
+    try:
+        pipe.send([b"after the tear"], True, timeout=0.2)
+        outcome.value = 1
+    except TransportFull:
+        outcome.value = 2
+
+
+class TestDirectPipe:
+    @pytest.mark.parametrize("size", [3000, 200_000])
+    def test_writer_killed_mid_run_tears_nothing_and_strands_nobody(
+        self, size
+    ):
+        """Three writers, one SIGKILLed wherever it happens to be: between
+        frames, holding the send lock, or (the larger size) inside a
+        frame.  The stream goes on or the wire is dead; either way every
+        frame that is decoded is whole, every ``recv`` keeps its deadline,
+        and the survivors leave within theirs."""
+        pipe = PipeTransport(CTX)
+        stop = CTX.RawValue("b", 0)
+        writers = [
+            CTX.Process(
+                target=_write_stamped_frames,
+                args=(pipe, k, size + k, CTX.RawValue("l", 0), stop),
+                daemon=True,
+            )
+            for k in range(3)
+        ]
+        try:
+            for writer in writers:
+                writer.start()
+            seen = set()
+            while len(seen) < 3:
+                seen.add(check_stamped(pipe.recv(timeout=DEADLINE)[0]))
+            os.kill(writers[0].pid, signal.SIGKILL)
+            assert _joined(writers[0]) == -signal.SIGKILL
+            for _ in range(500):
+                began = time.monotonic()
+                try:
+                    check_stamped(pipe.recv(timeout=0.5)[0])
+                except TransportEmpty:
+                    assert time.monotonic() - began < 2.0
+                    break
+            stop.value = 1
+            survivors = writers[1:]
+            while any(writer.is_alive() for writer in survivors):
+                try:  # whoever is parked on a full pipe gets room
+                    check_stamped(pipe.recv(timeout=0.05)[0])
+                except TransportEmpty:
+                    pass
+            assert [_joined(writer) for writer in survivors] == [0, 0]
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.join(DEADLINE)
+            pipe.close()
+
+    def test_writer_killed_inside_a_frame_abandons_the_wire(self):
+        pipe = PipeTransport(CTX)
+        sent = CTX.RawValue("l", 0)
+        victim = CTX.Process(
+            target=_write_stamped_frames,
+            args=(pipe, 9, 4 * _pipe_bytes(pipe), sent, CTX.RawValue("b", 0)),
+            daemon=True,
+        )
+        try:
+            victim.start()
+            # nobody reads: the frame cannot fit, so once bytes are queued
+            # the victim is inside it, holding the send lock
+            _until(lambda: _queued_bytes(pipe) > 0, "the frame to begin")
+            assert sent.value == 0
+            os.kill(victim.pid, signal.SIGKILL)
+            assert _joined(victim) == -signal.SIGKILL
+            # a survivor's send is refused at its own deadline...
+            outcome = CTX.Value("i", 0)
+            survivor = CTX.Process(
+                target=_send_small_until_refused, args=(pipe, outcome)
+            )
+            survivor.start()
+            assert _joined(survivor) == 0
+            assert outcome.value == 2
+            # ...and the torn frame is never handed to a reader, however
+            # often it asks: to every caller the wire is just empty
+            for _ in range(3):
+                began = time.monotonic()
+                with pytest.raises(TransportEmpty):
+                    pipe.recv(timeout=0.05)
+                assert time.monotonic() - began < 1.0
+            with pytest.raises(TransportEmpty):
+                pipe.recv_nowait()
+            assert _queued_bytes(pipe) == 0  # all read, none decoded
+        finally:
+            victim.kill()
+            pipe.close()
+
+    def test_send_deadline_is_clean_before_the_first_byte(self):
+        pipe = PipeTransport(CTX)
+        try:
+            sent = 0
+            with pytest.raises(TransportFull):
+                while True:
+                    pipe.send([b"x" * 2048, b"y"], True, timeout=0.05)
+                    sent += 1
+            assert sent >= 16
+            # refused whole: the lock is free and the stream intact
+            assert pipe.recv(timeout=1.0)[0] == [b"x" * 2048, b"y"]
+            for _ in range(sent - 1):
+                pipe.recv(timeout=1.0)
+            pipe.send(["recovered"], True, timeout=1.0)
+            assert pipe.recv(timeout=1.0)[0] == ["recovered"]
+        finally:
+            pipe.close()
+
+    def test_abort_ends_a_full_pipe_wait_and_the_channel_keeps_the_items(self):
+        channel = ProcessChannel(
+            10_000, name="work", ctx=CTX, batch_size=2, transport="pipe"
+        )
+        try:
+            with pytest.raises(ChannelTimeout):
+                while True:
+                    channel.put_many([b"x" * 2048, b"y"], timeout=0.05)
+            flushed = channel.produces
+            assert channel.pending_items == 2
+            told = threading.Event()
+            threading.Timer(0.1, told.set).start()
+            began = time.monotonic()
+            with pytest.raises(ChannelTimeout):
+                channel.flush(timeout=DEADLINE, abort=told.is_set)
+            assert time.monotonic() - began < DEADLINE / 2
+            # the refused frame gave its credit back and is still buffered
+            assert channel.produces == flushed
+            assert channel.pending_items == 2
+            received = channel.drain()
+            assert len(received) == flushed
+            channel.flush(timeout=1.0)
+            assert channel.drain() == [b"x" * 2048, b"y"]
+        finally:
+            channel.close()
+
+    def test_abort_inside_a_frame_abandons_the_wire_for_good(self):
+        pipe = PipeTransport(CTX)
+        try:
+            big = [b"b" * (2 * _pipe_bytes(pipe)), b"t"]
+            with pytest.raises(TransportFull, match="abandoned"):
+                pipe.send(big, True, timeout=DEADLINE, abort=lambda: True)
+            began = time.monotonic()
+            with pytest.raises(TransportFull):
+                pipe.send([b"later"], True, timeout=DEADLINE)
+            assert time.monotonic() - began < 1.0
+            with pytest.raises(TransportEmpty):
+                pipe.recv(timeout=0.05)
+        finally:
+            pipe.close()
+
+    def test_reader_resumes_the_message_its_deadline_interrupted(self):
+        """The writer is stopped inside a frame four pipe buffers long:
+        ``recv_nowait`` takes what is there and returns at once, however
+        often it is asked; once the writer runs again the frame comes out
+        whole."""
+        pipe = PipeTransport(CTX)
+        frame = stamped(3, 0, 4 * _pipe_bytes(pipe))
+        sender = CTX.Process(
+            target=pipe.send, args=(frame, True, DEADLINE), daemon=True
+        )
+        try:
+            sender.start()
+            _until(lambda: _queued_bytes(pipe) > 0, "the frame to begin")
+            os.kill(sender.pid, signal.SIGSTOP)
+            for _ in range(3):
+                began = time.monotonic()
+                with pytest.raises(TransportEmpty):
+                    pipe.recv_nowait()
+                assert time.monotonic() - began < 1.0
+            assert _queued_bytes(pipe) == 0  # taken, and kept for later
+            os.kill(sender.pid, signal.SIGCONT)
+            assert pipe.recv(timeout=DEADLINE)[0] == frame
+            assert _joined(sender) == 0
+            with pytest.raises(TransportEmpty):
+                pipe.recv_nowait()
+        finally:
+            sender.kill()
+            pipe.close()
+
+    def test_recv_nowait_treats_a_dead_readers_lock_as_empty(self):
+        pipe = PipeTransport(CTX)
+        try:
+            pipe.send(["unreachable"], False, timeout=1.0)
+            assert pipe.recv_lock.acquire(timeout=1.0)  # "died" holding it
+            began = time.monotonic()
+            with pytest.raises(TransportEmpty):
+                pipe.recv_nowait()
+            assert time.monotonic() - began < 1.0
+            pipe.recv_lock.release()
+            assert pipe.recv_nowait()[1] == "unreachable"
+        finally:
+            pipe.close()
+
+    def test_sigkilled_parent_strands_no_worker_inside_a_big_frame(self):
+        """The committer stops reading (its first commit never returns), so
+        both workers end up parked inside result frames no pipe buffer can
+        hold; then the parent is SIGKILLed.  Every child must notice and
+        leave within a few wait slices, abandoning its frame."""
+        child_src = (
+            "import multiprocessing, sys, time\n"
+            f"sys.path.insert(0, {os.path.abspath('src')!r})\n"
+            "from repro.exec.engine import ExecutionEngine, PipelineSpec\n"
+            "def produce(i): return i\n"
+            "def work(i, v): return bytes(3 << 20)\n"
+            "def commit(i, r, acc):\n"
+            "    pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "    print(*pids, flush=True)\n"
+            "    time.sleep(600)\n"
+            "spec = PipelineSpec(iterations=500, produce=produce,\n"
+            "                    work=work, commit=commit,\n"
+            "                    finalize=lambda acc: None)\n"
+            "ExecutionEngine(workers=2, capacity=8, batch_size=2,\n"
+            "                transport='pipe').run(spec)\n"
+        )
+        before = set(orphaned_segments())
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child_src],
+            stdout=subprocess.PIPE, start_new_session=True,
+        )
+        children = []
+        try:
+            children = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(children) >= 3  # the producer and both workers
+            time.sleep(0.5)  # the workers run into the unread done pipe
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10.0)
+            _until(
+                lambda: all(_gone(pid) for pid in children),
+                "the orphaned stages to exit",
+            )
+        finally:
+            for pid in [proc.pid] + children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert set(orphaned_segments()) == before  # `repro shm-audit` clean
+
+
+def _gone(pid):
+    """Exited (reaped or a zombie nobody reaps in this container)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+# -- oversize frames are split, not fatal -------------------------------------------
+
+
+def produce_block(i):
+    return bytes([i % 251]) * 65536
+
+
+def block_sum(i, block):
+    return (i, len(block), block[0])
+
+
+def append_commit(i, result, acc):
+    acc.setdefault("out", []).append(result)
+
+
+def take_out(acc):
+    return acc.get("out", [])
+
+
+class TestOversizeFrames:
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_a_frame_the_ring_cannot_hold_is_split_not_fatal(self, transport):
+        """32 x 64 KiB is more than the 2 MiB ring: this used to kill
+        phase A with a ValueError and degrade the run to sequential."""
+        spec = PipelineSpec(
+            iterations=64, produce=produce_block, work=block_sum,
+            commit=append_commit, finalize=take_out,
+        )
+        result = ExecutionEngine(
+            workers=2, batch_size=32, transport=transport
+        ).run(spec)
+        assert result.output == run_sequential(spec)[0]
+        assert not result.metrics.degraded_to_sequential
+        assert not result.metrics.producer_crashed
+        assert not orphaned_segments()
+
+    def test_split_sticks_and_a_single_oversize_item_still_raises(self):
+        ring = tiny_ring(slots=4, slot_bytes=64)
+        channel = ProcessChannel(8, batch_size=8, transport=ring)
+        try:
+            blocks = [b"a" * 100, b"b" * 100, b"c" * 100, b"d" * 100]
+            with pytest.raises(ChannelTimeout):
+                # four cannot ever fit, two can — one such frame at a time
+                channel.put_many(blocks, timeout=0.05)
+            assert channel.batch_size == 2
+            assert channel.get_many(8, timeout=1.0) == blocks[:2]
+            channel.flush(timeout=1.0)
+            assert channel.get_many(8, timeout=1.0) == blocks[2:]
+            with pytest.raises(FrameTooLarge, match="larger ring"):
+                channel.put_many([b"x" * 4096])
+        finally:
+            channel.close()
 
 
 # -- publication ordering / torn writes --------------------------------------------
