@@ -10,7 +10,11 @@ calibrate the simulator against measured wall clock.
 
 - :mod:`repro.exec.engine`   — :class:`ExecutionEngine`, :class:`PipelineSpec`,
   the sequential reference, and TaskGraph replay;
-- :mod:`repro.exec.workers`  — producer/worker process entry points;
+- :mod:`repro.exec.committer` — :class:`Committer`, phase C as a process-free
+  state machine: the reorder buffer and the in-order commit;
+- :mod:`repro.exec.runtime`  — the :class:`Runtime` protocol (who owns the
+  stages of a run) and :class:`LocalRuntime`, a process tree per run;
+- :mod:`repro.exec.workers`  — producer/worker entry points;
 - :mod:`repro.exec.channels` — bounded blocking inter-process channels;
 - :mod:`repro.exec.rollback` — write buffers, version validation, commit;
 - :mod:`repro.exec.faults`   — fault injection and the robustness policy;
@@ -24,6 +28,7 @@ from repro.exec.channels import (
     decode_frame,
     encode_frame,
 )
+from repro.exec.committer import Committer
 from repro.exec.engine import (
     EngineResult,
     ExecutionEngine,
@@ -34,11 +39,13 @@ from repro.exec.engine import (
 from repro.exec.faults import FaultPlan, InjectedFault, RobustnessPolicy
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, WriteBuffer
+from repro.exec.runtime import LocalRuntime, Runtime
 
 __all__ = [
     "ChannelChaos",
     "ChannelTimeout",
     "CommittedStore",
+    "Committer",
     "decode_frame",
     "encode_frame",
     "EngineMetrics",
@@ -46,9 +53,11 @@ __all__ = [
     "ExecutionEngine",
     "FaultPlan",
     "InjectedFault",
+    "LocalRuntime",
     "PipelineSpec",
     "ProcessChannel",
     "RobustnessPolicy",
+    "Runtime",
     "WriteBuffer",
     "run_sequential",
     "spec_from_task_graph",

@@ -162,6 +162,15 @@ class Wakeup:
         self._bells.append(view._bell)
         return view
 
+    def unseat(self, view: "Wakeup") -> None:
+        """Give back the bell :meth:`seat` made for a stage that is gone —
+        for whoever keeps the roster, once it has reaped the stage — so a
+        long-lived wake-up (a pool slot's) does not ring every worker it
+        ever had.  A wake racing this on another thread may skip one
+        bell, once: that waiter is one backstop slice late."""
+        if view._bell in self._bells:
+            self._bells.remove(view._bell)
+
     def wait(self, ready, deadline: Optional[float] = None) -> bool:
         """Block until ``ready()`` holds; False if ``deadline`` (a
         ``time.monotonic()`` instant) passed first.  ``ready`` runs in the
@@ -805,7 +814,7 @@ class ProcessChannel:
 
         Called on teardown paths where child processes may already be
         dead; must never wedge.  In the creating process this also unlinks
-        an shm ring, so even ``_halt()`` after a crashed run leaves no
+        an shm ring, so even a ``halt()`` after a crashed run leaves no
         ``/dev/shm`` segment behind.
         """
         self._transport.close()
@@ -843,6 +852,11 @@ class ProcessChannel:
         view = self.for_caller()
         view._credit = self._credit.seat()
         return view
+
+    def unseat(self, view: "ProcessChannel") -> None:
+        """Give back the seat of a :meth:`for_stage` view whose stage is
+        gone (see :meth:`Wakeup.unseat`)."""
+        self._credit.unseat(view._credit)
 
     def __repr__(self) -> str:
         return (

@@ -1,0 +1,418 @@
+"""Phase C as a state machine: the in-order committer, with no process in it.
+
+The paper's whole contract lives here: every iteration commits exactly
+once, in iteration order, so the parallel run is observationally the
+sequential one.  A :class:`Committer` is fed the workers' reports (the
+``done`` channel's messages, see :mod:`repro.exec.workers`) and told when to
+advance; it validates, applies, re-executes and commits, and *says* what it
+needs from the outside — which claims are overdue, which worker's work to
+take back — through return values.  It never touches a process handle, a
+channel, an event or ``sleep``, and reads no clock but the ``now_ns`` pair
+around the commit callback and a serial re-execution (the latency samples);
+every other instant is the caller's.  So it runs the same under the engine's
+loop (:class:`repro.exec.engine.ExecutionEngine`), behind either runtime,
+and in a test that hands it reports by hand.
+"""
+
+from __future__ import annotations
+
+import logging
+from typing import Any, Collection, Dict, List, Set, Tuple
+
+from repro.exec.metrics import EngineMetrics
+from repro.exec.rollback import CommittedStore, WriteBuffer
+from repro.obs.clock import now_ns
+from repro.obs.events import EventKind
+from repro.obs.registry import WRITER_COMMITTER
+
+logger = logging.getLogger(__name__)
+
+#: Arrival stamp of a task no worker ever claimed (the serial finish makes
+#: its claims itself): later than any commit, so it yields no lag sample.
+_NEVER_ARRIVED = 2 ** 63
+
+
+class Committer:
+    """The reorder buffer, the commit frontier and everything decided there.
+
+    ``store`` and ``accumulator`` are the authoritative state commits land
+    in; ``watermark`` / ``window`` are the throttle gate's two cells
+    (anything with a ``value``), written here and read by the workers;
+    ``throttle``, ``manager`` (checkpoints), ``registry`` and ``tracer`` are
+    optional collaborators.  ``metrics`` is the run's record, updated in
+    place.
+
+    State, all keyed by iteration: ``claims`` holds, per claimed and
+    uncommitted iteration, ``[claimant, claim clock (hung-task timeout),
+    phase-A value, first arrival (ns)]`` — the value so that any lost task
+    can be re-executed serially.  ``pending`` is the reorder buffer: result
+    entries as the workers sent them, ``(i, result, reads, writes,
+    b_seconds)``.  ``serial_needed`` are the tasks owed a serial retry.
+    ``next_commit`` is the frontier.
+    """
+
+    def __init__(
+        self,
+        spec,
+        store: CommittedStore,
+        accumulator: Any,
+        start: int,
+        metrics: EngineMetrics,
+        watermark,
+        window,
+        throttle=None,
+        manager=None,
+        registry=None,
+        tracer=None,
+    ) -> None:
+        self.spec = spec
+        self.store = store
+        self.accumulator = accumulator
+        self.metrics = metrics
+        self.throttle = throttle
+        self.manager = manager
+        self.registry = registry
+        self.tracer = tracer
+        self._watermark = watermark
+        self._window = window
+        self.next_commit = start
+        self.claims: Dict[int, list] = {}
+        self.pending: Dict[int, tuple] = {}
+        self.serial_needed: Set[int] = set()
+        # Per-item latency samples collect in plain lists and reach
+        # ``metrics.latency`` in bulk (``fold_samples``): a list append per
+        # sample on the commit path instead of a histogram update.
+        self.samples: Dict[str, List[float]] = {
+            "task_a": [], "task_b": [], "task_c": [], "commit_lag": [],
+        }
+
+    def fold_samples(self) -> None:
+        for series, values in self.samples.items():
+            self.metrics.fold_latency(series, values)
+
+    # -- reports in ---------------------------------------------------------------
+
+    def report(self, message: tuple, now: float, arrived_ns: int) -> None:
+        """One report from a worker: a chunk's claims, or the results
+        finished since its last report.  ``now`` starts the claim clocks
+        (the caller's clock, compared only with the ``now`` it later hands
+        :meth:`overdue`); ``arrived_ns`` is the report's arrival on the
+        ``now_ns`` axis — one timestamp serves commit-lag accounting and
+        the CLAIM trace records of every item in it."""
+        tag = message[0]
+        metrics = self.metrics
+        pending = self.pending
+        serial_needed = self.serial_needed
+        if tag == "results":
+            _, wid, entries = message
+            claims = self.claims
+            b_samples = self.samples["task_b"].append
+            # Where the frontier will stand once the entries before
+            # this one have committed: what "arrived out of order"
+            # is measured against, as if they came one at a time.
+            frontier = self.next_commit
+            accepted = 0
+            b_seconds = 0.0
+            for entry in entries:
+                i = entry[0]
+                if i < frontier:
+                    metrics.duplicates_dropped += 1
+                    continue
+                if i != frontier:
+                    metrics.out_of_order_completions += 1
+                if i in pending:
+                    metrics.duplicates_dropped += 1
+                    continue
+                pending[i] = entry
+                accepted += 1
+                b_seconds += entry[4]
+                b_samples(entry[4])
+                while frontier in pending or (
+                    frontier in serial_needed and frontier in claims
+                ):
+                    frontier += 1
+            metrics.stage_seconds["B"] += b_seconds
+            metrics.worker_iterations[wid] = (
+                metrics.worker_iterations.get(wid, 0) + accepted
+            )
+        elif tag == "claims":
+            _, wid, items = message
+            claims = self.claims
+            tracer = self.tracer
+            next_commit = self.next_commit
+            a_samples = self.samples["task_a"].append
+            a_seconds = 0.0
+            for i, value, seconds in items:
+                if i < next_commit:
+                    continue  # late duplicate of an already-committed task
+                claim = claims.get(i)
+                if claim is None:
+                    claims[i] = [wid, now, value, arrived_ns]
+                    if tracer is not None:
+                        tracer.record(
+                            EventKind.CLAIM, arrived_ns, arrived_ns,
+                            arg=i, arg2=wid,
+                        )
+                else:
+                    # Re-claimed after a crash hand-back: the first
+                    # arrival stays, ownership moves.
+                    claim[0], claim[1] = wid, now
+                # A fresh claim transfers ownership: the live claimant will
+                # deliver a result or fault (or fall to the hung-task
+                # timeout), so a previously scheduled serial retry yields.
+                if serial_needed:
+                    serial_needed.discard(i)
+                a_seconds += seconds
+                a_samples(seconds)
+            metrics.stage_seconds["A"] += a_seconds
+        elif tag == "fault":
+            _, wid, i, fault_message = message
+            metrics.soft_faults += 1
+            if self.registry is not None:
+                self.registry.add(WRITER_COMMITTER, "soft_faults")
+            logger.warning(
+                "worker %d reported soft fault on iteration %d: %s",
+                wid, i, fault_message,
+            )
+            if self.tracer is not None:
+                self.tracer.instant(EventKind.SOFT_FAULT, arg=i, arg2=wid)
+            if i >= self.next_commit and i not in pending:
+                serial_needed.add(i)
+                metrics.retries += 1
+        # ("stopped", wid): a clean exit; the health check sees exitcode 0
+
+    def lose_worker(self, wid: int) -> None:
+        """Route a dead/hung worker's unresolved claims to serial retry."""
+        for i, claim in self.claims.items():
+            # (a claim re-made by a live worker since is that worker's)
+            if (
+                claim[0] == wid and i >= self.next_commit
+                and i not in self.pending
+            ):
+                self.serial_needed.add(i)
+                self.metrics.retries += 1
+
+    def overdue(
+        self, now: float, timeout: float, alive: Collection[int]
+    ) -> List[Tuple[int, int]]:
+        """The ``(wid, i)`` of every task claimed more than ``timeout`` ago
+        by a worker in ``alive`` that could actually be running it — at most
+        one per worker; the caller terminates the worker and hands its
+        claims to :meth:`lose_worker`.  Claims that are merely waiting get
+        their clocks restarted at ``now``."""
+        pending, serial_needed = self.pending, self.serial_needed
+        next_commit, window = self.next_commit, self._window.value
+        # A chunk executes serially within its worker, so only each
+        # worker's *oldest* unresolved claim can actually be running;
+        # younger chunk-mates are queued behind it, not hung.
+        unresolved = [
+            (i, claim) for i, claim in self.claims.items()
+            if i >= next_commit and i not in pending
+            and i not in serial_needed
+        ]
+        oldest_claim: Dict[int, int] = {}
+        for i, claim in unresolved:
+            wid = claim[0]
+            if wid not in oldest_claim or i < oldest_claim[wid]:
+                oldest_claim[wid] = i
+        late = []
+        for i, claim in unresolved:
+            wid = claim[0]
+            if wid not in alive:
+                continue  # the caller's crash handling covers dead workers
+            if i - next_commit >= window:
+                # Throttle-gated, not hung: the worker is deliberately
+                # waiting for the window.  Refresh its claim clock so it
+                # gets a full timeout once it becomes eligible.
+                claim[1] = now
+            elif i != oldest_claim[wid]:
+                claim[1] = now  # queued behind a chunk-mate
+            elif now - claim[1] > timeout:
+                late.append((wid, i))
+        return late
+
+    # -- commits out --------------------------------------------------------------
+
+    def advance(self) -> None:
+        """Commit the contiguous run at the frontier: buffered results
+        (validated first when speculative) and tasks owed a serial
+        retry.  Per item: the callback, one clock pair, the latency
+        samples, the trace span.  Counters, the watermark and the
+        throttle settle once per run — a conflict or a checkpoint
+        inside it only settles early."""
+        i = self.next_commit
+        pending = self.pending
+        serial_needed = self.serial_needed
+        if i not in pending and i not in serial_needed:
+            return  # the common call: nothing new at the frontier
+        # Bound once per run of commits, not looked up per item: the
+        # fine-grain pipeline is bound by this loop.
+        claims = self.claims
+        store = self.store
+        commit = self.spec.commit
+        accumulator = self.accumulator
+        speculative = self.spec.speculative
+        iterations = self.spec.iterations
+        throttled = self.throttle is not None
+        manager = self.manager
+        registry = self.registry
+        tracer = self.tracer
+        c_samples = self.samples["task_c"].append
+        lag_samples = self.samples["commit_lag"].append
+        clean = 0  # clean commits the throttle has not heard of yet
+        c_seconds = 0.0
+        while i < iterations:
+            entry = pending.pop(i, None)
+            misspeculated = False
+            if entry is not None:
+                result = entry[1]
+                if speculative:
+                    if store.validate(entry[2]):
+                        misspeculated = True
+                        self.metrics.conflicts += 1
+                        if registry is not None:
+                            registry.add(WRITER_COMMITTER, "conflicts")
+                        if tracer is not None:
+                            tracer.instant(EventKind.CONFLICT, arg=i)
+                    else:
+                        store.apply(entry[3])
+            elif i in serial_needed and i in claims:
+                misspeculated = True
+            else:
+                break
+            if misspeculated:
+                result = self._reexecute(i)
+            if serial_needed:
+                serial_needed.discard(i)
+            # One clock pair feeds stage_seconds, the latency histogram,
+            # commit lag, *and* the trace span — tracing adds no clock calls.
+            t0_ns = now_ns()
+            commit(i, result, accumulator)
+            commit_ns = now_ns()
+            elapsed = (commit_ns - t0_ns) * 1e-9
+            c_seconds += elapsed
+            c_samples(elapsed)
+            claim = claims.pop(i, None)
+            if claim is not None and commit_ns >= claim[3]:
+                lag_seconds = (commit_ns - claim[3]) / 1e9
+                lag_samples(lag_seconds)
+                if registry is not None:
+                    registry.observe(
+                        WRITER_COMMITTER, "commit_lag_seconds", lag_seconds
+                    )
+            if tracer is not None:
+                # The span's end *is* the commit point and arg2 carries the
+                # misspeculation flag; the merger synthesizes the COMMIT
+                # instant from it, halving committer record volume.
+                tracer.record(
+                    EventKind.TASK_C, t0_ns, commit_ns, arg=i,
+                    arg2=1 if misspeculated else 0,
+                )
+            i += 1
+            if throttled:
+                if misspeculated:
+                    # in commit order: the epochs must see what the
+                    # item-at-a-time committer showed them
+                    if clean:
+                        self._tell_throttle(False, clean)
+                        clean = 0
+                    self._tell_throttle(True, 1)
+                else:
+                    clean += 1
+            if manager is not None and manager.due(i):
+                self._settle(i, c_seconds)
+                c_seconds = 0.0
+                self._checkpoint(i)
+        self._settle(i, c_seconds)
+        if clean:
+            self._tell_throttle(False, clean)
+
+    def finish_serially(self) -> None:
+        """Graceful degradation: finish the run sequentially, in-process
+        (the caller has already halted the pipeline's children).
+
+        Phase A is replayed from iteration 0 on the caller's own (pristine,
+        never-called) copy of ``produce`` — workload determinism guarantees
+        identical values — but only uncommitted iterations execute B and C:
+        each is marked owed a serial retry and the frontier advanced over
+        it, on the commit path every other iteration takes.  Results
+        already waiting in ``pending`` are therefore still validated and
+        reused, and the committed prefix keeps checkpointing, so even a
+        degraded run can be resumed incrementally if it is interrupted.
+        """
+        self.throttle = None  # nobody is left to throttle
+        for i in range(self.spec.iterations):
+            value = self.spec.produce(i)  # replay for phase-A state evolution
+            if i < self.next_commit:
+                continue
+            self.claims.setdefault(i, [None, 0.0, value, _NEVER_ARRIVED])
+            self.serial_needed.add(i)
+            self.advance()
+
+    def _reexecute(self, i: int) -> Any:
+        """Misspeculation-as-re-execution: run task *i* on live state."""
+        spec, store, metrics = self.spec, self.store, self.metrics
+        value = self.claims[i][2]
+        t0_ns = now_ns()
+        if spec.speculative:
+            buffer = WriteBuffer(store.snapshot())
+            result = spec.work(i, value, buffer)
+            store.apply(buffer.writes)
+        else:
+            result = spec.work(i, value)
+        t1_ns = now_ns()
+        elapsed = (t1_ns - t0_ns) * 1e-9
+        metrics.stage_seconds["B"] += elapsed
+        metrics.serial_reexecutions += 1
+        metrics.record_latency("serial_reexec", elapsed)
+        if self.registry is not None:
+            self.registry.add(WRITER_COMMITTER, "serial_reexec")
+        if self.tracer is not None:
+            self.tracer.record(EventKind.SERIAL_REEXEC, t0_ns, t1_ns, arg=i)
+        return result
+
+    def _tell_throttle(self, misspeculated: bool, commits: int) -> None:
+        new_window = self.throttle.record(misspeculated, commits)
+        if new_window is None:
+            return
+        shrink = new_window < self._window.value
+        self._window.value = new_window
+        if self.registry is not None:
+            self.registry.set_gauge("window", new_window)
+        logger.debug(
+            "throttle %s: speculative window now %d",
+            "shrink" if shrink else "grow", new_window,
+        )
+        if self.tracer is not None:
+            self.tracer.instant(
+                EventKind.THROTTLE, arg=new_window,
+                detail=0 if shrink else 1,
+            )
+
+    def _settle(self, frontier: int, c_seconds: float) -> None:
+        """Book the commits ``next_commit .. frontier`` and publish the
+        new watermark."""
+        run = frontier - self.next_commit
+        if not run:
+            return
+        metrics = self.metrics
+        metrics.commits += run
+        metrics.in_order_commits += run
+        metrics.stage_seconds["C"] += c_seconds
+        self.next_commit = self._watermark.value = frontier
+        if self.registry is not None:
+            self.registry.add(WRITER_COMMITTER, "committed", run)
+            self.registry.set_gauge("watermark", frontier)
+
+    def _checkpoint(self, i: int) -> None:
+        manager, metrics = self.manager, self.metrics
+        self.fold_samples()  # the checkpoint carries metrics.to_json()
+        manager.take(i, self.store, self.accumulator, metrics)
+        metrics.checkpoints_taken = manager.taken
+        if self.registry is not None:
+            self.registry.add(WRITER_COMMITTER, "checkpoints")
+        logger.info(
+            "checkpoint %d taken at commit watermark %d", manager.taken, i
+        )
+        if self.tracer is not None:
+            self.tracer.instant(EventKind.CHECKPOINT, arg=i)

@@ -40,45 +40,24 @@ busy-work — the bridge for simulated-vs-measured calibration tables.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.plan import ExecutionPlan
 from repro.core.tasks import Phase, TaskGraph
-from repro.exec.channels import (
-    STOP,
-    ChannelChaos,
-    ChannelTimeout,
-    ProcessChannel,
-)
+from repro.exec.channels import ChannelChaos, ChannelTimeout
+from repro.exec.committer import Committer
 from repro.exec.faults import FaultPlan, RobustnessPolicy
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, Location, WriteBuffer
+from repro.exec.runtime import LocalRuntime, Runtime
 from repro.exec.transport import TRANSPORT_KINDS
-from repro.exec.workers import (
-    HardExit,
-    ShutdownGuard,
-    ThrottleGate,
-    done_capacity,
-    producer_main,
-    raise_hard_exit,
-    signal_shutdown,
-    worker_main,
-)
 from repro.obs.clock import now_ns
 from repro.obs.events import EventKind, TraceConfig
 from repro.obs.live import LiveConfig, LiveMonitor
-from repro.obs.registry import (
-    MetricsRegistry,
-    WRITER_COMMITTER,
-    WRITER_PRODUCER,
-    WRITER_WORKER0,
-    writers_for,
-)
+from repro.obs.registry import WRITER_COMMITTER
 from repro.obs.serve import MetricsServer
 from repro.obs.spool import open_tracer
 from repro.resilience.checkpoint import (
@@ -88,11 +67,7 @@ from repro.resilience.checkpoint import (
     CheckpointManager,
     spec_fingerprint,
 )
-from repro.resilience.throttle import (
-    SpeculationThrottle,
-    ThrottleConfig,
-    max_window_for,
-)
+from repro.resilience.throttle import ThrottleConfig
 
 logger = logging.getLogger(__name__)
 
@@ -103,55 +78,6 @@ _UNTHROTTLED_WINDOW = 2 ** 30
 
 def _identity(accumulator: Any) -> Any:
     return accumulator
-
-
-class _ThreadHandle:
-    """A process-like facade over a pipeline stage running as a thread.
-
-    The ``thread`` transport keeps every stage in the calling process, but
-    the committer's health machinery speaks the ``multiprocessing.Process``
-    dialect — ``is_alive``/``exitcode``/``terminate``/``join``.  Injected
-    crashes arrive as :class:`HardExit` (raised by the injected
-    ``hard_exit``) and land in ``exitcode`` exactly as ``os._exit`` codes
-    would, so crash accounting and respawn budgets behave identically
-    across transports.  ``terminate`` is necessarily a no-op: a hung
-    thread cannot be killed, only abandoned — it is daemonic and any late
-    duplicate results it sends are dropped by the committer.
-    """
-
-    def __init__(self, target, args, name: str) -> None:
-        self.exitcode: Optional[int] = None
-        self._thread = threading.Thread(
-            target=self._run, args=(target, args), name=name, daemon=True
-        )
-
-    def _run(self, target, args) -> None:
-        code = 0
-        try:
-            target(*args)
-        except HardExit as stop:
-            code = stop.code
-        except BaseException:
-            logger.exception(
-                "pipeline thread %s died", self._thread.name
-            )
-            code = 1
-        self.exitcode = code
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
 
 
 def _dict_accumulator() -> dict:
@@ -269,32 +195,15 @@ class ExecutionEngine:
     After the run the watchdog's summary is on ``metrics.watchdog`` and the
     bound HTTP port (if any) on :attr:`live_server_port`.
 
-    ``runtime`` (default: none) runs the pipeline against a *pre-existing*
-    worker-pool lease (:class:`repro.service.pool.LeaseRuntime`) instead of
-    forking a fresh producer/worker tree: the runtime supplies the
-    channels, shutdown event, throttle gate, metrics registry,
-    producer handle, and leased worker processes, and takes over respawn,
-    teardown, halt, and cancellation.  The committer loop, speculation
-    validation, throttling, and degradation machinery are identical in
-    both modes — only process lifecycle is delegated.  The duck-typed
-    contract the runtime must satisfy:
-
-    - attributes ``work``/``done`` (:class:`ProcessChannel`), ``shutdown``
-      (cleared event), ``gate`` (:class:`ThrottleGate`),
-      ``registry`` (:class:`MetricsRegistry` or None), and
-      ``job_throttle`` (a :class:`SpeculationThrottle`-shaped controller
-      or None — per-tenant persistent in the service);
-    - ``start_producer(spec, start, batch_size, fault_plan)`` returning a
-      process-like handle (``is_alive``/``exitcode``/``terminate``/
-      ``join``);
-    - ``workers()`` returning ``{wid: handle}`` for the leased workers;
-    - ``respawn()`` returning ``(wid, handle)`` for a replacement worker
-      already leased to this job;
-    - ``cancelled()`` polled by the committer loop;
-    - ``teardown(producer, processes, done, join_timeout)`` (cooperative;
-      called after the engine has put the end-of-stream tokens on
-      ``work``, so it must not drain that channel) and
-      ``halt(producer, processes, join_timeout)`` (emergency).
+    ``runtime`` (default: none) is who owns the stages of the run — a
+    :class:`repro.exec.runtime.Runtime`.  Given none, every run forks a
+    producer/worker tree of its own from the arguments above
+    (:class:`~repro.exec.runtime.LocalRuntime`); given a worker-pool lease
+    (:class:`repro.service.pool.LeaseRuntime`), the one run it serves uses
+    the lease's channels and long-lived workers, and the lease takes
+    respawn, teardown, halt and cancellation.  The commit loop, speculation
+    validation, throttling and degradation are the same code either way —
+    only process lifecycle is the runtime's.
     """
 
     def __init__(
@@ -347,13 +256,15 @@ class ExecutionEngine:
         self.trace_config = trace
         self.live_config = live
         self._start_method = start_method
-        self.external_runtime = runtime
+        self._caller_runtime: Optional[Runtime] = runtime
         self.metrics = EngineMetrics()
         self.checkpoint_manager: Optional[CheckpointManager] = None
         #: The last run's live monitor (None when ``live`` is off) and the
         #: port its HTTP endpoint bound (None when ``live.serve`` is off).
         self.live_monitor: Optional[LiveMonitor] = None
         self.live_server_port: Optional[int] = None
+        self._live_server: Optional[MetricsServer] = None
+        self._respawns_left = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -411,6 +322,19 @@ class ExecutionEngine:
             )
         return checkpoint
 
+    def _runtime(self) -> Runtime:
+        """The runtime of the next run: the caller's as it is (it serves
+        one run), else a process tree built for that run from this
+        engine's arguments."""
+        if self._caller_runtime is not None:
+            return self._caller_runtime
+        return LocalRuntime(
+            self.workers, self.capacity, self.batch_size, self.flush_interval,
+            self.transport, self.policy, self.throttle_config,
+            start_method=self._start_method, chaos=self.channel_chaos,
+            trace=self.trace_config, live=self.live_config is not None,
+        )
+
     # -- the committer loop -----------------------------------------------------
 
     def _run_pipeline(
@@ -420,806 +344,307 @@ class ExecutionEngine:
         resume_checkpoint: Optional[Checkpoint],
     ) -> EngineResult:
         entered = time.monotonic()
-        policy = self.policy
         metrics = self.metrics
         manager = self.checkpoint_manager
-        rt = self.external_runtime
-        ctx = (
-            multiprocessing.get_context(self._start_method)
-            if self._start_method
-            else multiprocessing.get_context()
-        )
-        threaded = self.transport == "thread" and rt is None
-        if rt is not None:
-            # Pool mode: the lease supplies channels, shutdown, and shared
-            # values — all created once at pool start and reused per job.
-            work = rt.work
-            done = rt.done
-            shutdown = rt.shutdown
-            child_shutdown = shutdown
-        else:
-            work = ProcessChannel(
-                self.capacity, name="work", ctx=ctx, chaos=self.channel_chaos,
-                batch_size=self.batch_size, flush_interval=self.flush_interval,
-                transport=self.transport,
-            )
-            done = ProcessChannel(
-                done_capacity(self.capacity, self.workers, self.batch_size),
-                name="done", ctx=ctx,
-                batch_size=self.batch_size, flush_interval=self.flush_interval,
-                transport=self.transport,
-            )
-            shutdown = ctx.Event()
-            # Children see parent death as shutdown, so a SIGKILLed engine
-            # cannot strand orphans spinning on channel credit — and the
-            # last orphan's exit is what lets the resource tracker unlink
-            # any shm segments the run mapped.
-            child_shutdown = (
-                shutdown if threaded
-                else ShutdownGuard(shutdown, os.getpid())
-            )
-        metrics.transport = work.transport_kind
+        rt = self._runtime()
+        metrics.transport = rt.work.transport_kind
         # The committer's own spool: claims, commits, conflicts, robustness
         # events, TASK_C spans, and its done-channel get waits.
         tracer = open_tracer(self.trace_config, "committer")
-        done.tracer = tracer
+        rt.done.tracer = tracer
         if resume_checkpoint is not None:
             store = resume_checkpoint.restore_store()
             accumulator = resume_checkpoint.restore_accumulator()
         else:
             store = CommittedStore(spec.shared_state)
             accumulator = spec.init()
-
         # Adaptive speculation throttling: the committer is the controller;
         # workers observe the watermark/window pair through shared memory.
-        # Pool mode may supply a persistent (per-tenant) controller so one
+        # A lease may supply a persistent (per-tenant) controller so one
         # tenant's storm carries a shrunk window into its next lease.
-        if rt is not None:
-            throttle = rt.job_throttle
-            gate = rt.gate
-        else:
-            throttle = (
-                SpeculationThrottle(
-                    self.throttle_config,
-                    max_window_for(
-                        self.workers, self.capacity, self.batch_size
-                    ),
-                )
-                if self.throttle_config.enabled
-                else None
-            )
-            gate = ThrottleGate(ctx)
-        gate.reset(
+        throttle = rt.job_throttle
+        rt.gate.reset(
             start, throttle.window if throttle else _UNTHROTTLED_WINDOW
         )
-        watermark_value = gate.watermark
-        window_value = gate.window
-
-        # Live telemetry: the shared-memory registry must exist before any
-        # child is spawned (the shared arrays travel through process args).
-        # Pool mode inherits the slot's registry — reset by the pool before
-        # the lease, already mapped in every pool worker.
-        live_cfg = self.live_config
-        live_abort = threading.Event()
-        registry: Optional[MetricsRegistry] = None
-        monitor: Optional[LiveMonitor] = None
-        server: Optional[MetricsServer] = None
-        if rt is not None:
-            registry = rt.registry
-        elif live_cfg is not None:
-            registry = MetricsRegistry.create(
-                ctx, writers_for(self.workers, policy.max_respawns)
-            )
+        registry = rt.registry
         if registry is not None:
             registry.set_gauge("iterations", spec.iterations)
             registry.set_gauge("watermark", start)
-            registry.set_gauge("window", window_value.value)
+            registry.set_gauge("window", rt.gate.window.value)
             registry.set_gauge("workers_alive", self.workers)
+        committer = Committer(
+            spec, store, accumulator, start, metrics,
+            rt.gate.watermark, rt.gate.window,
+            throttle, manager, registry, tracer,
+        )
+        live_abort = threading.Event()
+        self.live_monitor = None
+        self._respawns_left = self.policy.max_respawns
+        try:
+            try:
+                # Start-up belongs to the guarded region: a stage that fails
+                # to start leaves its started siblings to the handler below.
+                rt.start(spec, store, start, self.batch_size, self.fault_plan)
+                self._start_live(rt, spec, live_abort)
+                degraded = self._commit_loop(rt, committer, entered, live_abort)
+            except BaseException:
+                # A committer-side crash (a commit callback raising, an
+                # interrupt) must not leak the pipeline.  Children left alive
+                # keep writing the channels' shared counters, and once this
+                # frame unwinds the parent frees those counter blocks back to
+                # the multiprocessing heap — where the *next* engine's channels
+                # reuse them while the orphans still hold the same mapping,
+                # silently corrupting a later run's metrics.  Kill and reap
+                # everything, release the channels, then let the crash
+                # propagate (the committer's spool is closed cleanly so a
+                # post-mortem trace survives).
+                rt.signal_shutdown()
+                self._stop_live()  # before close(): the final sample reads them
+                rt.halt()
+                raise
+            finally:
+                rt.signal_shutdown()
+                committer.fold_samples()
+            loop_ended = time.monotonic()
 
-        def start_stage(name: str, target, args: tuple):
-            """One own-process stage, as a thread or a process.  ``args``
-            end where the stage's ``hard_exit`` parameter comes next, and
-            carry the stage's own views of the channels and the gate
-            (private buffers, its own seat on the wake-ups) — made here,
-            in the spawning process."""
-            if threaded:
-                stage = _ThreadHandle(
-                    target, args + (raise_hard_exit,), name=name
+            # The telemetry plane stops here, not after teardown: on the
+            # degradation path the sequential finisher has no stages, and
+            # a watchdog left running would misread their silence as a
+            # stall.  The final sample captures the pipeline's true end state.
+            self._stop_live()
+
+            if degraded:
+                logger.warning(
+                    "degrading to sequential execution at commit watermark %d",
+                    committer.next_commit,
                 )
-            else:
-                stage = ctx.Process(
-                    target=target, args=args, name=name, daemon=True
-                )
-            stage.start()
-            return stage
-
-        if rt is not None:
-            producer = rt.start_producer(
-                spec, start=start, batch_size=self.batch_size,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            producer = start_stage(
-                "exec-A", producer_main,
-                (work.for_stage(), spec.iterations, spec.produce,
-                 self.fault_plan, child_shutdown, start, self.batch_size,
-                 self.trace_config, registry, WRITER_PRODUCER, True,
-                 self.workers),
-            )
-
-        processes: Dict[int, Any] = {}
-        next_worker_id = 0
-
-        def spawn_worker() -> int:
-            nonlocal next_worker_id
-            if rt is not None:
-                wid, proc = rt.respawn()
-                processes[wid] = proc
-                return wid
-            wid = next_worker_id
-            next_worker_id += 1
-            # Every worker that ever exists gets its own counter row;
-            # clamp defensively so an overrun aliases the last row instead
-            # of corrupting foreign memory.
-            row = WRITER_WORKER0 + wid
-            if registry is not None and row >= registry.writers:
-                row = registry.writers - 1
-            processes[wid] = start_stage(
-                f"exec-B{wid}", worker_main,
-                (wid, work.for_stage(), done.for_stage(), spec.work,
-                 spec.speculative, store.snapshot(), self.fault_plan,
-                 child_shutdown, gate.seat(), self.batch_size,
-                 self.trace_config, registry, row),
-            )
-            return wid
-
-        if rt is not None:
-            processes.update(rt.workers())
-        else:
-            for _ in range(self.workers):
-                spawn_worker()
-
-        if registry is not None and live_cfg is not None:
-            monitor = LiveMonitor(
-                registry, live_cfg,
-                capacity=self.capacity,
-                iterations=spec.iterations,
-                policy=policy,
-                channels=(work, done),
-                on_abort=live_abort.set,
-            )
-            monitor.start()
-            self.live_monitor = monitor
-            if live_cfg.serve is not None:
-                server = MetricsServer(monitor, port=live_cfg.serve).start()
-                self.live_server_port = server.port
-
-        def stop_live() -> None:
-            """Tear down the telemetry plane (idempotent): final sample,
-            then the watchdog's verdict lands on the run's metrics."""
-            nonlocal server
-            if server is not None:
-                server.stop()
-                server = None
-            if monitor is not None:
-                monitor.stop()
-                metrics.watchdog = monitor.watchdog.summary()
-
-        # Committer state.  ``claims`` holds, per claimed and uncommitted
-        # iteration, ``[claimant, claim clock (hung-task timeout), phase-A
-        # value, first arrival (ns)]`` — the value so that any lost task
-        # can be re-executed serially.  ``pending`` is the reorder buffer:
-        # result entries as the workers sent them, ``(i, result, reads,
-        # writes, b_seconds)``.
-        claims: Dict[int, list] = {}
-        pending: Dict[int, tuple] = {}
-        serial_needed: Set[int] = set()
-        next_commit = start
-        iterations = spec.iterations
-        speculative = spec.speculative
-        respawns_left = policy.max_respawns
-        producer_failed = False
-        last_activity = time.monotonic()
-        # Per-item latency samples collect in plain lists and reach
-        # ``metrics.latency`` in bulk (``fold_samples``): a list append per
-        # sample on the commit path instead of a histogram update.
-        samples: Dict[str, List[float]] = {
-            "task_a": [], "task_b": [], "task_c": [], "commit_lag": [],
-        }
-        a_samples = samples["task_a"].append
-        b_samples = samples["task_b"].append
-        c_samples = samples["task_c"].append
-        lag_samples = samples["commit_lag"].append
-
-        def fold_samples() -> None:
-            for series, values in samples.items():
-                metrics.fold_latency(series, values)
-
-        def respawn(wid: int, reason: str) -> None:
-            nonlocal respawns_left
-            respawns_left -= 1
-            metrics.respawns += 1
-            if registry is not None:
-                registry.add(WRITER_COMMITTER, "respawns")
-            new_wid = spawn_worker()
-            logger.info(
-                "respawned worker %d (replacing %d after %s, %d respawns "
-                "left)", new_wid, wid, reason, respawns_left,
-            )
-            if tracer is not None:
-                tracer.instant(EventKind.RESPAWN, arg=new_wid, arg2=wid)
-
-        def serial_reexecute(i: int) -> Any:
-            """Misspeculation-as-re-execution: run task *i* on live state."""
-            value = claims[i][2]
-            t0_ns = now_ns()
-            if speculative:
-                buffer = WriteBuffer(store.snapshot())
-                result = spec.work(i, value, buffer)
-                store.apply(buffer.writes)
-            else:
-                result = spec.work(i, value)
-            t1_ns = now_ns()
-            elapsed = (t1_ns - t0_ns) * 1e-9
-            metrics.stage_seconds["B"] += elapsed
-            metrics.serial_reexecutions += 1
-            metrics.record_latency("serial_reexec", elapsed)
-            if registry is not None:
-                registry.add(WRITER_COMMITTER, "serial_reexec")
-            if tracer is not None:
-                tracer.record(EventKind.SERIAL_REEXEC, t0_ns, t1_ns, arg=i)
-            return result
-
-        def tell_throttle(misspeculated: bool, commits: int) -> None:
-            new_window = throttle.record(misspeculated, commits)
-            if new_window is None:
-                return
-            shrink = new_window < window_value.value
-            window_value.value = new_window
-            if registry is not None:
-                registry.set_gauge("window", new_window)
-            logger.debug(
-                "throttle %s: speculative window now %d",
-                "shrink" if shrink else "grow", new_window,
-            )
-            if tracer is not None:
-                tracer.instant(
-                    EventKind.THROTTLE, arg=new_window,
-                    detail=0 if shrink else 1,
-                )
-
-        def settle(frontier: int, c_seconds: float) -> None:
-            """Book the commits ``next_commit .. frontier`` and publish the
-            new watermark."""
-            nonlocal next_commit
-            run = frontier - next_commit
-            if not run:
-                return
-            if not metrics.commits:
-                metrics.startup_seconds = time.monotonic() - entered
-            metrics.commits += run
-            metrics.in_order_commits += run
-            metrics.stage_seconds["C"] += c_seconds
-            next_commit = watermark_value.value = frontier
-            if registry is not None:
-                registry.add(WRITER_COMMITTER, "committed", run)
-                registry.set_gauge("watermark", frontier)
-
-        def advance_commits() -> None:
-            """Commit the contiguous run at the frontier: buffered results
-            (validated first when speculative) and tasks owed a serial
-            retry.  Per item: the callback, one clock pair, the latency
-            samples, the trace span.  Counters, the watermark and the
-            throttle settle once per run — a conflict or a checkpoint
-            inside it only settles early."""
-            i = next_commit
-            clean = 0  # clean commits the throttle has not heard of yet
-            c_seconds = 0.0
-            while i < iterations:
-                entry = pending.pop(i, None)
-                misspeculated = False
-                if entry is not None:
-                    result = entry[1]
-                    if speculative:
-                        if store.validate(entry[2]):
-                            misspeculated = True
-                            metrics.conflicts += 1
-                            if registry is not None:
-                                registry.add(WRITER_COMMITTER, "conflicts")
-                            if tracer is not None:
-                                tracer.instant(EventKind.CONFLICT, arg=i)
-                        else:
-                            store.apply(entry[3])
-                elif i in serial_needed and i in claims:
-                    misspeculated = True
-                else:
-                    break
-                if misspeculated:
-                    result = serial_reexecute(i)
-                if serial_needed:
-                    serial_needed.discard(i)
-                # One clock pair feeds stage_seconds, the latency histogram,
-                # commit lag, *and* the trace span — tracing adds no clock calls.
-                t0_ns = now_ns()
-                spec.commit(i, result, accumulator)
-                commit_ns = now_ns()
-                elapsed = (commit_ns - t0_ns) * 1e-9
-                c_seconds += elapsed
-                c_samples(elapsed)
-                claim = claims.pop(i, None)
-                if claim is not None and commit_ns >= claim[3]:
-                    lag_seconds = (commit_ns - claim[3]) / 1e9
-                    lag_samples(lag_seconds)
-                    if registry is not None:
-                        registry.observe(
-                            WRITER_COMMITTER, "commit_lag_seconds", lag_seconds
-                        )
                 if tracer is not None:
-                    # The span's end *is* the commit point and arg2 carries the
-                    # misspeculation flag; the merger synthesizes the COMMIT
-                    # instant from it, halving committer record volume.
-                    tracer.record(
-                        EventKind.TASK_C, t0_ns, commit_ns, arg=i,
-                        arg2=1 if misspeculated else 0,
-                    )
-                i += 1
-                if throttle is not None:
-                    if misspeculated:
-                        # in commit order: the epochs must see what the
-                        # item-at-a-time committer showed them
-                        if clean:
-                            tell_throttle(False, clean)
-                            clean = 0
-                        tell_throttle(True, 1)
-                    else:
-                        clean += 1
-                if manager is not None and manager.due(i):
-                    settle(i, c_seconds)
-                    c_seconds = 0.0
-                    fold_samples()  # the checkpoint carries metrics.to_json()
-                    manager.take(i, store, accumulator, metrics)
-                    metrics.checkpoints_taken = manager.taken
-                    if registry is not None:
-                        registry.add(WRITER_COMMITTER, "checkpoints")
-                    logger.info(
-                        "checkpoint %d taken at commit watermark %d",
-                        manager.taken, i,
-                    )
-                    if tracer is not None:
-                        tracer.instant(EventKind.CHECKPOINT, arg=i)
-            settle(i, c_seconds)
-            if clean:
-                tell_throttle(False, clean)
+                    tracer.instant(EventKind.DEGRADE, arg=committer.next_commit)
+                rt.halt()
+            else:
+                rt.teardown(metrics.cancelled)
+            metrics.teardown_seconds = time.monotonic() - loop_ended
+            if degraded:
+                metrics.degraded_to_sequential = True
+                committer.finish_serially()
+                committer.fold_samples()
 
-        def handle_lost_worker(wid: int) -> None:
-            """Route a dead/hung worker's unresolved claims to serial retry."""
-            for i, claim in claims.items():
-                # (a claim re-made by a live worker since is that worker's)
-                if claim[0] == wid and i >= next_commit and i not in pending:
-                    serial_needed.add(i)
-                    metrics.retries += 1
+            if throttle is not None:
+                metrics.throttle_shrinks = throttle.shrinks
+                metrics.throttle_grows = throttle.grows
+                metrics.min_window = throttle.min_window_seen
+                metrics.final_window = throttle.window
+            for channel in (rt.work, rt.done):
+                metrics.channel_stats[channel.name] = channel.occupancy_stats()
+            return EngineResult(
+                spec.finalize(accumulator),
+                metrics,
+                store.architectural_state(),
+                checkpoints=list(manager.checkpoints) if manager else [],
+            )
+        finally:
+            rt.close()
+            rt.done.tracer = None  # a lease's channels outlive the job
+            if tracer is not None:
+                tracer.close()
 
-        def check_health() -> None:
-            nonlocal producer_failed, respawns_left, last_activity
+    def _commit_loop(
+        self, rt: Runtime, committer: Committer, entered: float,
+        live_abort: threading.Event,
+    ) -> bool:
+        """Feed ``committer`` from the ``done`` channel until the last
+        iteration commits or the run is cancelled (False), or the pipeline
+        has to be abandoned (True: the caller degrades to sequential).
+
+        One iteration per transport read: a whole decoded frame, one
+        clock pair, one queue-wait sample, one cancel check."""
+        policy, metrics, registry = self.policy, self.metrics, rt.registry
+        work, done, gate = rt.work, rt.done, rt.gate
+        iterations = committer.spec.iterations
+        report, advance = committer.report, committer.advance
+        gate_woken_at = committer.next_commit
+        last_activity = time.monotonic()
+        while committer.next_commit < iterations:
+            advance()
+            if committer.next_commit != gate_woken_at:
+                # At most one wake per drained frame, and none unless a
+                # worker declared itself gated.
+                gate_woken_at = committer.next_commit
+                last_activity = time.monotonic()
+                if not metrics.startup_seconds:
+                    metrics.startup_seconds = last_activity - entered
+                gate.wake()
+            if committer.next_commit >= iterations:
+                break
+            if rt.cancelled():
+                # Job cancellation (repro.service): stop committing and
+                # take the cooperative teardown path — the committed
+                # prefix stays valid, pool workers stay alive.
+                metrics.cancelled = True
+                logger.info(
+                    "run cancelled at commit watermark %d",
+                    committer.next_commit,
+                )
+                break
+            wait_started = time.monotonic()
+            try:
+                frame = done.get_many(
+                    done.batch_size, timeout=policy.poll_interval
+                )
+            except ChannelTimeout:
+                pass
+            else:
+                last_activity = time.monotonic()
+                metrics.record_latency(
+                    "queue_wait", last_activity - wait_started
+                )
+                for message in frame:
+                    report(message, last_activity, now_ns())
+                    advance()
+                continue  # drain greedily before health checks
+            work.sample_occupancy()
+            done.sample_occupancy()
             now = time.monotonic()
-            # A chunk executes serially within its worker, so only each
-            # worker's *oldest* unresolved claim can actually be running;
-            # younger chunk-mates are queued behind it, not hung.
-            unresolved = [
-                (i, claim) for i, claim in claims.items()
-                if i >= next_commit and i not in pending
-                and i not in serial_needed
-            ]
-            oldest_claim: Dict[int, int] = {}
-            for i, claim in unresolved:
-                wid = claim[0]
-                if wid not in oldest_claim or i < oldest_claim[wid]:
-                    oldest_claim[wid] = i
-            # Hung tasks: claimed long ago by a still-live worker.
-            for i, claim in unresolved:
-                wid, claimed_at = claim[0], claim[1]
-                proc = processes.get(wid)
-                if proc is None or not proc.is_alive():
-                    continue  # crash handling below covers dead workers
-                if i - next_commit >= window_value.value:
-                    # Throttle-gated, not hung: the worker is deliberately
-                    # waiting for the window.  Refresh its claim clock so it
-                    # gets a full timeout once it becomes eligible.
-                    claim[1] = now
-                    continue
-                if i != oldest_claim.get(wid):
-                    claim[1] = now  # queued behind a chunk-mate
-                    continue
-                if now - claimed_at > policy.task_timeout:
-                    metrics.worker_timeouts += 1
-                    if registry is not None:
-                        registry.add(WRITER_COMMITTER, "worker_timeouts")
-                    logger.warning(
-                        "worker %d hung on iteration %d for more than "
-                        "%.1fs; terminating", wid, i, policy.task_timeout,
-                    )
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.WORKER_TIMEOUT, arg=i, arg2=wid
-                        )
-                    proc.terminate()
-                    proc.join(policy.join_timeout)
-                    processes[wid] = None
-                    handle_lost_worker(wid)
-                    if respawns_left > 0:
-                        respawn(wid, "hang timeout")
-                    last_activity = now
-            # Crashed workers: exited nonzero (clean stop exits 0).
-            for wid, proc in list(processes.items()):
-                if proc is None or proc.is_alive():
-                    continue
-                proc.join()
-                processes[wid] = None
-                if proc.exitcode != 0:
-                    metrics.worker_crashes += 1
-                    if registry is not None:
-                        registry.add(WRITER_COMMITTER, "worker_crashes")
-                    logger.warning(
-                        "worker %d crashed (exit code %s)",
-                        wid, proc.exitcode,
-                    )
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.WORKER_CRASH, arg=wid,
-                            arg2=proc.exitcode or 0,
-                        )
-                    handle_lost_worker(wid)
-                    if respawns_left > 0:
-                        respawn(wid, f"crash (exit {proc.exitcode})")
-                    last_activity = now
-            # Producer death before dispatching everything.
+            if self._check_health(rt, committer, now):
+                last_activity = now
+            workers_alive = sum(
+                proc.is_alive() for proc in rt.processes.values()
+            )
+            if registry is not None:
+                registry.set_gauge("workers_alive", workers_alive)
+            if live_abort.is_set():
+                logger.warning(
+                    "live watchdog requested abort at commit watermark "
+                    "%d; taking the degradation path", committer.next_commit,
+                )
+                return True
             if (
-                not producer_failed
-                and not producer.is_alive()
-                and producer.exitcode not in (0, None)
+                metrics.producer_crashed
+                or not workers_alive
+                or time.monotonic() - last_activity > policy.stall_timeout
             ):
-                producer_failed = True
-                metrics.producer_crashed = True
-                logger.error(
-                    "producer crashed (exit code %s); degrading to "
-                    "sequential", producer.exitcode,
+                return True
+        return False
+
+    # -- health -----------------------------------------------------------------
+
+    def _check_health(
+        self, rt: Runtime, committer: Committer, now: float
+    ) -> bool:
+        """The idle path's look at the roster: hung workers, crashed
+        workers, a dead producer.  True when a worker was lost."""
+        policy, metrics, registry = self.policy, self.metrics, rt.registry
+        tracer = committer.tracer
+        lost = False
+        # Hung tasks: claimed long ago by a still-live worker.
+        alive = {
+            wid for wid, proc in rt.processes.items() if proc.is_alive()
+        }
+        for wid, i in committer.overdue(now, policy.task_timeout, alive):
+            metrics.worker_timeouts += 1
+            if registry is not None:
+                registry.add(WRITER_COMMITTER, "worker_timeouts")
+            logger.warning(
+                "worker %d hung on iteration %d for more than "
+                "%.1fs; terminating", wid, i, policy.task_timeout,
+            )
+            if tracer is not None:
+                tracer.instant(EventKind.WORKER_TIMEOUT, arg=i, arg2=wid)
+            rt.reap(wid)
+            self._lose_worker(rt, committer, wid, "hang timeout")
+            lost = True
+        # Crashed workers: exited nonzero (clean stop exits 0).
+        for wid, proc in list(rt.processes.items()):
+            if proc.is_alive():
+                continue
+            rt.reap(wid)
+            if proc.exitcode != 0:
+                metrics.worker_crashes += 1
+                if registry is not None:
+                    registry.add(WRITER_COMMITTER, "worker_crashes")
+                logger.warning(
+                    "worker %d crashed (exit code %s)", wid, proc.exitcode
                 )
                 if tracer is not None:
                     tracer.instant(
-                        EventKind.PRODUCER_CRASH, arg2=producer.exitcode or 0
+                        EventKind.WORKER_CRASH, arg=wid,
+                        arg2=proc.exitcode or 0,
                     )
-
-        def handle_message(message: tuple) -> None:
-            """One report from a worker: a chunk's claims, or the results
-            finished since its last report."""
-            tag = message[0]
-            if tag == "results":
-                _, wid, entries = message
-                # Where the frontier will stand once the entries before
-                # this one have committed: what "arrived out of order"
-                # is measured against, as if they came one at a time.
-                frontier = next_commit
-                accepted = 0
-                b_seconds = 0.0
-                for entry in entries:
-                    i = entry[0]
-                    if i < frontier:
-                        metrics.duplicates_dropped += 1
-                        continue
-                    if i != frontier:
-                        metrics.out_of_order_completions += 1
-                    if i in pending:
-                        metrics.duplicates_dropped += 1
-                        continue
-                    pending[i] = entry
-                    accepted += 1
-                    b_seconds += entry[4]
-                    b_samples(entry[4])
-                    while frontier in pending or (
-                        frontier in serial_needed and frontier in claims
-                    ):
-                        frontier += 1
-                metrics.stage_seconds["B"] += b_seconds
-                metrics.worker_iterations[wid] = (
-                    metrics.worker_iterations.get(wid, 0) + accepted
+                self._lose_worker(
+                    rt, committer, wid, f"crash (exit {proc.exitcode})"
                 )
-            elif tag == "claims":
-                _, wid, items = message
-                # One timestamp per report serves commit-lag accounting and
-                # the CLAIM trace records of every item in it.
-                claim_ns = now_ns()
-                a_seconds = 0.0
-                for i, value, seconds in items:
-                    if i < next_commit:
-                        continue  # late duplicate of an already-committed task
-                    claim = claims.get(i)
-                    if claim is None:
-                        claims[i] = [wid, last_activity, value, claim_ns]
-                        if tracer is not None:
-                            tracer.record(
-                                EventKind.CLAIM, claim_ns, claim_ns,
-                                arg=i, arg2=wid,
-                            )
-                    else:
-                        # Re-claimed after a crash hand-back: the first
-                        # arrival stays, ownership moves.
-                        claim[0], claim[1] = wid, last_activity
-                    # A fresh claim transfers ownership: the live claimant will
-                    # deliver a result or fault (or fall to the hung-task
-                    # timeout), so a previously scheduled serial retry yields.
-                    if serial_needed:
-                        serial_needed.discard(i)
-                    a_seconds += seconds
-                    a_samples(seconds)
-                metrics.stage_seconds["A"] += a_seconds
-            elif tag == "fault":
-                _, wid, i, fault_message = message
-                metrics.soft_faults += 1
-                if registry is not None:
-                    registry.add(WRITER_COMMITTER, "soft_faults")
-                logger.warning(
-                    "worker %d reported soft fault on iteration %d: %s",
-                    wid, i, fault_message,
-                )
-                if tracer is not None:
-                    tracer.instant(EventKind.SOFT_FAULT, arg=i, arg2=wid)
-                if i >= next_commit and i not in pending:
-                    serial_needed.add(i)
-                    metrics.retries += 1
-            elif tag == "stopped":
-                pass  # clean exit; health check sees exitcode 0
-
-        # -- main loop ----------------------------------------------------------
-        # One iteration per transport read: a whole decoded frame, one
-        # clock pair, one queue-wait sample, one cancel check.
-        degraded = False
-        gate_woken_at = next_commit
-        try:
-            while next_commit < spec.iterations:
-                advance_commits()
-                if next_commit != gate_woken_at:
-                    # At most one wake per drained frame, and none unless a
-                    # worker declared itself gated.
-                    gate_woken_at = next_commit
-                    last_activity = time.monotonic()
-                    gate.wake()
-                if next_commit >= spec.iterations:
-                    break
-                if rt is not None and rt.cancelled():
-                    # Job cancellation (repro.service): stop committing and
-                    # take the cooperative teardown path — the committed
-                    # prefix stays valid, pool workers stay alive.
-                    metrics.cancelled = True
-                    logger.info(
-                        "run cancelled at commit watermark %d", next_commit
-                    )
-                    break
-                wait_started = time.monotonic()
-                try:
-                    frame = done.get_many(
-                        done.batch_size, timeout=policy.poll_interval
-                    )
-                except ChannelTimeout:
-                    pass
-                else:
-                    last_activity = time.monotonic()
-                    metrics.record_latency(
-                        "queue_wait", last_activity - wait_started
-                    )
-                    for message in frame:
-                        handle_message(message)
-                        advance_commits()
-                    continue  # drain greedily before health checks
-                work.sample_occupancy()
-                done.sample_occupancy()
-                check_health()
-                live_workers = any(
-                    proc is not None and proc.is_alive()
-                    for proc in processes.values()
-                )
-                if registry is not None:
-                    registry.set_gauge(
-                        "workers_alive",
-                        sum(
-                            1 for proc in processes.values()
-                            if proc is not None and proc.is_alive()
-                        ),
-                    )
-                stalled = (
-                    time.monotonic() - last_activity > policy.stall_timeout
-                )
-                if live_abort.is_set():
-                    logger.warning(
-                        "live watchdog requested abort at commit watermark "
-                        "%d; taking the degradation path", next_commit,
-                    )
-                    degraded = True
-                    break
-                if producer_failed or not live_workers or stalled:
-                    degraded = True
-                    break
-        except BaseException:
-            # A committer-side crash (a commit callback raising, an
-            # interrupt) must not leak the pipeline.  Children left alive
-            # keep writing the channels' shared counters, and once this
-            # frame unwinds the parent frees those counter blocks back to
-            # the multiprocessing heap — where the *next* engine's channels
-            # reuse them while the orphans still hold the same mapping,
-            # silently corrupting a later run's metrics.  Kill and reap
-            # everything, release the channels, then let the crash
-            # propagate (the committer's spool is closed cleanly so a
-            # post-mortem trace survives).
-            signal_shutdown(shutdown, work, done, gate)
-            stop_live()  # before channel.close(): the final sample reads them
-            self._halt(producer, processes)
-            if rt is None:
-                for channel in (work, done):
-                    channel.close()
-            done.tracer = None  # pool channels outlive the job
-            if tracer is not None:
-                tracer.close()
-            raise
-        finally:
-            signal_shutdown(shutdown, work, done, gate)
-            fold_samples()
-        loop_ended = time.monotonic()
-
-        # The telemetry plane stops here, not after teardown: on the
-        # degradation path the sequential finisher bypasses the registry,
-        # and a watchdog left running would misread that silence as a
-        # stall.  The final sample captures the pipeline's true end state.
-        stop_live()
-
-        if degraded:
-            logger.warning(
-                "degrading to sequential execution at commit watermark %d",
-                next_commit,
+                lost = True
+        # Producer death before dispatching everything.
+        producer = rt.producer
+        if (
+            not metrics.producer_crashed
+            and not producer.is_alive()
+            and producer.exitcode not in (0, None)
+        ):
+            metrics.producer_crashed = True
+            logger.error(
+                "producer crashed (exit code %s); degrading to "
+                "sequential", producer.exitcode,
             )
             if tracer is not None:
-                tracer.instant(EventKind.DEGRADE, arg=next_commit)
-            self._halt(producer, processes)
-        else:
-            self._teardown(producer, processes, work, done)
-        metrics.teardown_seconds = time.monotonic() - loop_ended
-        if degraded:
-            self._degrade(spec, store, accumulator, next_commit, pending)
+                tracer.instant(
+                    EventKind.PRODUCER_CRASH, arg2=producer.exitcode or 0
+                )
+        return lost
 
-        if throttle is not None:
-            metrics.throttle_shrinks = throttle.shrinks
-            metrics.throttle_grows = throttle.grows
-            metrics.min_window = throttle.min_window_seen
-            metrics.final_window = throttle.window
-        for channel in (work, done):
-            metrics.channel_stats[channel.name] = channel.occupancy_stats()
-            if rt is None:
-                channel.close()  # pool channels outlive the job
-        done.tracer = None
-        if tracer is not None:
-            tracer.close()
-        return EngineResult(
-            spec.finalize(accumulator),
-            metrics,
-            store.architectural_state(),
-            checkpoints=list(manager.checkpoints) if manager else [],
+    def _lose_worker(
+        self, rt: Runtime, committer: Committer, wid: int, reason: str
+    ) -> None:
+        """Worker ``wid`` is off the roster: its claims go to serial retry,
+        and a replacement joins while the respawn budget lasts."""
+        committer.lose_worker(wid)
+        if self._respawns_left <= 0:
+            return
+        self._respawns_left -= 1
+        self.metrics.respawns += 1
+        if rt.registry is not None:
+            rt.registry.add(WRITER_COMMITTER, "respawns")
+        new_wid = rt.spawn_worker()
+        logger.info(
+            "respawned worker %d (replacing %d after %s, %d respawns "
+            "left)", new_wid, wid, reason, self._respawns_left,
         )
+        if committer.tracer is not None:
+            committer.tracer.instant(EventKind.RESPAWN, arg=new_wid, arg2=wid)
 
-    # -- failure paths ----------------------------------------------------------
+    # -- live telemetry ---------------------------------------------------------
 
-    def _degrade(
-        self,
-        spec: PipelineSpec,
-        store: CommittedStore,
-        accumulator: Any,
-        next_commit: int,
-        pending: Dict[int, tuple],
+    def _start_live(
+        self, rt: Runtime, spec: PipelineSpec, live_abort: threading.Event
     ) -> None:
-        """Graceful degradation: finish the run sequentially, in-process
-        (the caller has already halted the pipeline's children).
-
-        Phase A is replayed from iteration 0 on the engine's own (pristine,
-        never-called) copy of ``produce`` — workload determinism guarantees
-        identical values — but only uncommitted iterations execute B and C.
-        Already-validated worker results in ``pending`` are reused, and the
-        committed prefix keeps checkpointing, so even a degraded run can be
-        resumed incrementally if it is interrupted.
-        """
-        metrics = self.metrics
-        manager = self.checkpoint_manager
-        metrics.degraded_to_sequential = True
-
-        def committed(i: int) -> None:
-            metrics.commits += 1
-            metrics.in_order_commits += 1
-            if manager is not None:
-                manager.maybe(i + 1, store, accumulator, metrics)
-                metrics.checkpoints_taken = manager.taken
-
-        for i in range(spec.iterations):
-            value = spec.produce(i)  # replay for phase-A state evolution
-            if i < next_commit:
-                continue
-            if i in pending:
-                _, result, reads, writes, _ = pending.pop(i)
-                stale = store.validate(reads) if spec.speculative else []
-                if not stale:
-                    store.apply(writes)
-                    spec.commit(i, result, accumulator)
-                    committed(i)
-                    continue
-                metrics.conflicts += 1
-            if spec.speculative:
-                buffer = WriteBuffer(store.snapshot())
-                result = spec.work(i, value, buffer)
-                store.apply(buffer.writes)
-            else:
-                result = spec.work(i, value)
-            metrics.serial_reexecutions += 1
-            spec.commit(i, result, accumulator)
-            committed(i)
-
-    def _halt(self, producer, processes) -> None:
-        """Emergency stop: terminate and reap every child, unconditionally.
-
-        The degradation and crashed-committer path.  Cooperative shutdown
-        is not enough here: with no consumer left a worker can be blocked
-        mid-put (credit starvation polls forever), so the children are
-        killed outright and joined — nothing may outlive the run and keep
-        touching its shared state.  (The pool replaces killed leased
-        workers on release.)
-        """
-        if self.external_runtime is not None:
-            self.external_runtime.halt(
-                producer, processes, self.policy.join_timeout
-            )
+        live_cfg = self.live_config
+        if rt.registry is None or live_cfg is None:
             return
-        procs = [producer] + list(processes.values())
-        for proc in procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            if proc is not None:
-                proc.join(self.policy.join_timeout)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(self.policy.join_timeout)
+        monitor = LiveMonitor(
+            rt.registry, live_cfg,
+            capacity=self.capacity,
+            iterations=spec.iterations,
+            policy=self.policy,
+            channels=(rt.work, rt.done),
+            on_abort=live_abort.set,
+        )
+        monitor.start()
+        self.live_monitor = monitor
+        if live_cfg.serve is not None:
+            self._live_server = MetricsServer(
+                monitor, port=live_cfg.serve
+            ).start()
+            self.live_server_port = self._live_server.port
 
-    def _teardown(
-        self, producer, processes, work: ProcessChannel, done: ProcessChannel
-    ) -> None:
-        """Normal completion and cooperative cancel: end the stream with one
-        ``STOP`` per live worker — what wakes each out of its blocking
-        ``work`` read — then wait for the children to exit."""
-        if self.metrics.cancelled:
-            work.drain()  # nothing a cancelled run queued goes ahead of STOP
-        # A private view: in pool mode the phase-A thread owns the slot
-        # channel's send buffer, and STOP flushes the buffer it is put on.
-        tokens = work.for_caller()
-        procs = [p for p in processes.values() if p is not None]
-        try:
-            # Counted before the first put: any worker may take any token,
-            # so re-checking liveness between puts would short a sibling.
-            for _ in [p for p in procs if p.is_alive()]:
-                tokens.put(STOP, timeout=self.policy.poll_interval)
-        except ChannelTimeout:
-            pass  # no credit left: the idle poll ends whoever got no token
-        if self.external_runtime is not None:
-            # Pool workers flush, send their release, and go idle — they
-            # are not joined or killed.
-            self.external_runtime.teardown(
-                producer, processes, done, self.policy.join_timeout
-            )
-            return
-        deadline = time.monotonic() + self.policy.join_timeout
-        for proc in [producer] + procs:
-            while proc.is_alive() and time.monotonic() < deadline:
-                # join() waits on the child's sentinel; the bounded slice
-                # only re-drains, so a worker blocked on a full done channel
-                # can finish its put and reach its token.
-                done.drain()
-                proc.join(self.policy.poll_interval)
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(self.policy.join_timeout)
+    def _stop_live(self) -> None:
+        """Tear down the telemetry plane (idempotent): final sample,
+        then the watchdog's verdict lands on the run's metrics."""
+        if self._live_server is not None:
+            self._live_server.stop()
+            self._live_server = None
+        if self.live_monitor is not None:
+            self.live_monitor.stop()
+            self.metrics.watchdog = self.live_monitor.watchdog.summary()
 
 
 # -- TaskGraph replay (simulated-vs-measured calibration) ------------------------

@@ -1,9 +1,14 @@
-"""Process entry points for the pipeline stages.
+"""Entry points for the pipeline stages.
 
-The engine runs phase A in one producer process and phase B in N replicated
-worker processes; phase C (the committer) stays in the engine's own process
-so commits can touch the authoritative store and the user's accumulator
-without cross-process state.
+Phase A runs in one producer and phase B in N replicated workers; phase C
+(:mod:`repro.exec.committer`) stays in the engine's own process so commits
+can touch the authoritative store and the user's accumulator without
+cross-process state.  Who starts these functions, and as what, is the
+runtime's business (:mod:`repro.exec.runtime`): :func:`producer_main` is a
+forked process or a thread, :func:`worker_main` the whole life of a forked
+worker or one lease of a pool worker
+(:func:`repro.service.pool.pool_worker_main`).  It is the same code either
+way.
 
 Message protocol (all on the ``done`` channel, tagged tuples) — a chunk
 costs two messages, whatever its size:
@@ -106,15 +111,18 @@ def raise_hard_exit(code: int) -> None:
 
 
 class ShutdownGuard:
-    """The engine's shutdown event, plus parent-death detection.
+    """The stages' shutdown event, plus parent-death detection — what
+    every child process, the engine's own or a pool's, is given to watch.
 
-    An engine parent killed with SIGKILL never sets the shutdown event,
-    so its children would idle (or spin on channel credit) forever —
-    keeping shared-memory segments mapped and therefore leaked.  Exposing
-    parent death through ``is_set()`` makes every existing cooperative
-    exit check double as the orphan reaper: once the last mapper exits,
-    the resource tracker unlinks the segments even for SIGKILLed runs.
-    Picklable (an event and a pid) so it rides the spawn args.
+    A parent killed with SIGKILL never sets the shutdown event (and a
+    pool worker's control pipe never EOFs: its siblings inherited the
+    other end at fork), so its children would idle (or spin on channel
+    credit) forever — keeping shared-memory segments mapped and therefore
+    leaked.  Exposing parent death through ``is_set()`` makes every
+    existing cooperative exit check double as the orphan reaper: once the
+    last mapper exits, the resource tracker unlinks the segments even for
+    SIGKILLed runs.  Picklable (an event and a pid) so it rides the spawn
+    args.
     """
 
     def __init__(self, shutdown, parent_pid: int) -> None:
@@ -123,9 +131,6 @@ class ShutdownGuard:
 
     def is_set(self) -> bool:
         return self._shutdown.is_set() or os.getppid() != self._parent
-
-    def set(self) -> None:
-        self._shutdown.set()
 
 
 class ThrottleGate:
@@ -146,6 +151,10 @@ class ThrottleGate:
         view._opened = self._opened.seat()
         return view
 
+    def unseat(self, view: "ThrottleGate") -> None:
+        """Give back the seat of a worker that is gone."""
+        self._opened.unseat(view._opened)
+
     def admits(self, i: int) -> bool:
         return i - self.watermark.value < self.window.value
 
@@ -163,17 +172,6 @@ class ThrottleGate:
         self.watermark.value = watermark
         self.window.value = window
         self._opened.reset()
-
-
-def signal_shutdown(shutdown, work: ProcessChannel, done: ProcessChannel,
-                    gate: ThrottleGate) -> None:
-    """Set the stages' shutdown event *and* wake whoever is blocked on
-    channel credit or the gate, so they see it now rather than when a
-    backstop slice runs out."""
-    shutdown.set()
-    work.wake()
-    done.wake()
-    gate.wake()
 
 
 def _drain_flush(channel: ProcessChannel, shutdown) -> bool:
@@ -330,23 +328,15 @@ def worker_main(
     tracer = open_tracer(trace, f"worker-{worker_id}")
     work.tracer = tracer
     done.tracer = tracer
-
-    def stop() -> None:
-        # Buffer (never blocks), then a bounded flush: the committer may
-        # already be gone, and a goodbye must not wedge the exit.
-        done.put_buffered(("stopped", worker_id))
-        try:
-            done.flush(timeout=1.0)
-        except ChannelTimeout:
-            pass
-
     try:
         _worker_loop(
             worker_id, work, done, work_fn, speculative, snapshot,
-            fault_plan, shutdown, gate, max_chunk, stop, tracer,
+            fault_plan, shutdown, gate, max_chunk, tracer,
             registry, writer, hard_exit,
         )
     finally:
+        # A pool worker's channels outlive the lease; its spool does not.
+        work.tracer = done.tracer = None
         if tracer is not None:
             tracer.close()
 
@@ -362,7 +352,6 @@ def _worker_loop(
     shutdown,
     gate: Optional[ThrottleGate],
     max_chunk: int,
-    stop: Callable[[], None],
     tracer,
     registry=None,
     writer: int = 0,
@@ -372,6 +361,15 @@ def _worker_loop(
     #: when the oldest result or fault not yet sent was ready
     unsent_since_ns: Optional[int] = None
     flush_interval_ns = int(done.flush_interval * 1e9)
+
+    def stop() -> None:
+        # Buffer (never blocks), then a bounded flush: the committer may
+        # already be gone, and a goodbye must not wedge the exit.
+        done.put_buffered(("stopped", worker_id))
+        try:
+            done.flush(timeout=1.0)
+        except ChannelTimeout:
+            pass
 
     def stage_results() -> None:
         nonlocal results

@@ -149,21 +149,9 @@ class CheckpointManager:
     def latest(self) -> Optional[Checkpoint]:
         return self.checkpoints[-1] if self.checkpoints else None
 
-    def maybe(
-        self,
-        next_commit: int,
-        store: CommittedStore,
-        accumulator: Any,
-        metrics: EngineMetrics,
-    ) -> Optional[Checkpoint]:
-        """Checkpoint if ``interval`` commits have landed since the last one."""
-        if not self.due(next_commit):
-            return None
-        return self.take(next_commit, store, accumulator, metrics)
-
     def due(self, next_commit: int) -> bool:
-        """Would :meth:`maybe` checkpoint at this watermark?  Lets the
-        committer bring ``metrics`` up to date only when one is taken."""
+        """Have ``interval`` commits landed since the last checkpoint?  Lets
+        the committer bring ``metrics`` up to date only when it takes one."""
         return next_commit - self._last_marked_commit >= self.config.interval
 
     def take(

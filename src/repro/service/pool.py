@@ -3,9 +3,10 @@
 Fork-per-job pays a process spawn, a channel allocation, and a shared-memory
 mapping for every pipeline run — fine for one run, ruinous for a job server.
 This pool amortizes all of it: a fixed set of worker processes is spawned
-once, every process inherits every *slot* (one slot = the channel pair,
-shutdown event, throttle gate, and metrics registry for one
-concurrent job), and a job *leases* workers into a slot instead of forking.
+once, every process inherits every *slot* (one slot = one
+:class:`repro.exec.runtime.StageSet`: the channel pair, shutdown event,
+throttle gate, and metrics registry for one concurrent job), and a job
+*leases* workers into a slot instead of forking.
 
 The split matters because of multiprocessing's inheritance rule: shared
 primitives (queues, ``Value``/``RawArray``, events) can only reach a child
@@ -15,20 +16,23 @@ starts — hence slots — while the job-specific, plain-picklable payload
 (work function, state snapshot, fault plan) travels over each worker's
 control pipe at lease time.
 
-:class:`LeaseRuntime` implements the external-runtime contract documented
-on :class:`repro.exec.engine.ExecutionEngine`: the engine runs its normal
-committer loop against the slot's channels, and delegates process lifecycle
-(respawn, teardown, halt, cancellation) here.  Phase A runs as a *thread*
-in the server process (:class:`_ThreadProducer`) — the producer is cheap,
+:class:`LeaseRuntime` is the second of the engine's two runtimes
+(:class:`repro.exec.runtime.Runtime`; the other forks a process tree per
+run): the engine runs its one commit loop against the slot's channels, and
+process lifecycle (respawn, teardown, halt, cancellation) is answered here.
+A leased worker runs the engine's own :func:`repro.exec.workers.worker_main`
+once per lease; phase A runs as a *thread* in the server process
+(:class:`repro.exec.runtime.ThreadStage`) — the producer is cheap,
 sequential, and stateful, and a thread spares a fork per job.  Consequence:
-fault plans with ``producer_crash_at`` are rejected (``os._exit`` in a
-thread would kill the server).
+fault plans with ``producer_crash_at`` are rejected (the injected crash
+closes its end of a channel that has to outlive the job).
 
 Between leases a slot is scrubbed: channels are drained, local buffers and
 the shared credit counters are reset, and the
 registry is zeroed so each job's watchdog sees counters that start at zero.
-Workers that died mid-job (chaos, hung-task kills) are retired at release
-and the pool respawns replacements to hold its configured size.
+Workers that died mid-job (chaos, hung-task kills) are retired at release —
+their seats on every slot's wake-ups given back — and the pool respawns
+replacements to hold its configured size.
 
 One staleness caveat, by design: a worker respawned *mid-job* is leased the
 job's initial state snapshot, not the committed prefix (the prefix lives in
@@ -39,7 +43,6 @@ the serial re-execution path preserves exactness.
 
 from __future__ import annotations
 
-import copy
 import logging
 import multiprocessing
 import os
@@ -49,18 +52,16 @@ from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exec.channels import ChannelTimeout, ProcessChannel
-from repro.exec.faults import FaultPlan, RobustnessPolicy
-from repro.exec.rollback import CommittedStore
+from repro.exec.faults import RobustnessPolicy
+from repro.exec.runtime import StageSet, ThreadStage
 from repro.exec.workers import (
-    ThrottleGate,
-    _worker_loop,
-    done_capacity,
+    ShutdownGuard,
     producer_main,
-    signal_shutdown,
+    raise_hard_exit,
+    worker_main,
 )
 from repro.obs.events import TraceConfig
-from repro.obs.registry import MetricsRegistry, WRITER_PRODUCER, WRITER_WORKER0
-from repro.obs.spool import open_tracer
+from repro.obs.registry import WRITER_PRODUCER, WRITER_WORKER0
 
 logger = logging.getLogger(__name__)
 
@@ -69,72 +70,16 @@ logger = logging.getLogger(__name__)
 _CONTROL_POLL = 0.2
 
 
-class _Slot:
-    """The inheritable skeleton of one concurrent job.
-
-    Everything here crosses into pool workers through their spawn-time
-    arguments (the multiprocessing inheritance rule), so slots are created
-    before any worker starts and reused for the pool's whole life.
-    """
-
-    def __init__(
-        self, index: int, ctx, capacity: int, workers: int,
-        batch_size: int, flush_interval: float, writer_rows: int,
-        transport: str = "pipe",
-    ) -> None:
-        self.index = index
-        self.work = ProcessChannel(
-            capacity, name="work", ctx=ctx,
-            batch_size=batch_size, flush_interval=flush_interval,
-            transport=transport,
-        )
-        self.done = ProcessChannel(
-            done_capacity(capacity, workers, batch_size),
-            name="done", ctx=ctx,
-            batch_size=batch_size, flush_interval=flush_interval,
-            transport=transport,
-        )
-        self.gate = ThrottleGate(ctx)
-        self.shutdown = ctx.Event()
-        self.registry = MetricsRegistry.create(ctx, writer_rows)
-
-    def for_worker(self) -> "_Slot":
-        """The slot as one pool worker about to be spawned gets it: the
-        same skeleton seen through that worker's own channel and gate
-        views (private buffers, its own seats on the wake-ups)."""
-        view = copy.copy(self)
-        view.work = self.work.for_stage()
-        view.done = self.done.for_stage()
-        view.gate = self.gate.seat()
-        return view
-
-
-class _OrphanGuard:
-    """The slot's shutdown event, plus parent-death detection.
-
-    A server killed with SIGKILL cannot tell its workers anything: the
-    control pipe never EOFs (sibling workers inherited the other end at
-    fork) and the shutdown event is never set, so an orphaned worker
-    would idle — or spin inside ``_worker_loop`` — forever.  Exposing
-    parent death through ``is_set()`` makes the engine's existing
-    cooperative-exit path double as the orphan reaper."""
-
-    def __init__(self, shutdown, parent_pid: int) -> None:
-        self._shutdown = shutdown
-        self._parent = parent_pid
-
-    def is_set(self) -> bool:
-        return self._shutdown.is_set() or os.getppid() != self._parent
-
-
 def pool_worker_main(
-    worker_id: int, control, slots: Tuple[_Slot, ...], pool_shutdown, row: int
+    worker_id: int, control, slots: Tuple[StageSet, ...], pool_shutdown,
+    row: int,
 ) -> None:
     """A pool worker's whole life: idle on the control pipe, run one lease
-    at a time through the engine's own :func:`_worker_loop`, release, idle.
+    at a time through the engine's own :func:`worker_main`, release, idle.
 
-    ``row`` is this process's registry writer row — fixed at spawn, valid
-    in every slot's registry (all are sized for the pool's row budget).
+    ``slots`` are this worker's own views of every slot; ``row`` is its
+    registry writer row — fixed at spawn, valid in every slot's registry
+    (all are sized for the pool's row budget).
     """
     parent = os.getppid()
     while not pool_shutdown.is_set():
@@ -158,130 +103,61 @@ def pool_worker_main(
         # they must never leak into this job's stream.
         slot.work.reset_local()
         slot.done.reset_local()
-        registry = slot.registry
-        writer = min(row, registry.writers - 1)
-        # Per-lease tracing: the job's spool directory arrives as plain
-        # picklable data in the lease message (the slot skeleton cannot
-        # carry it — it predates every job), and the spool lives exactly
-        # as long as the lease.  Role is the *pool* worker id, so a trace
-        # names the same process across every job it serves.
-        tracer = open_tracer(trace, f"worker-{worker_id}")
-        slot.work.tracer = tracer
-        slot.done.tracer = tracer
-
-        def stop(done=slot.done, wid=worker_id) -> None:
-            # Buffer (never blocks), then a bounded flush: the server may
-            # already be gone, and a goodbye must not wedge the exit.
-            done.put_buffered(("stopped", wid))
-            try:
-                done.flush(timeout=1.0)
-            except ChannelTimeout:
-                pass
-
         try:
-            _worker_loop(
+            # Per-lease tracing: the job's spool directory arrives as plain
+            # picklable data in the lease message (the slot skeleton cannot
+            # carry it — it predates every job), and the spool lives exactly
+            # as long as the lease.  Role is the *pool* worker id, so a trace
+            # names the same process across every job it serves.
+            worker_main(
                 worker_id, slot.work, slot.done, work_fn, speculative,
-                snapshot, fault_plan, _OrphanGuard(slot.shutdown, parent),
-                slot.gate, max_chunk, stop, tracer,
-                registry, writer,
+                snapshot, fault_plan, ShutdownGuard(slot.shutdown, parent),
+                slot.gate, max_chunk, trace, slot.registry,
+                min(row, slot.registry.writers - 1),
             )
         except (EOFError, OSError):
             pass
-        finally:
-            slot.work.tracer = None
-            slot.done.tracer = None
-            if tracer is not None:
-                tracer.close()
         try:
             control.send(("released", worker_id, slot_index))
         except (BrokenPipeError, OSError):
             return
 
 
-class _ThreadProducer:
-    """Phase A on a thread, satisfying the engine's process-handle contract
-    (``is_alive``/``exitcode``/``terminate``/``join``).
-
-    ``terminate`` is a no-op: a thread can only be stopped cooperatively,
-    which the slot's shutdown event already does (``producer_main``
-    re-checks it at every bounded flush)."""
-
-    def __init__(
-        self, work: ProcessChannel, iterations: int, produce, fault_plan,
-        shutdown, start: int, max_chunk: int, registry, workers: int,
-        trace: Optional[TraceConfig] = None,
-    ) -> None:
-        self._exit = 0
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(work, iterations, produce, fault_plan, shutdown, start,
-                  max_chunk, registry, workers, trace),
-            name="pool-A",
-            daemon=True,
-        )
-
-    def _run(self, work, iterations, produce, fault_plan, shutdown, start,
-             max_chunk, registry, workers, trace) -> None:
-        try:
-            producer_main(
-                work, iterations, produce, fault_plan, shutdown,
-                start=start, max_chunk=max_chunk, trace=trace,
-                registry=registry, writer=WRITER_PRODUCER,
-                close_channel=False, workers=workers,
-            )
-        except BaseException:
-            logger.exception("pool producer thread failed")
-            self._exit = 1
-        finally:
-            # The slot's work channel outlives this job; a closed tracer
-            # must not ride into the next lease.
-            work.tracer = None
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    @property
-    def exitcode(self) -> Optional[int]:
-        return None if self._thread.is_alive() else self._exit
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
-
-
 class _PoolWorker:
     """Parent-side record of one pool worker process."""
 
-    def __init__(self, wid: int, process, conn, row_index: int) -> None:
+    def __init__(
+        self, wid: int, process, conn, row_index: int,
+        views: Tuple[StageSet, ...],
+    ) -> None:
         self.wid = wid
         self.process = process
         self.conn = conn
         self.row_index = row_index
+        #: Its view of every slot, kept to give the seats back at retirement.
+        self.views = views
         self.leased_to: Optional["LeaseRuntime"] = None
 
 
-class LeaseRuntime:
-    """One job's claim on a slot plus some pool workers — the object the
-    engine's ``runtime=`` parameter takes (see the contract documented on
-    :class:`repro.exec.engine.ExecutionEngine`)."""
+class LeaseRuntime(StageSet):
+    """One job's claim on a slot plus some pool workers — the
+    :class:`repro.exec.runtime.Runtime` the engine's ``runtime=`` parameter
+    takes in a job server.  It *is* the slot, as the one job that leased it
+    sees it: the same channels, gate, event and registry, plus a roster."""
 
     def __init__(
-        self, pool: "WorkerPool", slot: _Slot, members: List[_PoolWorker]
+        self, pool: "WorkerPool", index: int, members: List[_PoolWorker]
     ) -> None:
+        self.__dict__.update(vars(pool._slots[index]))  # shared, not copied
+        self.index = index
         self._pool = pool
-        self.slot = slot
         self._members: Dict[int, _PoolWorker] = {w.wid: w for w in members}
         self._cancel = threading.Event()
-        self._job: Optional[tuple] = None
-        self._producer: Optional[_ThreadProducer] = None
+        self._job: tuple = ()
+        self.producer: Optional[ThreadStage] = None
+        #: Members holding this job's lease message (none before ``start``),
+        #: less the ones reaped.
+        self.processes: Dict[int, Any] = {}
         #: Per-tenant persistent speculation controller, set by the service
         #: before the engine is constructed (None = unthrottled).
         self.job_throttle: Any = None
@@ -291,68 +167,136 @@ class LeaseRuntime:
         self.trace_config: Optional[TraceConfig] = None
         self.released = False
 
-    # -- engine contract: shared primitives --------------------------------------
+    # -- the engine's Runtime ----------------------------------------------------
 
-    @property
-    def work(self) -> ProcessChannel:
-        return self.slot.work
-
-    @property
-    def done(self) -> ProcessChannel:
-        return self.slot.done
-
-    @property
-    def shutdown(self):
-        return self.slot.shutdown
-
-    @property
-    def gate(self) -> ThrottleGate:
-        return self.slot.gate
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self.slot.registry
-
-    # -- engine contract: lifecycle ----------------------------------------------
-
-    def start_producer(self, spec, *, start: int, batch_size: int,
-                       fault_plan: Optional[FaultPlan]):
+    def start(self, spec, store, start, batch_size, fault_plan) -> None:
         if fault_plan is not None and fault_plan.producer_crash_at is not None:
             raise ValueError(
-                "pool mode runs phase A as a thread in the server process; "
-                "producer_crash_at would take the whole service down"
+                "pool mode runs phase A as a thread on a channel that "
+                "outlives the job; producer_crash_at would close it"
             )
-        snapshot = CommittedStore(spec.shared_state).snapshot()
         self._job = (
-            spec.work, spec.speculative, snapshot, fault_plan, batch_size,
-            self.trace_config,
+            spec.work, spec.speculative, store.snapshot(), fault_plan,
+            batch_size, self.trace_config,
         )
         for worker in self._members.values():
-            self._pool._send_lease(worker, self.slot, self._job)
-        self._producer = _ThreadProducer(
-            self.slot.work, spec.iterations, spec.produce, fault_plan,
-            self.slot.shutdown, start, batch_size, self.slot.registry,
-            len(self._members), trace=self.trace_config,
+            self._send_lease(worker)
+        # Phase A gets buffers (and a tracer slot) of its own but waits on
+        # the slot's own bell: the members were forked before this job
+        # existed, and ring only the bells that existed then.
+        self.producer = ThreadStage(
+            producer_main,
+            (self.work.for_caller(), spec.iterations, spec.produce, fault_plan,
+             self.shutdown, start, batch_size, self.trace_config,
+             self.registry, WRITER_PRODUCER, False, len(self._members),
+             raise_hard_exit),
+            name="pool-A",
         )
-        self._producer.start()
-        return self._producer
+        self.producer.start()
 
-    def workers(self) -> Dict[int, Any]:
-        return {wid: w.process for wid, w in self._members.items()}
+    def _send_lease(self, worker: _PoolWorker) -> None:
+        # Drop any stale "released" a prior lease's teardown never consumed
+        # so this lease's teardown cannot mistake it for its own.
+        try:
+            while worker.conn.poll(0):
+                worker.conn.recv()
+        except (EOFError, OSError):
+            pass
+        worker.conn.send(("lease", self.index, *self._job))
+        self.processes[worker.wid] = worker.process
 
-    def respawn(self) -> Tuple[int, Any]:
-        worker = self._pool._respawn_into(self)
-        self._members[worker.wid] = worker
-        return worker.wid, worker.process
+    def spawn_worker(self) -> int:
+        """A replacement for a worker that died mid-job: spawn fresh, lease
+        immediately with the job's *initial* snapshot (see the module
+        docstring's staleness note)."""
+        with self._pool._lock:
+            worker = self._pool._spawn_worker()
+            worker.leased_to = self
+            self._members[worker.wid] = worker
+            self._send_lease(worker)
+        return worker.wid
+
+    def reap(self, wid: int) -> None:
+        # The pool retires the casualty (and gives its seats back) at release.
+        proc = self.processes.pop(wid)
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(self._pool.policy.join_timeout)
 
     def cancelled(self) -> bool:
         return self._cancel.is_set()
 
-    def teardown(self, producer, processes, done, join_timeout: float) -> None:
-        self._pool._teardown_lease(self, producer, join_timeout)
+    def teardown(self, cancelled: bool) -> None:
+        """Cooperative end-of-job: one end-of-stream token per live member
+        goes on ``work``, then this only waits for their releases —
+        ``work`` is left alone (draining it would eat the tokens).  Pool
+        workers flush, send their release, and go idle — they are not
+        joined or killed; stragglers (a cancelled job's long task) are
+        terminated and replaced at release time."""
+        policy = self._pool.policy
+        self.end_stream(self.processes.values(), cancelled, policy.poll_interval)
+        deadline = time.monotonic() + max(policy.join_timeout, 1.0)
+        self.producer.join(max(0.0, deadline - time.monotonic()))
+        self._await_released(deadline, drain_work=False)
 
-    def halt(self, producer, processes, join_timeout: float) -> None:
-        self._pool._halt_lease(self, producer, join_timeout)
+    def halt(self) -> None:
+        """Emergency stop (degradation, committer crash, a poison job's
+        commit raising, a start that failed half-way).  Cooperative first:
+        shutdown is set and the members holding the job's lease get the
+        join window to leave ``worker_main`` on their own.
+        Terminating a worker that is blocked inside a channel ``get``
+        would orphan the channel's shared read lock and silently wedge the
+        slot for every later lease (each subsequent job stalls at commit
+        frontier zero until its watchdog degrades it to sequential) — so
+        only members that fail to exit in time are terminated, and the
+        release-time counter reset quarantines the slot if they wedged it.
+        """
+        self.signal_shutdown()
+        deadline = time.monotonic() + max(self._pool.policy.join_timeout, 1.0)
+        self._await_released(deadline, drain_work=True)
+        if self.producer is not None:
+            self.producer.join(max(0.1, deadline - time.monotonic()))
+        self.done.drain()
+        self.work.drain()
+
+    def _await_released(self, deadline: float, drain_work: bool) -> None:
+        """Wait on the control pipes for the "released" of every live
+        member on the job (one never sent its lease has nothing to
+        release); terminate whoever misses the deadline.  The bounded wait
+        slice only re-drains the slot so no member wedges on a full pipe;
+        ``drain_work`` (halt only) also starves members of work."""
+        pending = {
+            wid: self._members[wid]
+            for wid, process in self.processes.items()
+            if process.is_alive()
+        }
+        while pending and time.monotonic() < deadline:
+            self.done.drain()
+            if drain_work:
+                self.work.drain()
+            wait_ready(
+                [w.conn for w in pending.values()],
+                timeout=self._pool.policy.poll_interval,
+            )
+            for wid, worker in list(pending.items()):
+                try:
+                    while worker.conn.poll(0):
+                        message = worker.conn.recv()
+                        if message[0] == "released":
+                            pending.pop(wid, None)
+                            break
+                except (EOFError, OSError):
+                    pending.pop(wid, None)
+        for worker in pending.values():
+            logger.warning(
+                "pool worker %d did not release slot %d in time; "
+                "terminating", worker.wid, self.index,
+            )
+            worker.process.terminate()
+            worker.process.join(1.0)
+
+    def close(self) -> None:
+        pass  # the slot outlives the job; WorkerPool.release scrubs it
 
     # -- service API --------------------------------------------------------------
 
@@ -409,23 +353,19 @@ class WorkerPool:
         self.flush_interval = flush_interval
         self.transport = transport
         self.size = workers
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
+        self._ctx = multiprocessing.get_context(start_method or None)
         # Registry rows every slot must be able to seat: the whole pool
         # plus every replacement the respawn budget could ever create.
         self._row_budget = workers + self.policy.max_respawns * slots + 2
         writer_rows = WRITER_WORKER0 + self._row_budget
-        self._slots: List[_Slot] = [
-            _Slot(k, self._ctx, capacity, workers, self.batch_size,
-                  flush_interval, writer_rows, transport)
-            for k in range(slots)
+        self._slots: List[StageSet] = [
+            StageSet(self._ctx, capacity, workers, self.batch_size,
+                     flush_interval, transport, writer_rows)
+            for _ in range(slots)
         ]
         self._free_slots: List[int] = list(range(slots))
         self._quarantined: List[int] = []
-        self._slot_producers: Dict[int, Optional[_ThreadProducer]] = {}
+        self._slot_producers: Dict[int, Optional[ThreadStage]] = {}
         self._pool_shutdown = self._ctx.Event()
         self._workers: Dict[int, _PoolWorker] = {}
         self._free_rows = set(range(self._row_budget))
@@ -452,7 +392,7 @@ class WorkerPool:
             self._started = False
             self._pool_shutdown.set()
             for slot in self._slots:
-                signal_shutdown(slot.shutdown, slot.work, slot.done, slot.gate)
+                slot.signal_shutdown()
             for worker in self._workers.values():
                 try:
                     worker.conn.send(("stop",))
@@ -499,14 +439,14 @@ class WorkerPool:
             ]
             if not idle:
                 return None
-            slot = self._claim_slot()
-            if slot is None:
+            index = self._claim_slot()
+            if index is None:
                 return None
             count = len(idle) if workers is None else max(
                 1, min(workers, len(idle))
             )
             members = idle[:count]
-            lease = LeaseRuntime(self, slot, members)
+            lease = LeaseRuntime(self, index, members)
             for worker in members:
                 worker.leased_to = lease
             return lease
@@ -525,8 +465,8 @@ class WorkerPool:
             if lease.released:
                 return
             lease.released = True
-            slot = lease.slot
-            producer = lease._producer
+            slot = self._slots[lease.index]
+            producer = lease.producer
             if producer is not None:
                 producer.join(0.5)
             self._settle_channel(slot.work)
@@ -539,7 +479,7 @@ class WorkerPool:
                 else:
                     self._retire(worker)
             self._maintain_size()
-            self._slot_producers[slot.index] = producer
+            self._slot_producers[lease.index] = producer
             try:
                 slot.work.reset_counters()
                 slot.done.reset_counters()
@@ -547,11 +487,11 @@ class WorkerPool:
             except ChannelTimeout:
                 logger.error(
                     "slot %d counters wedged (worker killed mid-update?); "
-                    "quarantining the slot", slot.index,
+                    "quarantining the slot", lease.index,
                 )
-                self._quarantined.append(slot.index)
+                self._quarantined.append(lease.index)
                 return
-            self._free_slots.append(slot.index)
+            self._free_slots.append(lease.index)
 
     def _settle_channel(self, channel: ProcessChannel) -> None:
         """Empty ``channel`` for the next lease.  Every writer has released
@@ -568,104 +508,6 @@ class WorkerPool:
             )
         channel.reset_local()
 
-    # -- internals (called by LeaseRuntime) ---------------------------------------
-
-    def _send_lease(self, worker: _PoolWorker, slot: _Slot, job: tuple) -> None:
-        work_fn, speculative, snapshot, fault_plan, max_chunk, trace = job
-        # Drop any stale "released" a prior lease's teardown never consumed
-        # so this lease's teardown cannot mistake it for its own.
-        try:
-            while worker.conn.poll(0):
-                worker.conn.recv()
-        except (EOFError, OSError):
-            pass
-        worker.conn.send(
-            ("lease", slot.index, work_fn, speculative, snapshot,
-             fault_plan, max_chunk, trace)
-        )
-
-    def _respawn_into(self, lease: LeaseRuntime) -> _PoolWorker:
-        """A replacement for a worker that died mid-job: spawn fresh, lease
-        immediately with the job's *initial* snapshot (see the module
-        docstring's staleness note)."""
-        with self._lock:
-            worker = self._spawn_worker()
-            worker.leased_to = lease
-            self._send_lease(worker, lease.slot, lease._job)
-            return worker
-
-    def _teardown_lease(
-        self, lease: LeaseRuntime, producer, join_timeout: float
-    ) -> None:
-        """Cooperative end-of-job: the engine has put one end-of-stream
-        token per live member on ``slot.work``, so this only waits for
-        their releases — ``work`` is left alone (draining it would eat the
-        tokens).  Stragglers (a cancelled job's long task) are terminated
-        and replaced at release time."""
-        deadline = time.monotonic() + max(join_timeout, 1.0)
-        if producer is not None:
-            producer.join(max(0.0, deadline - time.monotonic()))
-        self._await_released(lease, deadline, drain_work=False)
-
-    def _halt_lease(
-        self, lease: LeaseRuntime, producer, join_timeout: float
-    ) -> None:
-        """Emergency stop (degradation, committer crash, a poison job's
-        commit raising).  Cooperative first: shutdown is set and live
-        members get the join window to exit ``_worker_loop`` on their own.
-        Terminating a worker that is blocked inside a channel ``get``
-        would orphan the channel's shared read lock and silently wedge the
-        slot for every later lease (each subsequent job stalls at commit
-        frontier zero until its watchdog degrades it to sequential) — so
-        only members that fail to exit in time are terminated, and the
-        release-time counter reset quarantines the slot if they wedged it.
-        """
-        slot = lease.slot
-        signal_shutdown(slot.shutdown, slot.work, slot.done, slot.gate)
-        deadline = time.monotonic() + max(join_timeout, 1.0)
-        self._await_released(lease, deadline, drain_work=True)
-        if producer is not None:
-            producer.join(max(0.1, deadline - time.monotonic()))
-        slot.done.drain()
-        slot.work.drain()
-
-    def _await_released(
-        self, lease: LeaseRuntime, deadline: float, drain_work: bool
-    ) -> None:
-        """Wait on the control pipes for every live member's "released";
-        terminate whoever misses the deadline.  The bounded wait slice
-        only re-drains the slot so no member wedges on a full pipe;
-        ``drain_work`` (halt only) also starves members of work."""
-        slot = lease.slot
-        pending = {
-            wid: w for wid, w in lease._members.items()
-            if w.process.is_alive()
-        }
-        while pending and time.monotonic() < deadline:
-            slot.done.drain()
-            if drain_work:
-                slot.work.drain()
-            wait_ready(
-                [w.conn for w in pending.values()],
-                timeout=self.policy.poll_interval,
-            )
-            for wid, worker in list(pending.items()):
-                try:
-                    while worker.conn.poll(0):
-                        message = worker.conn.recv()
-                        if message[0] == "released":
-                            pending.pop(wid, None)
-                            break
-                except (EOFError, OSError):
-                    pending.pop(wid, None)
-        for worker in pending.values():
-            logger.warning(
-                "pool worker %d did not release slot %d in time; "
-                "terminating", worker.wid, slot.index,
-            )
-            worker.process.terminate()
-            worker.process.join(1.0)
-
     # -- roster management ---------------------------------------------------------
 
     def _spawn_worker(self) -> _PoolWorker:
@@ -676,23 +518,25 @@ class WorkerPool:
         )
         self._free_rows.discard(row_index)
         parent_conn, child_conn = self._ctx.Pipe()
+        views = tuple(slot.for_stage() for slot in self._slots)
         process = self._ctx.Process(
             target=pool_worker_main,
-            args=(wid, child_conn,
-                  tuple(slot.for_worker() for slot in self._slots),
+            args=(wid, child_conn, views,
                   self._pool_shutdown, WRITER_WORKER0 + row_index),
             name=f"pool-B{wid}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        worker = _PoolWorker(wid, process, parent_conn, row_index)
+        worker = _PoolWorker(wid, process, parent_conn, row_index, views)
         self._workers[wid] = worker
         return worker
 
     def _retire(self, worker: _PoolWorker) -> None:
         worker.process.join(0)
         self._free_rows.add(worker.row_index)
+        for slot, view in zip(self._slots, worker.views):
+            slot.unseat(view)
         try:
             worker.conn.close()
         except OSError:
@@ -710,9 +554,9 @@ class WorkerPool:
         for _ in range(max(0, self.size - alive)):
             self._spawn_worker()
 
-    def _claim_slot(self) -> Optional[_Slot]:
-        """Pop a free slot whose previous producer thread has exited, and
-        arm it for the next job."""
+    def _claim_slot(self) -> Optional[int]:
+        """Pop (the index of) a free slot whose previous producer thread
+        has exited, and arm it for the next job."""
         for position, index in enumerate(self._free_slots):
             previous = self._slot_producers.get(index)
             if previous is not None and previous.is_alive():
@@ -722,7 +566,7 @@ class WorkerPool:
             slot.work.reset_local()
             slot.done.reset_local()
             slot.shutdown.clear()
-            return slot  # the engine re-arms slot.gate for its run
+            return index  # the engine re-arms the slot's gate for its run
         return None
 
     # -- introspection -------------------------------------------------------------

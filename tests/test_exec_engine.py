@@ -17,6 +17,7 @@ from repro.exec import (
     CommittedStore,
     ExecutionEngine,
     FaultPlan,
+    LocalRuntime,
     PipelineSpec,
     ProcessChannel,
     RobustnessPolicy,
@@ -25,7 +26,7 @@ from repro.exec import (
     spec_from_task_graph,
 )
 from repro.profiling.tracer import Tracer
-from repro.service.pool import WorkerPool
+from repro.service.pool import LeaseRuntime, WorkerPool
 from repro.workloads.bzip2_w import Bzip2Workload
 from repro.workloads.parser_w import ParserWorkload
 
@@ -419,15 +420,14 @@ class _StreamHarness:
         self.transport = transport
         self.stages = []
         self.pool = None
-        real_teardown = ExecutionEngine._teardown
+        runtime_class = LeaseRuntime if mode == "pool" else LocalRuntime
+        real_teardown = runtime_class.teardown
 
-        def spy(engine, producer, processes, work, done):
-            real_teardown(engine, producer, processes, work, done)
-            self.stages = [producer] + [
-                proc for proc in processes.values() if proc is not None
-            ]
+        def spy(runtime, cancelled):
+            real_teardown(runtime, cancelled)
+            self.stages = [runtime.producer, *runtime.processes.values()]
 
-        monkeypatch.setattr(ExecutionEngine, "_teardown", spy)
+        monkeypatch.setattr(runtime_class, "teardown", spy)
         if mode == "pool":
             self.pool = WorkerPool(
                 workers=2, slots=1, capacity=8, batch_size=4,
