@@ -9,6 +9,11 @@
 
 Prints one markdown row per metric and workload present in both files;
 metric names default to the rows the protocol/committer work is read by.
+End-to-end metrics can be named too (in a traced file they were read
+under the span recorder, in a third of the window):
+
+    python benchmarks/bench_rows.py before.json after.json \
+        op_wall_s setup_s core.simulate_s core.sim_tasks_per_s
 """
 
 import json
@@ -30,10 +35,12 @@ DEFAULT_METRICS = (
 )
 
 
-def per_layer(path):
+def metrics_of(path):
     with open(path) as handle:
         return {
-            result["workload"]: result.get("per_layer", {})
+            result["workload"]: {
+                **result["end_to_end"], **result.get("per_layer", {})
+            }
             for result in json.load(handle)
         }
 
@@ -41,7 +48,7 @@ def per_layer(path):
 def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
-    before, after = per_layer(argv[0]), per_layer(argv[1])
+    before, after = metrics_of(argv[0]), metrics_of(argv[1])
     metrics = argv[2:] or DEFAULT_METRICS
     print("| workload | metric | before | after |")
     print("|---|---|---|---|")

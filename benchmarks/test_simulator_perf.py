@@ -35,11 +35,27 @@ def build_big_graph(iterations=2000):
 
 
 def test_perf_pipeline_simulator(benchmark):
+    """Steady cost: the graph's compiled rows are built by the first round
+    and reused by every later one, as the 15 later core counts of an
+    evaluation reuse them."""
     graph = build_big_graph()
     machine = MachineConfig(cores=32)
 
     result = benchmark(lambda: PipelineSimulator(machine).simulate(graph))
     assert result.makespan > 0
+
+
+def test_perf_pipeline_simulator_cold(benchmark):
+    """Compile + steady cost: every round simulates a fresh ``TaskGraph``
+    over the same tasks and edges, as the first core count of an evaluation
+    does."""
+    warm = build_big_graph()
+    machine = MachineConfig(cores=32)
+
+    result = benchmark(
+        lambda: PipelineSimulator(machine).simulate(TaskGraph(warm.tasks, warm.edges))
+    )
+    assert result.makespan == PipelineSimulator(machine).simulate(warm).makespan
 
 
 def test_perf_memory_profile(benchmark):

@@ -155,8 +155,7 @@ class ParallelizationFramework:
         simulations: Dict[int, SimulationResult] = {}
         curve: Dict[int, float] = {}
         for threads in self.config.thread_counts:
-            simulator = PipelineSimulator(self.config.machine.with_cores(threads))
-            result = simulator.simulate(graph)
+            result = self.simulate_graph(graph, threads)
             simulations[threads] = result
             curve[threads] = st_cost / result.makespan if result.makespan else 1.0
 

@@ -9,8 +9,8 @@ Commutative lock waits.
 
 Modelled, per the paper:
 
-- tasks communicate through bounded core-to-core queues
-  (:class:`~repro.hw.queues.TimedQueueModel`); a producer stalls when its
+- tasks communicate through bounded core-to-core queues (the recurrences of
+  :class:`~repro.hw.queues.TimedQueueModel`); a producer stalls when its
   queue is full, a consumer waits while it is empty;
 - phase B tasks are dynamically assigned to the least-loaded B core;
 - a speculated dependence that actually occurred serializes the dependent
@@ -28,12 +28,12 @@ Not modelled (also per the paper): rollback cost beyond serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.plan import ExecutionPlan
-from repro.core.tasks import Phase, Task, TaskGraph
+from repro.core.tasks import Phase, TaskGraph
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import TimedQueueModel
+from repro.hw.queues import QueueEmptyError, QueueFullError
 
 
 @dataclass
@@ -82,10 +82,12 @@ class PipelineSimulator:
         self.machine = machine
 
     def simulate(self, graph: TaskGraph, plan: Optional[ExecutionPlan] = None) -> SimulationResult:
-        has_a = bool(graph.tasks_in_phase(Phase.A))
-        has_c = bool(graph.tasks_in_phase(Phase.C))
         if plan is None:
-            plan = ExecutionPlan.for_machine(self.machine, has_a=has_a, has_c=has_c)
+            plan = ExecutionPlan.for_machine(
+                self.machine,
+                has_a=bool(graph.tasks_in_phase(Phase.A)),
+                has_c=bool(graph.tasks_in_phase(Phase.C)),
+            )
 
         if plan.is_sequential:
             return self._simulate_sequential(graph, plan)
@@ -115,9 +117,19 @@ class PipelineSimulator:
     # -- pipelined execution ------------------------------------------------------------
 
     def _simulate_pipeline(self, graph: TaskGraph, plan: ExecutionPlan) -> SimulationResult:
+        """One in-order pass over the graph's compiled rows.
+
+        Runs once per task per core count, so everything per-task is a list
+        index or a local: core state lives in lists indexed by core id, a
+        queue is its two lists of produce and consume times, and the
+        serialization-edge max and the Commutative lock walk read the
+        tuples :meth:`TaskGraph.pipeline_rows` precomputed.
+        """
         latency = self.machine.communication_latency
         capacity = self.machine.queue_capacity
-        b_cores = plan.b_cores
+        a_core, c_core = plan.a_core, plan.c_core
+        # Ties between equally loaded B cores go to the lowest core id.
+        b_cores = sorted(plan.b_cores)
 
         queues_needed = 2 * len(b_cores)
         if queues_needed > self.machine.queue_count:
@@ -125,174 +137,203 @@ class PipelineSimulator:
                 f"plan needs {queues_needed} queues but the machine has "
                 f"{self.machine.queue_count}"
             )
+        rows = graph.pipeline_rows()
+        for phase, core in ((Phase.A, a_core), (Phase.C, c_core)):
+            if core is None and graph.tasks_in_phase(phase):
+                raise ValueError(
+                    f"the graph has phase {phase.value} tasks but the plan gives them no core"
+                )
 
-        a_to_b: Dict[int, TimedQueueModel] = {
-            core: TimedQueueModel(capacity, name=f"A->B{core}") for core in b_cores
-        }
-        b_to_c: Dict[int, TimedQueueModel] = {
-            core: TimedQueueModel(capacity, name=f"B{core}->C") for core in b_cores
-        }
-
-        core_free: Dict[int, int] = {core: 0 for core in b_cores}
-        if plan.a_core is not None:
-            core_free.setdefault(plan.a_core, 0)
-        if plan.c_core is not None:
-            core_free.setdefault(plan.c_core, 0)
-        busy: Dict[int, int] = {core: 0 for core in core_free}
+        # Cores in the order the result reports them; A and C may share a
+        # core with each other (2-core plans) or, in a hand-made plan, with B.
+        cores_used = [
+            core for core in dict.fromkeys((*plan.b_cores, a_core, c_core))
+            if core is not None
+        ]
+        core_slots = max(cores_used) + 1
+        free = [0] * core_slots
+        busy = [0] * core_slots
+        # The bounded queues feeding and draining each B core: produce k may
+        # not complete before consume k - capacity, consume k not before
+        # produce k (the recurrences of repro.hw.queues.TimedQueueModel).
+        a_to_b_produced: List[List[int]] = [[] for _ in range(core_slots)]
+        a_to_b_consumed: List[List[int]] = [[] for _ in range(core_slots)]
+        b_to_c_produced: List[List[int]] = [[] for _ in range(core_slots)]
+        b_to_c_consumed: List[List[int]] = [[] for _ in range(core_slots)]
+        queue_stall = 0
         lock_free: Dict[str, int] = {}
 
         task_end: List[int] = [0] * len(graph.tasks)
         task_start: List[int] = [0] * len(graph.tasks)
         task_core: List[int] = [-1] * len(graph.tasks)
         serialization_wait = 0
-        lock_wait_total = 0
+        lock_wait = 0
 
-        by_iteration = self._index_by_iteration(graph)
+        first_b_core = b_cores[0]
+        other_b_cores = b_cores[1:]
         a_prev_end = 0
-        c_prev_end = 0
-        # Consume bookkeeping: C must consume tokens of one queue in the
-        # order they were produced; iterating iterations in order guarantees
-        # that because per-core B assignment is monotone in iteration number.
 
-        for iteration in range(graph.iterations()):
-            a_task, b_task, c_task = by_iteration.get(iteration, (None, None, None))
-
+        for a_task, b_task, c_task in rows:
             # ---- phase A: serial chain on the A core -------------------------------
             a_end = a_prev_end
             if a_task is not None:
-                # A's core may be shared with C (2-core plans): respect the
-                # core's actual availability, not just the A chain.
-                a_ready = max(a_prev_end, core_free.get(plan.a_core, 0))
-                ready, wait = self._constrained_start(
-                    graph, a_task, a_ready, task_end
-                )
-                serialization_wait += wait
-                finish = ready + a_task.cost
-                busy[plan.a_core] = busy.get(plan.a_core, 0) + a_task.cost
-                a_end = finish
-                task_start[a_task.index] = ready
-                task_core[a_task.index] = plan.a_core
-            # B-core selection happens when the producing A task completes:
-            # pick the least-loaded B core at that moment.
-            b_core = min(b_cores, key=lambda core: (max(core_free[core], a_end), core))
+                a_index, cost, sources, _ = a_task
+                # A's core may be shared with C (2-core plans), so it is the
+                # core's availability that counts; that is never earlier than
+                # the end of the A chain.
+                ready = start = free[a_core]
+                for source in sources:
+                    if task_end[source] > start:
+                        start = task_end[source]
+                serialization_wait += start - ready
+                a_end = start + cost
+                busy[a_core] += cost
+                task_start[a_index] = start
+                task_core[a_index] = a_core
 
-            if a_task is not None and b_task is not None:
-                # Produce the iteration token; a full queue stalls the A core.
-                a_end = a_to_b[b_core].record_produce(a_end)
-                task_end[a_task.index] = a_end
+            if b_task is not None:
+                # B-core selection happens when the producing A task
+                # completes: the least-loaded B core at that moment, i.e. the
+                # minimum of (max(free, a_end), core id).  Every core idle by
+                # a_end ties at a_end, so that is the lowest-numbered idle
+                # core if there is one and the earliest-free core otherwise.
+                b_core = first_b_core
+                least = free[b_core]
+                if least > a_end:
+                    for core in other_b_cores:
+                        if free[core] < least:
+                            b_core = core
+                            least = free[core]
+                            if least <= a_end:
+                                break
+
+            if a_task is not None:
+                if b_task is not None:
+                    # Produce the iteration token; a full queue stalls the A core.
+                    produced = a_to_b_produced[b_core]
+                    backlog = len(produced) - capacity
+                    if backlog >= 0:
+                        consumed = a_to_b_consumed[b_core]
+                        if backlog >= len(consumed):
+                            raise QueueFullError(
+                                f"queue A->B{b_core}: produce {len(produced)} needs "
+                                f"consume {backlog} which has not been recorded — "
+                                "deadlocked schedule"
+                            )
+                        if consumed[backlog] > a_end:
+                            queue_stall += consumed[backlog] - a_end
+                            a_end = consumed[backlog]
+                    produced.append(a_end)
+                task_end[a_index] = a_end
                 a_prev_end = a_end
-                core_free[plan.a_core] = max(core_free.get(plan.a_core, 0), a_end)
-            elif a_task is not None:
-                task_end[a_task.index] = a_end
-                a_prev_end = a_end
-                core_free[plan.a_core] = max(core_free.get(plan.a_core, 0), a_end)
+                if a_end > free[a_core]:
+                    free[a_core] = a_end
 
             # ---- phase B: replicated parallel stage ----------------------------------
             b_end = a_end
             if b_task is not None:
-                ready = max(core_free[b_core], a_end + latency if a_task is not None else 0)
-                ready, wait = self._constrained_start(graph, b_task, ready, task_end)
-                serialization_wait += wait
-                if a_task is not None:
-                    ready = a_to_b[b_core].record_consume(ready)
+                b_index, cost, sources, sections = b_task
+                ready = free[b_core]
+                if a_task is not None and a_end + latency > ready:
+                    ready = a_end + latency
                 start = ready
-                lock_delay = self._acquire_locks(b_task, start, lock_free)
-                lock_wait_total += lock_delay
-                b_end = start + b_task.cost + lock_delay
-                busy[b_core] = busy.get(b_core, 0) + b_task.cost
+                for source in sources:
+                    if task_end[source] > start:
+                        start = task_end[source]
+                serialization_wait += start - ready
+                if a_task is not None:
+                    consumed = a_to_b_consumed[b_core]
+                    produced = a_to_b_produced[b_core]
+                    if len(consumed) >= len(produced):
+                        raise QueueEmptyError(
+                            f"queue A->B{b_core}: consume {len(consumed)} precedes "
+                            f"produce {len(consumed)} — deadlocked schedule"
+                        )
+                    if produced[len(consumed)] > start:
+                        start = produced[len(consumed)]
+                    consumed.append(start)
+                b_end = start + cost
+                if sections:
+                    # Commutative sections run under their group's lock,
+                    # acquired in group order.
+                    acquired = start
+                    for group, section in sections:
+                        held_until = lock_free.get(group, 0)
+                        if held_until > acquired:
+                            acquired = held_until
+                        lock_free[group] = acquired + section
+                    lock_wait += acquired - start
+                    b_end += acquired - start
+                busy[b_core] += cost
                 if c_task is not None:
-                    b_end = b_to_c[b_core].record_produce(b_end)
-                core_free[b_core] = b_end
-                task_end[b_task.index] = b_end
-                task_start[b_task.index] = start
-                task_core[b_task.index] = b_core
+                    produced = b_to_c_produced[b_core]
+                    backlog = len(produced) - capacity
+                    if backlog >= 0:
+                        consumed = b_to_c_consumed[b_core]
+                        if backlog >= len(consumed):
+                            raise QueueFullError(
+                                f"queue B{b_core}->C: produce {len(produced)} needs "
+                                f"consume {backlog} which has not been recorded — "
+                                "deadlocked schedule"
+                            )
+                        if consumed[backlog] > b_end:
+                            queue_stall += consumed[backlog] - b_end
+                            b_end = consumed[backlog]
+                    produced.append(b_end)
+                free[b_core] = b_end
+                task_end[b_index] = b_end
+                task_start[b_index] = start
+                task_core[b_index] = b_core
 
             # ---- phase C: serial chain on the C core -----------------------------------
             if c_task is not None:
-                ready = max(
-                    c_prev_end,
-                    core_free.get(plan.c_core, 0),
-                    (b_end + latency) if b_task is not None else 0,
-                )
-                ready, wait = self._constrained_start(graph, c_task, ready, task_end)
-                serialization_wait += wait
+                c_index, cost, sources, sections = c_task
+                ready = free[c_core]  # never earlier than the end of the C chain
+                if b_task is not None and b_end + latency > ready:
+                    ready = b_end + latency
+                start = ready
+                for source in sources:
+                    if task_end[source] > start:
+                        start = task_end[source]
+                serialization_wait += start - ready
                 if b_task is not None:
-                    ready = b_to_c[b_core].record_consume(ready)
-                lock_delay = self._acquire_locks(c_task, ready, lock_free)
-                lock_wait_total += lock_delay
-                c_end = ready + c_task.cost + lock_delay
-                busy[plan.c_core] = busy.get(plan.c_core, 0) + c_task.cost
-                c_prev_end = c_end
-                task_end[c_task.index] = c_end
-                task_start[c_task.index] = ready
-                task_core[c_task.index] = plan.c_core
-                core_free[plan.c_core] = max(core_free.get(plan.c_core, 0), c_end)
+                    consumed = b_to_c_consumed[b_core]
+                    produced = b_to_c_produced[b_core]
+                    if len(consumed) >= len(produced):
+                        raise QueueEmptyError(
+                            f"queue B{b_core}->C: consume {len(consumed)} precedes "
+                            f"produce {len(consumed)} — deadlocked schedule"
+                        )
+                    if produced[len(consumed)] > start:
+                        start = produced[len(consumed)]
+                    consumed.append(start)
+                c_end = start + cost
+                if sections:
+                    acquired = start
+                    for group, section in sections:
+                        held_until = lock_free.get(group, 0)
+                        if held_until > acquired:
+                            acquired = held_until
+                        lock_free[group] = acquired + section
+                    lock_wait += acquired - start
+                    c_end += acquired - start
+                busy[c_core] += cost
+                task_end[c_index] = c_end
+                task_start[c_index] = start
+                task_core[c_index] = c_core
+                if c_end > free[c_core]:
+                    free[c_core] = c_end
 
-        makespan = max(task_end) if task_end else 0
-        queue_stall = sum(q.stall_time for q in a_to_b.values())
-        queue_stall += sum(q.stall_time for q in b_to_c.values())
         return SimulationResult(
             machine=self.machine,
             plan=plan,
-            makespan=makespan,
+            makespan=max(task_end) if task_end else 0,
             sequential_time=graph.total_cost(),
             task_end_times=task_end,
             task_start_times=task_start,
             task_cores=task_core,
             queue_stall_time=queue_stall,
             serialization_wait_time=serialization_wait,
-            lock_wait_time=lock_wait_total,
-            core_busy_time=busy,
+            lock_wait_time=lock_wait,
+            core_busy_time={core: busy[core] for core in cores_used},
         )
-
-    # -- helpers ------------------------------------------------------------------------
-
-    @staticmethod
-    def _index_by_iteration(graph: TaskGraph) -> Dict[int, Tuple[Optional[Task], Optional[Task], Optional[Task]]]:
-        table: Dict[int, List[Optional[Task]]] = {}
-        previous_iteration = -1
-        for task in graph.tasks:
-            if task.iteration < previous_iteration:
-                # Serialization sources must be processed before their
-                # targets; tasks arriving out of iteration order would let a
-                # later-indexed source be scheduled after its target.
-                raise ValueError(
-                    "tasks must be supplied in iteration order "
-                    f"(task {task.index} is iteration {task.iteration} after "
-                    f"iteration {previous_iteration})"
-                )
-            previous_iteration = task.iteration
-        for task in graph.tasks:
-            slot = {"A": 0, "B": 1, "C": 2}[task.phase.value]
-            row = table.setdefault(task.iteration, [None, None, None])
-            if row[slot] is not None:
-                raise ValueError(
-                    f"iteration {task.iteration} has two {task.phase.value} tasks; "
-                    "the pipeline model expects at most one task per phase per iteration"
-                )
-            row[slot] = task
-        return {i: tuple(row) for i, row in table.items()}  # type: ignore[return-value]
-
-    @staticmethod
-    def _constrained_start(
-        graph: TaskGraph,
-        task: Task,
-        ready: int,
-        task_end: List[int],
-    ) -> Tuple[int, int]:
-        """Apply serialization edges; return (start time, wait attributable)."""
-        start = ready
-        for edge in graph.incoming(task.index):
-            start = max(start, task_end[edge.source])
-        return start, start - ready
-
-    @staticmethod
-    def _acquire_locks(task: Task, start: int, lock_free: Dict[str, int]) -> int:
-        """Serialize the task's Commutative sections; return total lock wait."""
-        wait_total = 0
-        for group in sorted(task.section_costs):
-            section = task.section_costs[group]
-            acquire_at = max(start + wait_total, lock_free.get(group, 0))
-            wait_total += acquire_at - (start + wait_total)
-            lock_free[group] = acquire_at + section
-        return wait_total

@@ -79,8 +79,43 @@ class SerializationEdge:
     location: Optional[Location] = None
 
 
+#: One task as the pipeline recurrence reads it: ``(index, cost, indices of
+#: its serialization sources, its Commutative (group, section cost) pairs
+#: sorted by group)``.
+CompiledTask = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[str, int], ...]]
+#: One iteration's A, B and C task; ``None`` where the phase has no task.
+IterationRow = Tuple[Optional[CompiledTask], Optional[CompiledTask], Optional[CompiledTask]]
+
+_PHASE_SLOT = {Phase.A: 0, Phase.B: 1, Phase.C: 2}
+_EMPTY_ROW: IterationRow = (None, None, None)
+
+
+@dataclass(frozen=True)
+class CompiledGraph:
+    """Everything the simulators ask of a :class:`TaskGraph`, from one pass.
+
+    A graph is simulated once per core count (16 times per evaluation), and
+    none of this depends on the machine, so it is computed once per graph
+    and kept until :meth:`TaskGraph.add_edge` changes the graph.
+    """
+
+    total_cost: int
+    iterations: int
+    by_phase: Dict[Phase, Tuple[Task, ...]]
+    incoming: Dict[int, Tuple[SerializationEdge, ...]]
+    #: ``rows[i]`` is iteration ``i``; ``None`` when ``invalid`` says why the
+    #: graph does not fit the one-task-per-phase pipeline model.
+    rows: Optional[Tuple[IterationRow, ...]]
+    invalid: Optional[str]
+
+
 class TaskGraph:
-    """Tasks in sequential order plus extra ordering constraints."""
+    """Tasks in sequential order plus extra ordering constraints.
+
+    Queries are answered from a :class:`CompiledGraph` built on first use.
+    Adding an edge discards it; tasks must not be mutated once the graph
+    has been queried.
+    """
 
     def __init__(self, tasks: Sequence[Task], edges: Sequence[SerializationEdge] = ()) -> None:
         self.tasks = list(tasks)
@@ -91,7 +126,7 @@ class TaskGraph:
                     "tasks must be supplied in sequential order"
                 )
         self.edges: List[SerializationEdge] = []
-        self._incoming: Dict[int, List[SerializationEdge]] = {}
+        self._compiled: Optional[CompiledGraph] = None
         for edge in edges:
             self.add_edge(edge)
 
@@ -104,24 +139,94 @@ class TaskGraph:
         if edge.target >= len(self.tasks) or edge.source < 0:
             raise ValueError(f"edge {edge.source}->{edge.target} out of range")
         self.edges.append(edge)
-        self._incoming.setdefault(edge.target, []).append(edge)
+        self._compiled = None
+
+    # -- the compiled view ---------------------------------------------------------
+
+    def compiled(self) -> CompiledGraph:
+        """The cached view, built on the first query after any ``add_edge``."""
+        if self._compiled is None:
+            self._compiled = self._compile()
+        return self._compiled
+
+    def pipeline_rows(self) -> Tuple[IterationRow, ...]:
+        """Per-iteration rows for the pipeline recurrence.
+
+        Raises ``ValueError`` unless tasks are in iteration order with at
+        most one task per phase per iteration.
+        """
+        compiled = self.compiled()
+        if compiled.rows is None:
+            raise ValueError(compiled.invalid)
+        return compiled.rows
+
+    def _compile(self) -> CompiledGraph:
+        incoming: Dict[int, List[SerializationEdge]] = {}
+        for edge in self.edges:
+            incoming.setdefault(edge.target, []).append(edge)
+
+        by_phase: Dict[Phase, List[Task]] = {phase: [] for phase in Phase}
+        table: Dict[int, List[Optional[CompiledTask]]] = {}
+        total_cost = 0
+        iterations = 0
+        out_of_order = duplicate = None
+        previous_iteration = -1
+        for task in self.tasks:
+            total_cost += task.cost
+            by_phase[task.phase].append(task)
+            if task.iteration >= iterations:
+                iterations = task.iteration + 1
+            if task.iteration < previous_iteration and out_of_order is None:
+                # Serialization sources must be processed before their
+                # targets; tasks arriving out of iteration order would let a
+                # later-indexed source be scheduled after its target.
+                out_of_order = (
+                    "tasks must be supplied in iteration order "
+                    f"(task {task.index} is iteration {task.iteration} after "
+                    f"iteration {previous_iteration})"
+                )
+            previous_iteration = task.iteration
+            row = table.setdefault(task.iteration, [None, None, None])
+            slot = _PHASE_SLOT[task.phase]
+            if row[slot] is not None and duplicate is None:
+                duplicate = (
+                    f"iteration {task.iteration} has two {task.phase.value} tasks; "
+                    "the pipeline model expects at most one task per phase per iteration"
+                )
+            row[slot] = (
+                task.index,
+                task.cost,
+                tuple(edge.source for edge in incoming.get(task.index, ())),
+                tuple(sorted(task.section_costs.items())),
+            )
+
+        invalid = out_of_order or duplicate
+        return CompiledGraph(
+            total_cost=total_cost,
+            iterations=iterations,
+            by_phase={phase: tuple(tasks) for phase, tasks in by_phase.items()},
+            incoming={target: tuple(edges) for target, edges in incoming.items()},
+            rows=None if invalid else tuple(
+                tuple(table[i]) if i in table else _EMPTY_ROW
+                for i in range(iterations)
+            ),
+            invalid=invalid,
+        )
 
     # -- queries -------------------------------------------------------------------
 
-    def incoming(self, task_index: int) -> List[SerializationEdge]:
-        return list(self._incoming.get(task_index, []))
+    def incoming(self, task_index: int) -> Tuple[SerializationEdge, ...]:
+        return self.compiled().incoming.get(task_index, ())
 
-    def tasks_in_phase(self, phase: Phase) -> List[Task]:
-        return [task for task in self.tasks if task.phase is phase]
+    def tasks_in_phase(self, phase: Phase) -> Tuple[Task, ...]:
+        return self.compiled().by_phase[phase]
 
     def iterations(self) -> int:
-        if not self.tasks:
-            return 0
-        return max(task.iteration for task in self.tasks) + 1
+        return self.compiled().iterations
 
     def total_cost(self) -> int:
         """Single-threaded time: the sum of all task costs."""
-        return sum(task.cost for task in self.tasks)
+        return self.compiled().total_cost
 
     def phase_cost(self, phase: Phase) -> int:
         return sum(task.cost for task in self.tasks_in_phase(phase))

@@ -146,44 +146,41 @@ class MultiStageSimulator:
         allocation = self.allocate_cores(stages)
         capacity = self.machine.queue_capacity
         latency = self.machine.communication_latency
+        costs = [stage.cost for stage in stages]
 
-        # Per-stage state.
-        chain_end = [0] * len(stages)                     # sequential chains
-        pools: List[Dict[int, int]] = []                  # parallel core pools
-        for index, stage in enumerate(stages):
-            pools.append({c: 0 for c in range(allocation[index])})
-        queues: List[Dict[int, TimedQueueModel]] = [
-            {} for _ in range(len(stages))
-        ]  # queues[s][consumer_core] between stage s-1 and s
+        # free[s][core]: a sequential stage is a pool of one, so its chain
+        # and a parallel stage's cores are the same recurrence.
+        free: List[List[int]] = [[0] * cores for cores in allocation]
+        # queues[s][core] carries tokens from stage s-1 to that core of stage
+        # s; nothing feeds stage 0, so its queues stay empty.
+        queues: List[List[TimedQueueModel]] = [
+            [TimedQueueModel(capacity, name=f"q{index}.{core}") for core in range(cores)]
+            for index, cores in enumerate(allocation)
+        ]
 
         makespan = 0
         for iteration in range(iterations):
             previous_end = 0
-            for index, stage in enumerate(stages):
-                cost = stage.cost
-                if stage.kind is StageKind.SEQUENTIAL:
-                    ready = max(chain_end[index], previous_end + (latency if index else 0))
-                    if index > 0:
-                        queue = queues[index].setdefault(
-                            0, TimedQueueModel(capacity, name=f"q{index}")
-                        )
-                        queue.record_produce(previous_end)
-                        ready = max(ready, queue.record_consume(ready))
-                    end = ready + cost
-                    chain_end[index] = end
-                else:
-                    pool = pools[index]
-                    core = min(pool, key=lambda c: (pool[c], c))
-                    ready = max(pool[core], previous_end + (latency if index else 0))
-                    if index > 0:
-                        queue = queues[index].setdefault(
-                            core, TimedQueueModel(capacity, name=f"q{index}.{core}")
-                        )
-                        queue.record_produce(previous_end)
-                        ready = max(ready, queue.record_consume(ready))
-                    end = ready + cost
-                    pool[core] = end
-                previous_end = end
+            for index, pool in enumerate(free):
+                arrival = previous_end + (latency if index else 0)
+                # Least-loaded core: every core idle by the token's arrival
+                # is as good as any other (arrivals at a stage never go back
+                # in time), so take the first idle one, else the earliest free.
+                core = 0
+                least = pool[0]
+                if least > arrival:
+                    for candidate in range(1, len(pool)):
+                        if pool[candidate] < least:
+                            core = candidate
+                            least = pool[candidate]
+                            if least <= arrival:
+                                break
+                ready = max(least, arrival)
+                if index > 0:
+                    queue = queues[index][core]
+                    queue.record_produce(previous_end)
+                    ready = max(ready, queue.record_consume(ready))
+                previous_end = pool[core] = ready + costs[index]
             makespan = max(makespan, previous_end)
 
         sequential_time = sum(stage.cost for stage in stages) * iterations

@@ -36,6 +36,25 @@ class TestTaskGraph:
     def test_iterations(self):
         assert make_graph(7).iterations() == 7
 
+    def test_edge_added_after_a_simulation_is_not_missed(self):
+        """The graph caches what it compiled for the simulator; ``add_edge``
+        must discard that, not leave the next run on the old edges."""
+        graph = make_graph(4, a=1, b=30, c=1)
+        simulator = PipelineSimulator(MachineConfig(cores=8))
+        before = simulator.simulate(graph)
+        assert graph.incoming(10) == ()
+
+        edge = SerializationEdge(1, 10, "misspeculation")  # B0 -> B3
+        graph.add_edge(edge)
+        after = simulator.simulate(graph)
+        assert after.task_start_times[10] >= after.task_end_times[1]
+        assert after.makespan > before.makespan
+        assert after.serialization_wait_time > before.serialization_wait_time
+        assert graph.incoming(10) == (edge,)
+        assert graph.edges == graph.misspeculation_edges() == [edge]
+        # Edges do not change what the tasks cost.
+        assert graph.total_cost() == before.sequential_time == after.sequential_time
+
 
 class TestExecutionPlan:
     def test_one_core_sequential(self):
