@@ -39,6 +39,7 @@ busy-work — the bridge for simulated-vs-measured calibration tables.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 import time
@@ -58,7 +59,7 @@ from repro.obs.clock import now_ns
 from repro.obs.events import EventKind, TraceConfig
 from repro.obs.live import LiveConfig, LiveMonitor
 from repro.obs.registry import WRITER_COMMITTER
-from repro.obs.serve import MetricsServer
+from repro.obs.serve import HttpServer, live_endpoints
 from repro.obs.spool import open_tracer
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -263,7 +264,7 @@ class ExecutionEngine:
         #: port its HTTP endpoint bound (None when ``live.serve`` is off).
         self.live_monitor: Optional[LiveMonitor] = None
         self.live_server_port: Optional[int] = None
-        self._live_server: Optional[MetricsServer] = None
+        self._live_server: Optional[HttpServer] = None
         self._respawns_left = 0
 
     # -- public API -------------------------------------------------------------
@@ -631,8 +632,9 @@ class ExecutionEngine:
         monitor.start()
         self.live_monitor = monitor
         if live_cfg.serve is not None:
-            self._live_server = MetricsServer(
-                monitor, port=live_cfg.serve
+            self._live_server = HttpServer(
+                functools.partial(live_endpoints, monitor),
+                port=live_cfg.serve, name="repro-obs-serve",
             ).start()
             self.live_server_port = self._live_server.port
 

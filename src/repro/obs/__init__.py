@@ -22,10 +22,11 @@ The *live* plane complements the post-mortem one: a lock-light
 shared-memory :class:`MetricsRegistry` (:mod:`repro.obs.registry`) that
 producer/workers/committer write in-band, a :class:`LiveMonitor` sampling
 thread with a stall/saturation/storm :class:`Watchdog`
-(:mod:`repro.obs.live`), a stdlib HTTP :class:`MetricsServer` exposing
-``/metrics`` (Prometheus text), ``/snapshot``, and ``/health``
-(:mod:`repro.obs.serve`), and a cross-run JSONL history store with a CI
-regression gate (:mod:`repro.obs.history`).
+(:mod:`repro.obs.live`), ``/metrics`` (Prometheus text), ``/snapshot``,
+and ``/health`` served by :class:`HttpServer` (:mod:`repro.obs.serve` —
+the one HTTP server and the one exposition writer, which the job server's
+API and ``/metrics`` use too), and a cross-run JSONL history store with a
+CI regression gate (:mod:`repro.obs.history`).
 """
 
 from repro.obs.analyze import (
@@ -97,7 +98,7 @@ from repro.obs.registry import (
     RegistrySnapshot,
     writers_for,
 )
-from repro.obs.serve import MetricsServer, prometheus_exposition
+from repro.obs.serve import HttpServer, prometheus_exposition
 from repro.obs.spool import (
     SpoolData,
     SpoolError,
@@ -124,7 +125,7 @@ __all__ = [
     "LiveMonitor",
     "MergedTrace",
     "MetricsRegistry",
-    "MetricsServer",
+    "HttpServer",
     "PathSegment",
     "PhaseComparison",
     "RegistrySnapshot",

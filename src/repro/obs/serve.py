@@ -1,7 +1,14 @@
-"""The run's HTTP face: ``/metrics``, ``/snapshot``, ``/health``.
+"""The one HTTP server and the one Prometheus writer.
 
-A stdlib :class:`http.server.ThreadingHTTPServer` in the engine's process
-serves three read-only endpoints over the live monitor:
+:class:`HttpServer` wraps the repo's only stdlib
+:class:`http.server.ThreadingHTTPServer` and its one request handler:
+HTTP/1.1 keep-alive, a JSON body of at most 64 KiB (400 / 413 otherwise),
+500 when a face raises, every response in one socket write
+(:func:`send_whole`).  What it serves is a *face*: one plain function from
+a parsed :class:`Request` to ``(status, content_type, body,
+extra_headers)``.  There are two — :func:`repro.service.api.handle_api`
+(the job server) and :func:`live_endpoints`, one engine run's read-only
+view of its :class:`~repro.obs.live.LiveMonitor`:
 
 ``/metrics``
     Prometheus text exposition, format version 0.0.4: ``# HELP``/``# TYPE``
@@ -20,8 +27,9 @@ serves three read-only endpoints over the live monitor:
     a stall, saturation, or misspeculation storm is in progress.  This is
     the contract a load balancer or CI smoke test polls.
 
-Everything is read-only and single-run: the server binds loopback by
-default and dies with the engine.
+The engine's server binds loopback by default and dies with the run.  Both
+``/metrics`` renderers — :func:`prometheus_exposition` and the job
+server's ``metrics_text`` — write through one :class:`Exposition`.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Tuple
+from urllib.parse import parse_qs, urlparse
 
 from repro.obs.live import HealthState, LiveMonitor
 from repro.obs.registry import (
@@ -44,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 #: The content type Prometheus scrapers expect for text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Request bodies larger than this are refused outright (413).
+_MAX_BODY = 64 * 1024
 
 _NAMESPACE = "repro"
 
@@ -82,6 +94,8 @@ _WATCHDOG_COUNTERS = (
     ("watchdog_storms", "Misspeculation storms flagged."),
 )
 
+Labels = Tuple[Tuple[str, str], ...]
+
 
 def escape_label_value(value: str) -> str:
     """Prometheus label-value escaping: backslash, double quote, newline."""
@@ -105,10 +119,43 @@ def _format_labels(labels: Iterable[Tuple[str, str]]) -> str:
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-def _format_bound(bound: float) -> str:
-    """``le`` label values: shortest exact decimal repr (no float noise)."""
-    text = repr(bound)
-    return text
+class Exposition:
+    """A Prometheus text-exposition (0.0.4) writer.
+
+    Families are written in call order: :meth:`family` emits the
+    ``# HELP`` / ``# TYPE`` preamble, :meth:`sample` one line per label
+    set, :meth:`histogram` the cumulative ``le`` buckets on the engine's
+    power-of-two bounds plus ``_sum`` and ``_count`` — so the engine's
+    and the job server's latencies share one axis.
+    """
+
+    def __init__(self) -> None:
+        self._lines = []
+
+    def family(self, name: str, kind: str, help_text: str) -> None:
+        self._lines.append(f"# HELP {name} {escape_help(help_text)}")
+        self._lines.append(f"# TYPE {name} {kind}")
+
+    def sample(self, name: str, labels: Labels, value: Any) -> None:
+        self._lines.append(f"{name}{_format_labels(labels)} {value}")
+
+    def histogram(self, name: str, labels: Labels, hist) -> None:
+        """``hist`` is anything with ``buckets`` (one count per bound,
+        then overflow), ``count`` and ``total``: the registry's
+        :class:`~repro.obs.registry.HistogramSnapshot` or a tenant's
+        :class:`~repro.service.tenants.StageHistogram`."""
+        cumulative = 0
+        for bound, bucket_count in zip(BUCKET_BOUNDS, hist.buckets):
+            cumulative += bucket_count
+            # repr: the shortest exact decimal, no float noise
+            self.sample(f"{name}_bucket", labels + (("le", repr(bound)),),
+                        cumulative)
+        self.sample(f"{name}_bucket", labels + (("le", "+Inf"),), hist.count)
+        self.sample(f"{name}_sum", labels, f"{hist.total:.9g}")
+        self.sample(f"{name}_count", labels, hist.count)
+
+    def text(self) -> str:
+        return "\n".join(self._lines) + "\n"
 
 
 def prometheus_exposition(
@@ -124,62 +171,78 @@ def prometheus_exposition(
     attaches ``workload``); ``watchdog`` is the monitor's summary dict,
     exported as health gauges and escalation counters.
     """
-    base_labels = tuple(labels or ())
-    label_text = _format_labels(base_labels)
-    lines = []
-
-    def header(name: str, kind: str, help_text: str) -> None:
-        lines.append(f"# HELP {name} {escape_help(help_text)}")
-        lines.append(f"# TYPE {name} {kind}")
-
+    labels = tuple(labels or ())
+    out = Exposition()
     for counter in COUNTER_NAMES:
         name = f"{namespace}_{counter}_total"
-        header(name, "counter", _COUNTER_HELP.get(counter, counter))
-        lines.append(f"{name}{label_text} {snapshot.counters.get(counter, 0)}")
-
+        out.family(name, "counter", _COUNTER_HELP.get(counter, counter))
+        out.sample(name, labels, snapshot.counters.get(counter, 0))
     for gauge in GAUGE_NAMES:
         name = f"{namespace}_{gauge}"
-        header(name, "gauge", _GAUGE_HELP.get(gauge, gauge))
-        lines.append(f"{name}{label_text} {snapshot.gauges.get(gauge, 0)}")
-
+        out.family(name, "gauge", _GAUGE_HELP.get(gauge, gauge))
+        out.sample(name, labels, snapshot.gauges.get(gauge, 0))
     for series, hist in snapshot.histograms.items():
         name = f"{namespace}_{series}"
-        header(name, "histogram", _HISTOGRAM_HELP.get(series, series))
-        cumulative = 0
-        for bound, bucket_count in zip(BUCKET_BOUNDS, hist.buckets):
-            cumulative += bucket_count
-            bucket_labels = _format_labels(
-                base_labels + (("le", _format_bound(bound)),)
-            )
-            lines.append(f"{name}_bucket{bucket_labels} {cumulative}")
-        inf_labels = _format_labels(base_labels + (("le", "+Inf"),))
-        lines.append(f"{name}_bucket{inf_labels} {hist.count}")
-        lines.append(f"{name}_sum{label_text} {hist.total:.9g}")
-        lines.append(f"{name}_count{label_text} {hist.count}")
-
+        out.family(name, "histogram", _HISTOGRAM_HELP.get(series, series))
+        out.histogram(name, labels, hist)
     if watchdog is not None:
         name = f"{namespace}_healthy"
-        header(
+        out.family(
             name, "gauge",
             "1 while the watchdog reports ok, 0 while degraded/aborted.",
         )
         healthy = 1 if watchdog.get("health") == HealthState.OK.value else 0
-        lines.append(f"{name}{label_text} {healthy}")
+        out.sample(name, labels, healthy)
         for key, help_text in _WATCHDOG_COUNTERS:
             metric = f"{namespace}_{key}_total"
-            header(metric, "counter", help_text)
+            out.family(metric, "counter", help_text)
             short = key.replace("watchdog_", "")
-            lines.append(f"{metric}{label_text} {watchdog.get(short, 0)}")
+            out.sample(metric, labels, watchdog.get(short, 0))
+    return out.text()
 
-    return "\n".join(lines) + "\n"
+
+# -- the HTTP server ----------------------------------------------------------------
+
+
+class Request(NamedTuple):
+    """One parsed request as a face sees it: ``path`` without the query,
+    ``parts`` its non-empty ``/`` segments, ``query`` as
+    :func:`urllib.parse.parse_qs` returns it, ``headers`` with a
+    case-insensitive ``get``, ``body`` the JSON object (``{}`` if none)."""
+
+    method: str
+    path: str
+    parts: list
+    query: dict
+    headers: Any
+    body: dict
+
+
+#: ``(status, content_type, body, extra_headers)``
+Response = Tuple[int, str, bytes, Iterable[Tuple[str, str]]]
+
+
+def json_response(
+    status: int, payload, extra_headers: Iterable[Tuple[str, str]] = ()
+) -> Response:
+    """A JSON answer, encoded the way the job API always has."""
+    return (
+        status, "application/json",
+        json.dumps(payload, indent=2, default=str).encode(), extra_headers,
+    )
+
+
+def json_error(
+    status: int, message: str, extra_headers: Iterable[Tuple[str, str]] = ()
+) -> Response:
+    return json_response(status, {"error": message}, extra_headers)
 
 
 def send_whole(
     handler: BaseHTTPRequestHandler, status: int, content_type: str,
     body: bytes, extra_headers: Iterable[Tuple[str, str]] = (),
 ) -> None:
-    """One response in one socket write — shared by this server and the
-    job API (:mod:`repro.service.api`).
+    """One response in one socket write.
 
     ``end_headers()`` followed by ``wfile.write(body)`` is two small
     segments on an unbuffered socket: Nagle holds the second until the
@@ -197,96 +260,75 @@ def send_whole(
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`MetricsServer`."""
+    """The one request handler: parse, call the server's face, answer
+    whole.  The face is ``self.server.handle``, set by :class:`HttpServer`."""
 
+    protocol_version = "HTTP/1.1"
     server_version = "repro-obs/1"
 
-    # Set by the server factory.
-    monitor: LiveMonitor = None
-    labels: Tuple[Tuple[str, str], ...] = ()
-
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        logger.debug("http %s", format % args)
-
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        send_whole(self, status, content_type, body)
+        logger.debug("http " + format, *args)
 
     def do_GET(self):  # noqa: N802 - stdlib naming
         try:
-            if self.path in ("/metrics", "/metrics/"):
-                self._metrics()
-            elif self.path in ("/snapshot", "/snapshot/"):
-                self._snapshot()
-            elif self.path in ("/health", "/health/", "/healthz"):
-                self._health()
-            else:
-                self._send(
-                    404, "application/json",
-                    b'{"error": "unknown path", '
-                    b'"endpoints": ["/metrics", "/snapshot", "/health"]}',
-                )
+            send_whole(self, *self._respond())
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
 
-    # Handlers use ``peek()`` — a pure registry read — never ``sample()``:
-    # the watchdog and rate window are single-threaded state owned by the
-    # monitor thread, while scrapes arrive on server threads.  Counter
-    # freshness (and therefore scrape-to-scrape monotonicity) comes from
-    # the registry itself, which is always current.
+    do_POST = do_DELETE = do_GET  # noqa: N815 - stdlib naming
 
-    def _metrics(self) -> None:
-        monitor = self.monitor
-        snapshot = monitor.peek()
-        body = prometheus_exposition(
-            snapshot,
-            labels=self.labels,
-            watchdog=monitor.watchdog.summary(),
-        ).encode("utf-8")
-        self._send(200, PROMETHEUS_CONTENT_TYPE, body)
-
-    def _snapshot(self) -> None:
-        monitor = self.monitor
-        body = json.dumps(
-            monitor.status_json(monitor.peek()), indent=2, sort_keys=True
-        ).encode("utf-8")
-        self._send(200, "application/json", body)
-
-    def _health(self) -> None:
-        monitor = self.monitor
-        health = monitor.health
-        payload = {
-            "status": health.value,
-            "committed": monitor.peek().counters.get("committed", 0),
-            "iterations": monitor.iterations,
-            "watchdog": monitor.watchdog.summary(),
-        }
-        status = 200 if health == HealthState.OK else 503
-        self._send(
-            status, "application/json",
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
+    def _respond(self) -> Response:
+        length = int(self.headers.get("Content-Length") or 0)
+        if length > _MAX_BODY:
+            # The body stays unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            return json_error(413, f"body too large (max {_MAX_BODY} bytes)")
+        raw = self.rfile.read(length) if length else b""
+        body = {}
+        if raw:
+            try:
+                body = json.loads(raw)
+            except ValueError:
+                return json_error(400, "request body is not valid JSON")
+            if not isinstance(body, dict):
+                return json_error(400, "request body must be a JSON object")
+        url = urlparse(self.path)
+        request = Request(
+            method=self.command,
+            path=url.path,
+            parts=[part for part in url.path.split("/") if part],
+            query=parse_qs(url.query),
+            headers=self.headers,
+            body=body,
         )
+        try:
+            return self.server.handle(request)
+        except Exception as exc:
+            logger.exception("%s %s failed", self.command, self.path)
+            return json_error(500, repr(exc))
 
 
-class MetricsServer:
-    """The telemetry endpoint for one engine run.
+class HttpServer:
+    """Serve one face function over HTTP/1.1.
 
     ``port=0`` binds an ephemeral port (tests, and parallel runs on one
     box); the bound port is available as :attr:`port` after
-    :meth:`start`.  The serving thread is a daemon and is also stopped
-    explicitly by the engine's teardown.
+    :meth:`start`.  The serving thread and the per-connection threads are
+    daemons; :meth:`stop` also shuts them down explicitly.
     """
 
     def __init__(
         self,
-        monitor: LiveMonitor,
+        handle: Callable[[Request], Response],
         host: str = "127.0.0.1",
         port: int = 0,
-        labels: Optional[Iterable[Tuple[str, str]]] = None,
+        name: str = "repro-http",
     ) -> None:
-        self.monitor = monitor
+        self.handle = handle
         self.host = host
         self.requested_port = port
-        self.labels = tuple(labels or ())
+        self.name = name
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -296,26 +338,17 @@ class MetricsServer:
             return self.requested_port
         return self._server.server_address[1]
 
-    def start(self) -> "MetricsServer":
-        handler = type(
-            "_BoundHandler",
-            (_Handler,),
-            {"monitor": self.monitor, "labels": self.labels},
-        )
+    def start(self) -> "HttpServer":
         self._server = ThreadingHTTPServer(
-            (self.host, self.requested_port), handler
+            (self.host, self.requested_port), _Handler
         )
+        self._server.handle = self.handle
         self._server.daemon_threads = True
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-obs-serve",
-            daemon=True,
+            target=self._server.serve_forever, name=self.name, daemon=True,
         )
         self._thread.start()
-        logger.info(
-            "serving /metrics /snapshot /health on http://%s:%d",
-            self.host, self.port,
-        )
+        logger.info("%s on http://%s:%d", self.name, self.host, self.port)
         return self
 
     def stop(self) -> None:
@@ -326,3 +359,45 @@ class MetricsServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+
+# -- the engine run's face ----------------------------------------------------------
+
+# The face uses ``peek()`` — a pure registry read — never ``sample()``: the
+# watchdog and rate window are single-threaded state owned by the monitor
+# thread, while scrapes arrive on server threads.  Counter freshness (and
+# therefore scrape-to-scrape monotonicity) comes from the registry itself,
+# which is always current.
+
+
+def live_endpoints(monitor: LiveMonitor, request: Request) -> Response:
+    """``/metrics``, ``/snapshot`` and ``/health`` over one run's monitor
+    (bind it with :func:`functools.partial`)."""
+    parts = request.parts if request.method == "GET" else None
+    if parts == ["metrics"]:
+        body = prometheus_exposition(
+            monitor.peek(), watchdog=monitor.watchdog.summary()
+        ).encode("utf-8")
+        return 200, PROMETHEUS_CONTENT_TYPE, body, ()
+    if parts == ["snapshot"]:
+        body = json.dumps(
+            monitor.status_json(monitor.peek()), indent=2, sort_keys=True
+        ).encode("utf-8")
+        return 200, "application/json", body, ()
+    if parts in (["health"], ["healthz"]):
+        health = monitor.health
+        payload = {
+            "status": health.value,
+            "committed": monitor.peek().counters.get("committed", 0),
+            "iterations": monitor.iterations,
+            "watchdog": monitor.watchdog.summary(),
+        }
+        status = 200 if health == HealthState.OK else 503
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        return status, "application/json", body, ()
+    return (
+        404, "application/json",
+        b'{"error": "unknown path", '
+        b'"endpoints": ["/metrics", "/snapshot", "/health"]}',
+        (),
+    )

@@ -11,8 +11,8 @@ acquired *after* the service lock — that ordering is the no-deadlock rule).
 Telemetry is three-layered, matching the rest of the repo:
 
 - ``/metrics`` — service-level Prometheus exposition (per-tenant job
-  counters, queue depth, pool occupancy, throttle windows) built with the
-  same escaping helpers as :mod:`repro.obs.serve`;
+  counters, queue depth, pool occupancy, throttle windows) written through
+  the same :class:`~repro.obs.serve.Exposition` as the engine's;
 - ``/health`` — per-tenant verdicts: a tenant is ``degraded`` while its
   persistent throttle sits at the serial floor, its last job stormed, or a
   *running* job's watchdog is currently storming/stalled; other tenants
@@ -41,6 +41,7 @@ after a crash exactly-once.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import shutil
@@ -61,9 +62,9 @@ from repro.obs.history import append_record, make_record
 from repro.obs.jobtrace import FlightRecorder, build_timeline, open_job_trace
 from repro.obs.live import LiveConfig
 from repro.obs.merge import merge_spool_dir
-from repro.obs.registry import BUCKET_BOUNDS
-from repro.obs.serve import escape_help, escape_label_value
+from repro.obs.serve import Exposition, HttpServer
 from repro.resilience.checkpoint import CheckpointConfig, CheckpointError
+from repro.service.api import handle_api
 from repro.service.durability import (
     ARTIFACT_DIR,
     ArtifactStore,
@@ -146,8 +147,9 @@ class ServiceConfig:
 
 
 class PipelineService:
-    """The multi-tenant pipeline-as-a-service core (HTTP face in
-    :mod:`repro.service.api`)."""
+    """The multi-tenant pipeline-as-a-service core.  Its HTTP face is
+    :func:`repro.service.api.handle_api`, served by
+    :class:`repro.obs.serve.HttpServer` from :meth:`start`."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
@@ -224,10 +226,10 @@ class PipelineService:
         )
         self._dispatcher.start()
         if serve_http:
-            from repro.service.api import ApiServer
-
-            self._api_server = ApiServer(
-                self, host=self.config.host, port=self.config.port
+            self._api_server = HttpServer(
+                functools.partial(handle_api, self),
+                host=self.config.host, port=self.config.port,
+                name="repro-service-api",
             ).start()
         return self
 
@@ -1279,187 +1281,114 @@ class PipelineService:
             }
 
     def metrics_text(self) -> str:
-        """Service-level Prometheus exposition (per-tenant labels), in the
-        same 0.0.4 text format as :func:`repro.obs.serve.prometheus_exposition`."""
+        """Service-level Prometheus exposition (per-tenant labels), written
+        through the same :class:`repro.obs.serve.Exposition` as the
+        engine's ``/metrics``."""
         with self._lock:
-            lines: List[str] = []
-
-            def header(name: str, kind: str, help_text: str) -> None:
-                lines.append(f"# HELP {name} {escape_help(help_text)}")
-                lines.append(f"# TYPE {name} {kind}")
-
-            def tenant_label(name: str, extra: str = "") -> str:
-                label = f'tenant="{escape_label_value(name)}"'
-                return "{" + label + (("," + extra) if extra else "") + "}"
-
-            tenants = sorted(self.tenants.all().items())
-            header(
+            out = Exposition()
+            tenants = [
+                ((("tenant", name),), tenant)
+                for name, tenant in sorted(self.tenants.all().items())
+            ]
+            out.family(
                 "repro_service_jobs_total", "counter",
                 "Job lifecycle events per tenant.",
             )
-            for name, tenant in tenants:
-                for event, value in (
-                    ("submitted", tenant.submitted),
-                    ("rejected", tenant.rejected),
-                    ("completed", tenant.completed),
-                    ("failed", tenant.failed),
-                    ("cancelled", tenant.cancelled),
-                    ("dead_letter", tenant.dead_letter),
-                ):
-                    lines.append(
-                        "repro_service_jobs_total"
-                        + tenant_label(name, f'event="{event}"')
-                        + f" {value}"
+            for labels, tenant in tenants:
+                for event in ("submitted", "rejected", "completed", "failed",
+                              "cancelled", "dead_letter"):
+                    out.sample(
+                        "repro_service_jobs_total",
+                        labels + (("event", event),), getattr(tenant, event),
                     )
-            for metric, help_text, getter in (
-                ("repro_service_committed_total",
+            # One sample per tenant.  The two job-plane latencies are
+            # histograms on the engine's power-of-two ``le`` bounds, so
+            # job-plane and engine-plane latencies share one axis.
+            for metric, kind, help_text, value in (
+                ("repro_service_committed_total", "counter",
                  "Iterations committed across a tenant's finished jobs.",
                  lambda t: t.committed),
-                ("repro_service_conflicts_total",
+                ("repro_service_conflicts_total", "counter",
                  "Misspeculations across a tenant's finished jobs.",
                  lambda t: t.conflicts),
-                ("repro_service_serial_reexec_total",
+                ("repro_service_serial_reexec_total", "counter",
                  "Serial re-executions across a tenant's finished jobs.",
                  lambda t: t.serial_reexec),
-                ("repro_service_storms_total",
+                ("repro_service_storms_total", "counter",
                  "Finished jobs whose watchdog flagged a storm.",
                  lambda t: t.storms),
-                ("repro_service_retries_total",
+                ("repro_service_retries_total", "counter",
                  "Retry attempts scheduled after failed runs.",
                  lambda t: t.retries),
-                ("repro_service_deadline_cancelled_total",
+                ("repro_service_deadline_cancelled_total", "counter",
                  "Jobs cancelled because their deadline passed.",
                  lambda t: t.deadline_cancelled),
-                ("repro_service_recovered_jobs_total",
+                ("repro_service_recovered_jobs_total", "counter",
                  "Jobs re-admitted or resumed by crash recovery.",
                  lambda t: t.recovered),
-            ):
-                header(metric, "counter", help_text)
-                for name, tenant in tenants:
-                    lines.append(
-                        metric + tenant_label(name) + f" {getter(tenant)}"
-                    )
-            def stage_histogram(metric: str, help_text: str, getter) -> None:
-                # Same golden format as repro.obs.serve: cumulative
-                # ``le`` buckets on the engine's power-of-two bounds, so
-                # job-plane and engine-plane latencies share one axis.
-                header(metric, "histogram", help_text)
-                for name, tenant in tenants:
-                    hist = getter(tenant)
-                    cumulative = 0
-                    for bound, bucket_count in zip(
-                        BUCKET_BOUNDS, hist.buckets
-                    ):
-                        cumulative += bucket_count
-                        lines.append(
-                            metric + "_bucket"
-                            + tenant_label(name, f'le="{bound!r}"')
-                            + f" {cumulative}"
-                        )
-                    lines.append(
-                        metric + "_bucket"
-                        + tenant_label(name, 'le="+Inf"')
-                        + f" {hist.count}"
-                    )
-                    lines.append(
-                        metric + "_sum" + tenant_label(name)
-                        + f" {hist.total:.9g}"
-                    )
-                    lines.append(
-                        metric + "_count" + tenant_label(name)
-                        + f" {hist.count}"
-                    )
-
-            stage_histogram(
-                "repro_service_queue_wait_seconds",
-                "Admission-to-dispatch wait per tenant.",
-                lambda t: t.queue_wait_hist,
-            )
-            stage_histogram(
-                "repro_service_sched_pick_seconds",
-                "One FairScheduler.take decision per dispatched job.",
-                lambda t: t.sched_pick_hist,
-            )
-            header(
-                "repro_service_postmortem_total", "counter",
-                "Post-mortem bundles snapshotted per tenant.",
-            )
-            for name, tenant in tenants:
-                lines.append(
-                    "repro_service_postmortem_total" + tenant_label(name)
-                    + f" {tenant.postmortems}"
-                )
-            for metric, help_text, getter in (
-                ("repro_service_tenant_running",
+                ("repro_service_queue_wait_seconds", "histogram",
+                 "Admission-to-dispatch wait per tenant.",
+                 lambda t: t.queue_wait_hist),
+                ("repro_service_sched_pick_seconds", "histogram",
+                 "One FairScheduler.take decision per dispatched job.",
+                 lambda t: t.sched_pick_hist),
+                ("repro_service_postmortem_total", "counter",
+                 "Post-mortem bundles snapshotted per tenant.",
+                 lambda t: t.postmortems),
+                ("repro_service_tenant_running", "gauge",
                  "Running jobs per tenant.", lambda t: t.running),
-                ("repro_service_tenant_queued",
+                ("repro_service_tenant_queued", "gauge",
                  "Queued jobs per tenant.",
                  lambda t: self.scheduler.depth(t.name)),
-                ("repro_service_tenant_window",
+                ("repro_service_tenant_window", "gauge",
                  "Current speculative window of the tenant's throttle.",
                  lambda t: t.throttle.window),
-                ("repro_service_tenant_degraded",
+                ("repro_service_tenant_degraded", "gauge",
                  "1 while the tenant is degraded (storming or serialized).",
                  lambda t: 1 if t.degraded else 0),
             ):
-                header(metric, "gauge", help_text)
-                for name, tenant in tenants:
-                    lines.append(
-                        metric + tenant_label(name) + f" {getter(tenant)}"
-                    )
+                out.family(metric, kind, help_text)
+                write = out.histogram if kind == "histogram" else out.sample
+                for labels, tenant in tenants:
+                    write(metric, labels, value(tenant))
             pool = self.pool.stats()
-            for metric, help_text, value in (
-                ("repro_service_queue_depth",
+            for metric, kind, help_text, value in (
+                ("repro_service_queue_depth", "gauge",
                  "Live queued jobs.", self.scheduler.depth()),
-                ("repro_service_running_jobs",
+                ("repro_service_running_jobs", "gauge",
                  "Jobs currently running.", len(self._running_jobs())),
-                ("repro_service_draining",
+                ("repro_service_draining", "gauge",
                  "1 while the server is draining.",
                  1 if self._draining else 0),
-                ("repro_service_pool_workers_idle",
+                ("repro_service_pool_workers_idle", "gauge",
                  "Idle pool workers.", pool["idle"]),
-                ("repro_service_pool_workers_leased",
+                ("repro_service_pool_workers_leased", "gauge",
                  "Leased pool workers.", pool["leased"]),
-                ("repro_service_pool_slots_free",
+                ("repro_service_pool_slots_free", "gauge",
                  "Free job slots.", pool["slots_free"]),
+                ("repro_service_pool_spawned_total", "counter",
+                 "Pool worker processes spawned since start "
+                 "(respawns included).", pool["spawned_total"]),
+                ("repro_service_flight_events_total", "counter",
+                 "Job-plane events noted by the flight recorder.",
+                 self.flight.events_noted),
+                ("repro_service_durable", "gauge",
+                 "1 when the server runs with a durable state dir.",
+                 1 if self.durable else 0),
             ):
-                header(metric, "gauge", help_text)
-                lines.append(f"{metric} {value}")
-            header(
-                "repro_service_pool_spawned_total", "counter",
-                "Pool worker processes spawned since start (respawns included).",
-            )
-            lines.append(
-                f"repro_service_pool_spawned_total {pool['spawned_total']}"
-            )
-            header(
-                "repro_service_flight_events_total", "counter",
-                "Job-plane events noted by the flight recorder.",
-            )
-            lines.append(
-                f"repro_service_flight_events_total {self.flight.events_noted}"
-            )
-            header(
-                "repro_service_durable", "gauge",
-                "1 when the server runs with a durable state dir.",
-            )
-            lines.append(f"repro_service_durable {1 if self.durable else 0}")
+                out.family(metric, kind, help_text)
+                out.sample(metric, (), value)
             if self.durable:
                 recovery = self.recovery
-                header(
+                out.family(
                     "repro_service_recovery_total", "counter",
                     "Jobs handled by the last restart's journal replay.",
                 )
-                for outcome, value in (
-                    ("requeued", recovery.requeued),
-                    ("resumed", recovery.resumed),
-                    ("restarted", recovery.restarted),
-                    ("terminal", recovery.terminal),
-                    ("errors", recovery.errors),
-                ):
-                    lines.append(
-                        "repro_service_recovery_total"
-                        f'{{outcome="{outcome}"}} {value}'
+                for outcome in ("requeued", "resumed", "restarted",
+                                "terminal", "errors"):
+                    out.sample(
+                        "repro_service_recovery_total",
+                        (("outcome", outcome),), getattr(recovery, outcome),
                     )
                 journal_stats = recovery.journal
                 for metric, help_text, value in (
@@ -1482,6 +1411,6 @@ class PipelineService:
                      "Jobs waiting out a retry backoff.",
                      len(self._retries)),
                 ):
-                    header(metric, "gauge", help_text)
-                    lines.append(f"{metric} {value}")
-            return "\n".join(lines) + "\n"
+                    out.family(metric, "gauge", help_text)
+                    out.sample(metric, (), value)
+            return out.text()

@@ -133,11 +133,8 @@ class TenantState:
         #: cleared by a clean job.  ``/health`` also folds in the *live*
         #: watchdog verdicts of the tenant's running jobs.
         self.degraded = False
-        # queue-wait accounting (admission -> dispatch)
-        self.queue_wait_total = 0.0
-        self.queue_wait_count = 0
-        self.queue_wait_max = 0.0
-        #: full queue-wait distribution (cumulative-``le`` on /metrics)
+        #: queue-wait (admission -> dispatch) distribution: cumulative
+        #: ``le`` buckets on /metrics, its max as ``queue_wait_max_s``
         self.queue_wait_hist = StageHistogram()
         #: scheduler pick latency (one ``FairScheduler.take`` decision)
         self.sched_pick_hist = StageHistogram()
@@ -145,9 +142,6 @@ class TenantState:
         self.postmortems = 0
 
     def record_queue_wait(self, seconds: float) -> None:
-        self.queue_wait_total += seconds
-        self.queue_wait_count += 1
-        self.queue_wait_max = max(self.queue_wait_max, seconds)
         self.queue_wait_hist.observe(seconds)
 
     def record_sched_pick(self, seconds: float) -> None:
@@ -173,7 +167,7 @@ class TenantState:
             "storms": self.storms,
             "degraded": self.degraded,
             "window": self.throttle.window,
-            "queue_wait_max_s": round(self.queue_wait_max, 6),
+            "queue_wait_max_s": round(self.queue_wait_hist.max_value, 6),
             "postmortems": self.postmortems,
         }
 

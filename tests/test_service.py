@@ -18,6 +18,7 @@ from repro.service import (
     AdmissionConfig,
     AdmissionController,
     FairScheduler,
+    TenantDirectory,
     WorkerPool,
     compile_chaos,
 )
@@ -103,6 +104,28 @@ class TestFairScheduler:
         assert sched.take(lambda t: True, lambda t: 1) is None
         assert sched.depth() == 0
         assert sched.depth("nobody") == 0
+
+
+class TestTenantAccounting:
+    def test_queue_wait_max_reads_the_histogram(self):
+        """Waits are wall-clock differences, so a clock step can hand in a
+        negative one: the histogram clamps it to 0, which cannot move a
+        maximum that starts at 0 — so the histogram's max is the one
+        ``queue_wait_max_s``."""
+        tenant = TenantDirectory(
+            pool_workers=2, capacity=8, batch_size=4
+        ).get_or_create("t")
+        assert tenant.to_json()["queue_wait_max_s"] == 0.0
+        for seconds in (-0.25, 0.0):
+            tenant.record_queue_wait(seconds)
+        assert tenant.to_json()["queue_wait_max_s"] == 0.0
+        for seconds in (0.0031234567, 0.5, -3.0, 0.0, 0.125):
+            tenant.record_queue_wait(seconds)
+        assert tenant.to_json()["queue_wait_max_s"] == 0.5
+        assert tenant.queue_wait_hist.count == 7
+        assert tenant.queue_wait_hist.total == pytest.approx(0.6281234567)
+        tenant.record_queue_wait(1.23456789)
+        assert tenant.to_json()["queue_wait_max_s"] == 1.234568
 
 
 class TestAdmission:
