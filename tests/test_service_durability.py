@@ -338,16 +338,25 @@ class TestDurableRestart:
         finally:
             svc2.drain_and_stop()
 
-    def test_queued_jobs_requeued_in_order_after_restart(self, tmp_path):
+    def test_queued_jobs_requeued_in_order_after_restart(
+        self, tmp_path, job_gate
+    ):
         svc = durable_service(tmp_path / "state", slots=1)
         try:
+            # dispatched before the drain, then held open by the gate, so
+            # the one slot stays taken however loaded the host is
             running, _ = svc.submit(
                 "acme", "synthetic", {"iterations": 64, "spin": 2000}
             )
+            deadline = time.monotonic() + 15
+            while running.state is JobState.QUEUED:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
             # these two never dispatch: one slot, and we drain right away
             q1, _ = svc.submit("acme", "synthetic", {"iterations": 8})
             q2, _ = svc.submit("acme", "synthetic", {"iterations": 8})
             svc.request_drain()  # durable drain keeps queued jobs
+            job_gate.set()
             wait_terminal(running)
         finally:
             svc.drain_and_stop()
