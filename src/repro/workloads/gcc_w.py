@@ -26,6 +26,7 @@ pipeline, and emits assembly text.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List
 
 from repro.annotations.commutative import commutative
@@ -55,11 +56,13 @@ def symtab_remove(name: str) -> None:
 def symtab_insert(name: str, value: int) -> None:
     """Insert into the global symbol table (Commutative, Section 4.2.1)."""
     tracer = current_tracer()
+    # A stable fold: ``hash(str)`` varies with PYTHONHASHSEED.
+    bucket = zlib.crc32(name.encode()) % 64
     if tracer is not None:
-        tracer.load("symtab", hash(name) % 64)
+        tracer.load("symtab", bucket)
     _symbol_table[name] = value
     if tracer is not None:
-        tracer.store("symtab", hash(name) % 64, value=value)
+        tracer.store("symtab", bucket, value=value)
         tracer.work(1)
 
 

@@ -6,6 +6,12 @@ These are the cheapest guards against over-tuning the analogs to a single
 input — the paper's conclusions are about the *programs*, not one dataset.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.framework import ParallelizationFramework
@@ -54,3 +60,32 @@ class TestSeedRobustness:
     def test_gap_gc_bound(self, seed):
         evaluation = ParallelizationFramework().evaluate(GapWorkload(seed=seed))
         assert 1.2 < evaluation.report.best_speedup < 3.5
+
+
+_ABLATION_CURVE = """
+import json
+from repro.core.framework import FrameworkConfig, ParallelizationFramework
+from repro.workloads.gcc_w import GccWorkload
+framework = ParallelizationFramework(FrameworkConfig(enable_commutative=False))
+curve = framework.evaluate(GccWorkload(function_count=24)).report.curve
+print(json.dumps(sorted(curve.items())))
+"""
+
+
+def test_gcc_ablation_is_independent_of_hash_seed():
+    """The no-Commutative gcc curve reads the symbol-table slots as ordinary
+    locations, so their keys must not depend on ``PYTHONHASHSEED``."""
+    source = str(Path(__file__).parent.parent / "src")
+    curves = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _ABLATION_CURVE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        curves.append(json.loads(result.stdout))
+    assert curves[0] == curves[1]
