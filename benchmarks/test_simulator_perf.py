@@ -2,9 +2,10 @@
 
 Unlike the figure/table benches (which run once and assert shapes), these
 use pytest-benchmark's real repeated timing: they track the throughput of
-the components a user pays for — the pipeline simulator, the memory
-profiler, PDG condensation, and the whole-program alias analysis — so
-regressions in the infrastructure itself are visible.
+the components a user pays for — the pipeline simulator, the tracer, the
+memory profiler, the task-graph build, mem2reg, PDG condensation, and the
+whole-program alias analysis — so regressions in the infrastructure itself
+are visible.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.pdg.builder import build_loop_pdg
 from repro.pdg.scc import condense
 from repro.profiling.memory_profile import MemoryProfile
 from repro.profiling.tracer import Tracer
+from repro.speculation.manager import plan_from_profile
 
 
 def build_big_graph(iterations=2000):
@@ -70,6 +72,60 @@ def test_perf_memory_profile(benchmark):
 
     profile = benchmark(lambda: MemoryProfile(trace))
     assert profile.dependences
+
+
+def test_perf_tracer_hot_path(benchmark):
+    """Task brackets, work and loads/stores (some inside a Commutative
+    group): the hooks every analog calls on every profiled access."""
+
+    def trace():
+        tracer = Tracer()
+        for i in range(2000):
+            with tracer.task("B", i):
+                tracer.work(3)
+                tracer.load("shared", i % 64)
+                with tracer.commutative("alloc"):
+                    tracer.store("heap", "top", value=i)
+                tracer.store("shared", i % 64, value=i % 3)
+        return tracer.finish()
+
+    result = benchmark(trace)
+    assert len(result.accesses) == 6000
+
+
+def test_perf_task_graph_from_trace(benchmark):
+    tracer = Tracer()
+    for i in range(2000):
+        for phase in "ABC":
+            with tracer.task(phase, i):
+                tracer.work(2)
+                tracer.load("shared", i % 32)
+                if phase == "B":
+                    tracer.store("shared", (i * 7) % 32, value=i)
+    trace = tracer.finish()
+    profile = MemoryProfile(trace)
+    plan = plan_from_profile(profile)
+
+    graph = benchmark(lambda: TaskGraph.from_trace(trace, profile, plan))
+    assert graph.edges
+
+
+def test_perf_mem2reg_gcc_functions(benchmark):
+    """mem2reg over every function of the gcc analog's unit, each lowered
+    afresh per round (the pass rewrites its input)."""
+    from repro.ir.ssa import promote_memory_to_registers
+    from repro.workloads.gcc_compiler import Lowerer, Parser, generate_source, tokenize
+
+    unit = Parser(tokenize(generate_source(176, 60))).parse_unit()
+
+    def setup():
+        return ([Lowerer().lower(ast) for ast in unit],), {}
+
+    def promote(functions):
+        return sum(promote_memory_to_registers(function) for function in functions)
+
+    promoted = benchmark.pedantic(promote, setup=setup, rounds=10)
+    assert promoted > 0
 
 
 def test_perf_scc_condensation(benchmark, pipeline_program_and_loop):

@@ -101,11 +101,21 @@ class DominatorTree:
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        nodes = [b.name for b in function.blocks]
-        self._preds = {
-            b.name: [p.name for p in b.predecessors()] for b in function.blocks
-        }
+        blocks = function.blocks
+        nodes = [b.name for b in blocks]
+        self._preds: Dict[str, List[str]] = {name: [] for name in nodes}
+        for block in blocks:
+            for successor in dict.fromkeys(block.successor_names()):
+                if successor in self._preds:
+                    self._preds[successor].append(block.name)
         self._engine = _DominanceEngine(nodes, self._preds, function.entry_name)
+        # ``idom`` is final once the engine returns: index the tree once.
+        self._children: Dict[str, List[str]] = {}
+        for node, idom in self._engine.idom.items():
+            if idom is not None and idom != node:
+                self._children.setdefault(idom, []).append(node)
+        for kids in self._children.values():
+            kids.sort()
 
     def dominates(self, a: str, b: str) -> bool:
         return self._engine.dominates(a, b)
@@ -116,13 +126,13 @@ class DominatorTree:
     def dominator_chain(self, name: str) -> List[str]:
         return self._engine.dominator_chain(name)
 
+    def predecessors(self, name: str) -> List[str]:
+        """CFG predecessors of ``name`` at construction, in block order."""
+        return self._preds[name]
+
     def children(self, name: str) -> List[str]:
         """Blocks immediately dominated by ``name`` (dominator-tree kids)."""
-        return sorted(
-            node
-            for node, idom in self._engine.idom.items()
-            if idom == name and node != name
-        )
+        return list(self._children.get(name, ()))
 
     def frontier(self) -> Dict[str, List[str]]:
         """Dominance frontiers (Cytron et al.): DF[b] = blocks where b's

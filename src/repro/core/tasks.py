@@ -87,6 +87,7 @@ CompiledTask = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[str, int], ...]]
 IterationRow = Tuple[Optional[CompiledTask], Optional[CompiledTask], Optional[CompiledTask]]
 
 _PHASE_SLOT = {Phase.A: 0, Phase.B: 1, Phase.C: 2}
+_PHASE_OF = {phase.value: phase for phase in Phase}
 _EMPTY_ROW: IterationRow = (None, None, None)
 
 
@@ -276,7 +277,7 @@ class TaskGraph:
         tasks = [
             Task(
                 index=record.index,
-                phase=Phase(record.phase),
+                phase=_PHASE_OF[record.phase],
                 iteration=record.iteration,
                 cost=record.cost,
             )
@@ -291,45 +292,36 @@ class TaskGraph:
         if profile is None:
             return graph
 
+        # Every edge below is forward (source < target) between tasks of
+        # this trace, which is all ``add_edge`` checks: append in one go.
         if plan is None:
-            for dependence in profile.dependences:
-                if dependence.source_index < dependence.target_index:
-                    graph.add_edge(
-                        SerializationEdge(
-                            dependence.source_index,
-                            dependence.target_index,
-                            reason="synchronization",
-                            location=dependence.location,
-                        )
-                    )
+            graph.edges.extend(
+                SerializationEdge(source, target, "synchronization", location)
+                for source, target, _, location in profile.dependences
+                if source < target
+            )
             return graph
 
+        speculated, synchronized = plan.speculated, plan.synchronized
         seen = set()
-        for dependence in profile.dependences:
-            if dependence.source_index >= dependence.target_index:
+        for source, target, kind, location in profile.dependences:
+            if source >= target:
                 continue
-            if dependence.kind != "raw":
+            if kind != "raw":
                 # The versioned memory subsystem ([33], Section 3.1)
                 # privatizes anti and output dependences: each task writes
                 # its own version and commits in order, so only true (RAW)
                 # dependences ever serialize execution.
                 continue
-            if dependence.location in plan.speculated:
+            if location in speculated:
                 reason = "misspeculation"
-            elif dependence.location in plan.synchronized:
+            elif location in synchronized:
                 reason = "synchronization"
             else:
                 continue
-            key = (dependence.source_index, dependence.target_index)
+            key = (source, target)
             if key in seen:
                 continue
             seen.add(key)
-            graph.add_edge(
-                SerializationEdge(
-                    dependence.source_index,
-                    dependence.target_index,
-                    reason=reason,
-                    location=dependence.location,
-                )
-            )
+            graph.edges.append(SerializationEdge(source, target, reason, location))
         return graph

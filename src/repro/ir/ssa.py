@@ -77,15 +77,46 @@ def promotable_objects(function: Function) -> List[MemoryObject]:
 
 
 def promote_memory_to_registers(function: Function) -> int:
-    """Run mem2reg over every promotable object; return how many promoted."""
+    """Run mem2reg over every promotable object; return how many promoted.
+
+    Linear: one scan files each promoted access under its object and block,
+    and operands are rewritten once, at the end."""
     objects = promotable_objects(function)
     if not objects:
         return 0
     dom = DominatorTree(function)
     frontiers = dom.frontier()
+    accesses: Dict[int, Dict[str, List[Instruction]]] = {obj.id: {} for obj in objects}
+    for block in function.blocks:
+        for instruction in block.instructions:
+            if isinstance(instruction, (Load, Store)) and len(instruction.may_access) == 1:
+                by_block = accesses.get(instruction.may_access[0].id)
+                if by_block is not None:
+                    by_block.setdefault(block.name, []).append(instruction)
 
+    # ``id`` of a promoted load's result -> the value reaching that load.
+    replacements: Dict[int, Value] = {}
+    removed: Set[int] = set()
     for target in objects:
-        _promote_one(function, dom, frontiers, target)
+        _promote_one(
+            function, dom, frontiers, target, accesses[target.id], replacements, removed
+        )
+
+    # A reaching value may itself be a promoted load: follow each chain to
+    # its end, then rewrite every operand in one walk.
+    for key, value in replacements.items():
+        while id(value) in replacements:
+            value = replacements[id(value)]
+        replacements[key] = value
+    for block in function.blocks:
+        if removed:
+            block.instructions[:] = [i for i in block.instructions if i.id not in removed]
+        for instruction in block.instructions:
+            operands = instruction.operands
+            for index, operand in enumerate(operands):
+                value = replacements.get(id(operand))
+                if value is not None:
+                    operands[index] = value
     return len(objects)
 
 
@@ -94,18 +125,19 @@ def _promote_one(
     dom: DominatorTree,
     frontiers: Dict[str, List[str]],
     target: MemoryObject,
+    accesses: Dict[str, List[Instruction]],
+    replacements: Dict[int, Value],
+    removed: Set[int],
 ) -> None:
-    defining_blocks = {
-        instruction.block.name
-        for instruction in function.instructions()
-        if isinstance(instruction, Store)
-        and len(instruction.may_access) == 1
-        and instruction.may_access[0] is target
-    }
-
+    """Place ``target``'s phis and rename its reachable accesses: each one
+    goes into ``removed`` and each load's reaching value into
+    ``replacements``."""
     # Iterated dominance frontier: phi placement sites.
     phi_blocks: Set[str] = set()
-    worklist = list(defining_blocks)
+    worklist = [
+        name for name, found in accesses.items()
+        if any(isinstance(instruction, Store) for instruction in found)
+    ]
     while worklist:
         block_name = worklist.pop()
         for frontier_block in frontiers.get(block_name, []):
@@ -117,43 +149,35 @@ def _promote_one(
     for block_name in sorted(phi_blocks):
         block = function.block(block_name)
         placeholders = [
-            (UndefValue(IntType(64)), predecessor.name)
-            for predecessor in block.predecessors()
+            (UndefValue(IntType(64)), predecessor)
+            for predecessor in dom.predecessors(block_name)
         ]
         phi = Phi(IntType(64), placeholders, name=f"{target.name}.phi")
         block.insert(len(block.phis()), phi)
         phis[block_name] = phi
 
-    # Rename along the dominator tree.
-    def rename(block_name: str, reaching: Value) -> None:
-        block = function.block(block_name)
+    # Rename along the dominator tree.  Each block writes only its own
+    # loads' entries and its own phi edges, so visiting order is free.
+    stack: List[Tuple[str, Value]] = [(function.entry_name, UndefValue(IntType(64)))]
+    while stack:
+        block_name, reaching = stack.pop()
         if block_name in phis:
             reaching = phis[block_name].result
-        for instruction in list(block.instructions):
-            if (
-                isinstance(instruction, Load)
-                and len(instruction.may_access) == 1
-                and instruction.may_access[0] is target
-            ):
-                _replace_uses(function, instruction.result, reaching)
-                block.remove(instruction)
-            elif (
-                isinstance(instruction, Store)
-                and len(instruction.may_access) == 1
-                and instruction.may_access[0] is target
-            ):
+        for instruction in accesses.get(block_name, ()):
+            if isinstance(instruction, Load):
+                replacements[id(instruction.result)] = reaching
+            else:
                 reaching = instruction.operands[0]
-                block.remove(instruction)
-        for successor in block.successors():
-            phi = phis.get(successor.name)
-            if phi is not None:
-                for index, incoming_block in enumerate(phi.incoming_blocks):
-                    if incoming_block == block_name:
-                        phi.operands[index] = reaching
-        for child in dom.children(block_name):
-            rename(child, reaching)
-
-    rename(function.entry_name, UndefValue(IntType(64)))
+            instruction.block = None
+            removed.add(instruction.id)
+        if phis:
+            for successor in function.block(block_name).successor_names():
+                phi = phis.get(successor)
+                if phi is not None:
+                    for index, incoming_block in enumerate(phi.incoming_blocks):
+                        if incoming_block == block_name:
+                            phi.operands[index] = reaching
+        stack.extend((child, reaching) for child in dom.children(block_name))
 
 
 def hoist_loop_invariants(function: Function, loop: Loop) -> int:
@@ -223,10 +247,3 @@ def _make_preheader(function: Function, loop: Loop) -> BasicBlock:
                     phi.incoming_blocks[index] = preheader.name
     preheader.append(Jump(header.name))
     return preheader
-
-
-def _replace_uses(function: Function, old: Value, new: Value) -> None:
-    if old is None:
-        return
-    for instruction in function.instructions():
-        instruction.replace_operand(old, new)

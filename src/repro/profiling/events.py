@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Optional, Tuple
 
@@ -46,20 +46,13 @@ class TaskRecord:
         return f"TaskRecord({self.phase}{self.iteration}, cost={self.cost})"
 
 
-@dataclass
-class AccessEvent:
-    """One dynamic memory access, attributed to the task that made it.
-
-    ``commutative_group`` is non-None when the access happened inside a
-    function carrying the *Commutative* annotation: such accesses never
-    create cross-task dependences within the same group (Section 2.3.2).
-    """
-
-    task_index: int
-    kind: AccessKind
-    location: Location
-    commutative_group: Optional[str] = None
-    silent: bool = False  # store that wrote back the existing value
+#: One dynamic memory access, attributed to the task that made it, as a plain
+#: tuple ``(task_index, kind, location, commutative_group, silent)``: a run
+#: records tens of thousands.  ``commutative_group`` is non-None inside a
+#: *Commutative* function; such accesses never create cross-task dependences
+#: within the group (Section 2.3.2).  ``silent`` marks a store that wrote back
+#: the value already there.  ``task_index`` never decreases along a trace.
+AccessEvent = Tuple[int, AccessKind, Location, Optional[str], bool]
 
 
 @dataclass

@@ -22,15 +22,15 @@ Rules:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
-from repro.profiling.events import AccessEvent, AccessKind, Location, TaskRecord
+from repro.profiling.events import AccessKind, Location, TaskRecord
 from repro.profiling.tracer import TraceResult
 
+_LOAD = AccessKind.LOAD
 
-@dataclass(frozen=True)
-class DynamicDependence:
+
+class DynamicDependence(NamedTuple):
     """A dependence observed between two dynamic tasks.
 
     ``location`` names the shared state responsible; ``kind`` is
@@ -68,51 +68,53 @@ class MemoryProfile:
         self._build()
 
     def _build(self) -> None:
-        last_store: Dict[Location, int] = {}
-        last_effective_store: Dict[Location, int] = {}
-        loads_since_store: Dict[Location, List[int]] = defaultdict(list)
-        seen_deps: Set[Tuple[int, int, str, Location]] = set()
-        seen_sections: Dict[str, Set[int]] = defaultdict(set)
-        seen_accessors: Dict[Location, Set[int]] = defaultdict(set)
-
-        def emit(source: int, target: int, kind: str, location: Location) -> None:
-            if source == target:
-                return
-            key = (source, target, kind, location)
-            if key in seen_deps:
-                return
-            seen_deps.add(key)
-            self.dependences.append(DynamicDependence(source, target, kind, location))
-
-        for event in self.trace.accesses:
-            if event.commutative_group is not None and self.honor_commutative:
-                group = event.commutative_group
-                if event.task_index not in seen_sections[group]:
-                    seen_sections[group].add(event.task_index)
-                    self.commutative_sections[group].append(event.task_index)
+        # Task indices never decrease along the access list, so "task t is
+        # already recorded" is "t was recorded last", and neither a WAW nor
+        # a WAR pair can repeat (its reader or prior store would have to
+        # come after the store that reset it).  A task can reach the same
+        # RAW source again across its own silent store: ``seen_raw``.
+        honor_commutative = self.honor_commutative
+        sections = self.commutative_sections
+        accessors = self.location_accessors
+        append = self.dependences.append
+        seen_raw: Set[Tuple[int, int, Location]] = set()
+        # location -> [last store, last non-silent store, tasks that
+        # loaded since the last store, the location's accessor list]
+        states: Dict[Location, list] = {}
+        for task, kind, location, group, silent in self.trace.accesses:
+            if group is not None and honor_commutative:
+                members = sections[group]
+                if not members or members[-1] != task:
+                    members.append(task)
                 continue
-
-            location = event.location
-            if event.task_index not in seen_accessors[location]:
-                seen_accessors[location].add(event.task_index)
-                self.location_accessors[location].append(event.task_index)
-            if event.kind is AccessKind.LOAD:
-                source = last_effective_store.get(location)
-                if source is not None:
-                    emit(source, event.task_index, "raw", location)
-                readers = loads_since_store[location]
-                if not readers or readers[-1] != event.task_index:
-                    readers.append(event.task_index)
+            state = states.get(location)
+            if state is None:
+                state = states[location] = [None, None, [], accessors[location]]
+            touched = state[3]
+            if not touched or touched[-1] != task:
+                touched.append(task)
+            readers = state[2]
+            if kind is _LOAD:
+                if readers and readers[-1] == task:
+                    continue  # same source as this task's last load here
+                readers.append(task)
+                source = state[1]
+                if source is not None and source != task:
+                    key = (source, task, location)
+                    if key not in seen_raw:
+                        seen_raw.add(key)
+                        append(DynamicDependence(source, task, "raw", location))
             else:
-                prior = last_store.get(location)
-                if prior is not None:
-                    emit(prior, event.task_index, "waw", location)
-                for reader in loads_since_store[location]:
-                    emit(reader, event.task_index, "war", location)
-                loads_since_store[location] = []
-                last_store[location] = event.task_index
-                if not event.silent:
-                    last_effective_store[location] = event.task_index
+                prior = state[0]
+                if prior is not None and prior != task:
+                    append(DynamicDependence(prior, task, "waw", location))
+                for reader in readers:
+                    if reader != task:
+                        append(DynamicDependence(reader, task, "war", location))
+                state[0] = task
+                state[2] = []
+                if not silent:
+                    state[1] = task
 
     # -- queries --------------------------------------------------------------------
 

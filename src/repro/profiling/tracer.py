@@ -26,7 +26,6 @@ Example::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -38,6 +37,9 @@ from repro.profiling.events import (
     TaskRecord,
     ValueEvent,
 )
+
+_LOAD = AccessKind.LOAD
+_STORE = AccessKind.STORE
 
 
 @dataclass
@@ -77,6 +79,41 @@ class TraceResult:
         raise KeyError(f"no task {phase}{iteration}")
 
 
+class _TaskScope:
+    """What :meth:`Tracer.task` returns: opens the task on entry and closes
+    it on exit, with no generator behind it."""
+
+    __slots__ = ("tracer", "phase", "iteration")
+
+    def __init__(self, tracer: "Tracer", phase: str, iteration: int) -> None:
+        self.tracer = tracer
+        self.phase = phase
+        self.iteration = iteration
+
+    def __enter__(self) -> TaskRecord:
+        return self.tracer._open(self.phase, self.iteration)
+
+    def __exit__(self, *exc_info) -> None:
+        self.tracer._current = None
+
+
+class _CommutativeScope:
+    """What :meth:`Tracer.commutative` returns: pushes the group on entry
+    and pops it on exit."""
+
+    __slots__ = ("stack", "group")
+
+    def __init__(self, stack: List[str], group: str) -> None:
+        self.stack = stack
+        self.group = group
+
+    def __enter__(self) -> None:
+        self.stack.append(self.group)
+
+    def __exit__(self, *exc_info) -> None:
+        self.stack.pop()
+
+
 class Tracer:
     """Records tasks, work, memory accesses and profile events.
 
@@ -100,9 +137,11 @@ class Tracer:
 
     # -- task bracketing ---------------------------------------------------------
 
-    @contextmanager
-    def task(self, phase: str, iteration: int):
+    def task(self, phase: str, iteration: int) -> _TaskScope:
         """Open a task for ``phase`` within ``iteration``; closes on exit."""
+        return _TaskScope(self, phase, iteration)
+
+    def _open(self, phase: str, iteration: int) -> TaskRecord:
         if self._finished:
             raise RuntimeError("tracer already finished")
         if phase not in ("A", "B", "C"):
@@ -114,10 +153,7 @@ class Tracer:
         record = TaskRecord(index=len(self._tasks), phase=phase, iteration=iteration)
         self._tasks.append(record)
         self._current = record
-        try:
-            yield record
-        finally:
-            self._current = None
+        return record
 
     def _attribution_index(self) -> int:
         if self._current is not None:
@@ -142,14 +178,11 @@ class Tracer:
     # -- memory accesses -------------------------------------------------------------
 
     def load(self, obj: str, key: Hashable = None) -> None:
-        self._accesses.append(
-            AccessEvent(
-                task_index=self._attribution_index(),
-                kind=AccessKind.LOAD,
-                location=(obj, key),
-                commutative_group=self._active_group(),
-            )
-        )
+        current, groups = self._current, self._commutative_stack
+        self._accesses.append((
+            current.index if current is not None else self._attribution_index(),
+            _LOAD, (obj, key), groups[-1] if groups else None, False,
+        ))
 
     def store(self, obj: str, key: Hashable = None, value: Hashable = None) -> None:
         """Record a store; when ``value`` is given, silent stores are detected.
@@ -163,29 +196,17 @@ class Tracer:
         if value is not None:
             silent = self._last_written.get(location) == value
             self._last_written[location] = value
-        self._accesses.append(
-            AccessEvent(
-                task_index=self._attribution_index(),
-                kind=AccessKind.STORE,
-                location=location,
-                commutative_group=self._active_group(),
-                silent=silent,
-            )
-        )
+        current, groups = self._current, self._commutative_stack
+        self._accesses.append((
+            current.index if current is not None else self._attribution_index(),
+            _STORE, location, groups[-1] if groups else None, silent,
+        ))
 
     # -- Commutative context ------------------------------------------------------------
 
-    @contextmanager
-    def commutative(self, group: str):
+    def commutative(self, group: str) -> _CommutativeScope:
         """Accesses inside this context belong to Commutative group ``group``."""
-        self._commutative_stack.append(group)
-        try:
-            yield
-        finally:
-            self._commutative_stack.pop()
-
-    def _active_group(self) -> Optional[str]:
-        return self._commutative_stack[-1] if self._commutative_stack else None
+        return _CommutativeScope(self._commutative_stack, group)
 
     # -- value / branch sites --------------------------------------------------------------
 

@@ -203,12 +203,13 @@ class SpeculationPlan:
         Only RAW counts: the versioned memory renames anti/output
         dependences away, so they can never cause a squash.
         """
-        tasks = profile.trace.tasks
+        iteration = [task.iteration for task in profile.trace.tasks]
+        speculated = self.speculated
         return [
             d for d in profile.dependences
             if d.kind == "raw"
-            and d.location in self.speculated
-            and d.cross_iteration(tasks)
+            and d.location in speculated
+            and iteration[d.source_index] != iteration[d.target_index]
         ]
 
 
@@ -232,18 +233,18 @@ def plan_from_profile(
     plan.commutative_groups = sorted(profile.commutative_sections)
 
     iterations = max(profile.trace.iteration_count, 1)
+    iteration = [task.iteration for task in profile.trace.tasks]
     by_location: Dict[Location, List[DynamicDependence]] = defaultdict(list)
-    for dependence in profile.cross_iteration_dependences():
-        by_location[dependence.location].append(dependence)
+    for dependence in profile.dependences:
+        if iteration[dependence.source_index] != iteration[dependence.target_index]:
+            by_location[dependence.location].append(dependence)
 
     forced_sync = set(forced_synchronized)
     forced_spec = set(forced_speculated)
 
     for location in sorted(by_location, key=str):
         dependences = by_location[location]
-        conflicting_iterations = {
-            profile.trace.tasks[d.target_index].iteration for d in dependences
-        }
+        conflicting_iterations = {iteration[d.target_index] for d in dependences}
         rate = len(conflicting_iterations) / iterations
         if location in forced_sync:
             plan.synchronized.add(location)

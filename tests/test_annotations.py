@@ -88,7 +88,8 @@ class TestCommutativeDecorator:
                 tracer.work(1)
                 touch()
         trace = tracer.finish()
-        assert trace.accesses[0].commutative_group == "tagged"
+        _, _, _, group, _ = trace.accesses[0]
+        assert group == "tagged"
 
     def test_set_rollback(self):
         @commutative(group="alloc2")

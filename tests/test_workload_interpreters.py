@@ -126,7 +126,10 @@ class TestGapHeap:
                 slot, _ = heap.allocate("int", i, 1, roots, tracer)
                 roots[f"v{i}"] = slot
         trace = tracer.finish()
-        stores = [a for a in trace.accesses if a.location[0] == "gap.heap"]
+        stores = [
+            location for _, _, location, _, _ in trace.accesses
+            if location[0] == "gap.heap"
+        ]
         assert len(stores) > 6  # allocations + GC copy writes
 
 

@@ -33,9 +33,12 @@ class TestAcmRandom:
                 tracer.work(1)
                 rng.next()
         trace = tracer.finish()
-        seed_accesses = [a for a in trace.accesses if a.location == ("Yacm_random", "seed")]
-        assert seed_accesses
-        assert all(a.commutative_group == "Yacm_random" for a in seed_accesses)
+        seed_groups = [
+            group for _, _, location, group, _ in trace.accesses
+            if location == ("Yacm_random", "seed")
+        ]
+        assert seed_groups
+        assert all(group == "Yacm_random" for group in seed_groups)
 
     def test_unannotated_accesses_untagged(self):
         from repro.profiling.context import activate
@@ -47,8 +50,11 @@ class TestAcmRandom:
                 tracer.work(1)
                 rng.next()
         trace = tracer.finish()
-        seed_accesses = [a for a in trace.accesses if a.location == ("Yacm_random", "seed")]
-        assert all(a.commutative_group is None for a in seed_accesses)
+        seed_groups = [
+            group for _, _, location, group, _ in trace.accesses
+            if location == ("Yacm_random", "seed")
+        ]
+        assert all(group is None for group in seed_groups)
 
     def test_below_bounds(self):
         rng = AcmRandom(3)
