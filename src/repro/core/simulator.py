@@ -1,18 +1,21 @@
 """The multi-core performance simulator (Section 3.1).
 
-Deterministic, event-free implementation: because phase A and phase C are
-serial chains and every extra constraint points forward in sequential order,
-the whole schedule is computable in a single in-order pass of recurrences —
-each task's start time is the max of its structural predecessors, its queue
-availability, its core's free time, its serialization sources, and its
-Commutative lock waits.
+One deterministic, event-free recurrence, :func:`schedule`, is the paper's
+pipeline model: because every sequential stage is a serial chain and every
+extra constraint points forward in sequential order, the whole schedule is
+computable in a single in-order pass — each task's start time is the max of
+its core's free time, its queue hand-off, its serialization sources, and its
+Commutative lock waits.  :class:`PipelineSimulator` runs a task graph's A, B
+and C rows on it; :class:`~repro.dswp.multistage.MultiStageSimulator` and the
+analyzer's what-if replay (:func:`repro.obs.analyze.replay`) are plans over
+the same function.
 
 Modelled, per the paper:
 
-- tasks communicate through bounded core-to-core queues (the recurrences of
-  :class:`~repro.hw.queues.TimedQueueModel`); a producer stalls when its
-  queue is full, a consumer waits while it is empty;
-- phase B tasks are dynamically assigned to the least-loaded B core;
+- tasks communicate through bounded core-to-core queues, one per (producer
+  core, consumer core) pair; a producer stalls, holding its core, while its
+  queue is full, and a consumer waits while it is empty;
+- replicated-stage tasks are dynamically assigned to the least-loaded core;
 - a speculated dependence that actually occurred serializes the dependent
   task behind its source but costs nothing extra (misspeculation-as-
   serialization);
@@ -28,12 +31,16 @@ Not modelled (also per the paper): rollback cost beyond serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.plan import ExecutionPlan
-from repro.core.tasks import Phase, TaskGraph
+from repro.core.tasks import CompiledTask, Phase, TaskGraph
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import QueueEmptyError, QueueFullError
+from repro.hw.queues import QueueFullError
+
+#: Simulated time: abstract work units for the simulators, seconds for the
+#: analyzer's replay of measured costs.
+Time = Union[int, float]
 
 
 @dataclass
@@ -117,223 +124,184 @@ class PipelineSimulator:
     # -- pipelined execution ------------------------------------------------------------
 
     def _simulate_pipeline(self, graph: TaskGraph, plan: ExecutionPlan) -> SimulationResult:
-        """One in-order pass over the graph's compiled rows.
-
-        Runs once per task per core count, so everything per-task is a list
-        index or a local: core state lives in lists indexed by core id, a
-        queue is its two lists of produce and consume times, and the
-        serialization-edge max and the Commutative lock walk read the
-        tuples :meth:`TaskGraph.pipeline_rows` precomputed.
-        """
-        latency = self.machine.communication_latency
-        capacity = self.machine.queue_capacity
-        a_core, c_core = plan.a_core, plan.c_core
-        # Ties between equally loaded B cores go to the lowest core id.
-        b_cores = sorted(plan.b_cores)
-
-        queues_needed = 2 * len(b_cores)
-        if queues_needed > self.machine.queue_count:
+        """The graph's compiled rows on the A, B and C stages of ``plan``."""
+        machine = self.machine
+        queues_needed = 2 * len(plan.b_cores)
+        if queues_needed > machine.queue_count:
             raise ValueError(
                 f"plan needs {queues_needed} queues but the machine has "
-                f"{self.machine.queue_count}"
+                f"{machine.queue_count}"
             )
         rows = graph.pipeline_rows()
-        for phase, core in ((Phase.A, a_core), (Phase.C, c_core)):
+        for phase, core in ((Phase.A, plan.a_core), (Phase.C, plan.c_core)):
             if core is None and graph.tasks_in_phase(phase):
                 raise ValueError(
                     f"the graph has phase {phase.value} tasks but the plan gives them no core"
                 )
-
+        a_stage = () if plan.a_core is None else (plan.a_core,)
+        c_stage = () if plan.c_core is None else (plan.c_core,)
+        # Ties between equally loaded B cores go to the lowest core id.
+        stages = (a_stage, tuple(sorted(plan.b_cores)), c_stage)
+        run = schedule(
+            rows,
+            stages,
+            (machine.queue_capacity,) * 2,
+            (machine.communication_latency,) * 2,
+            len(graph.tasks),
+        )
         # Cores in the order the result reports them; A and C may share a
         # core with each other (2-core plans) or, in a hand-made plan, with B.
         cores_used = [
-            core for core in dict.fromkeys((*plan.b_cores, a_core, c_core))
+            core for core in dict.fromkeys((*plan.b_cores, plan.a_core, plan.c_core))
             if core is not None
         ]
-        core_slots = max(cores_used) + 1
-        free = [0] * core_slots
-        busy = [0] * core_slots
-        # The bounded queues feeding and draining each B core: produce k may
-        # not complete before consume k - capacity, consume k not before
-        # produce k (the recurrences of repro.hw.queues.TimedQueueModel).
-        a_to_b_produced: List[List[int]] = [[] for _ in range(core_slots)]
-        a_to_b_consumed: List[List[int]] = [[] for _ in range(core_slots)]
-        b_to_c_produced: List[List[int]] = [[] for _ in range(core_slots)]
-        b_to_c_consumed: List[List[int]] = [[] for _ in range(core_slots)]
-        queue_stall = 0
-        lock_free: Dict[str, int] = {}
-
-        task_end: List[int] = [0] * len(graph.tasks)
-        task_start: List[int] = [0] * len(graph.tasks)
-        task_core: List[int] = [-1] * len(graph.tasks)
-        serialization_wait = 0
-        lock_wait = 0
-
-        first_b_core = b_cores[0]
-        other_b_cores = b_cores[1:]
-        a_prev_end = 0
-
-        for a_task, b_task, c_task in rows:
-            # ---- phase A: serial chain on the A core -------------------------------
-            a_end = a_prev_end
-            if a_task is not None:
-                a_index, cost, sources, _ = a_task
-                # A's core may be shared with C (2-core plans), so it is the
-                # core's availability that counts; that is never earlier than
-                # the end of the A chain.
-                ready = start = free[a_core]
-                for source in sources:
-                    if task_end[source] > start:
-                        start = task_end[source]
-                serialization_wait += start - ready
-                a_end = start + cost
-                busy[a_core] += cost
-                task_start[a_index] = start
-                task_core[a_index] = a_core
-
-            if b_task is not None:
-                # B-core selection happens when the producing A task
-                # completes: the least-loaded B core at that moment, i.e. the
-                # minimum of (max(free, a_end), core id).  Every core idle by
-                # a_end ties at a_end, so that is the lowest-numbered idle
-                # core if there is one and the earliest-free core otherwise.
-                b_core = first_b_core
-                least = free[b_core]
-                if least > a_end:
-                    for core in other_b_cores:
-                        if free[core] < least:
-                            b_core = core
-                            least = free[core]
-                            if least <= a_end:
-                                break
-
-            if a_task is not None:
-                if b_task is not None:
-                    # Produce the iteration token; a full queue stalls the A core.
-                    produced = a_to_b_produced[b_core]
-                    backlog = len(produced) - capacity
-                    if backlog >= 0:
-                        consumed = a_to_b_consumed[b_core]
-                        if backlog >= len(consumed):
-                            raise QueueFullError(
-                                f"queue A->B{b_core}: produce {len(produced)} needs "
-                                f"consume {backlog} which has not been recorded — "
-                                "deadlocked schedule"
-                            )
-                        if consumed[backlog] > a_end:
-                            queue_stall += consumed[backlog] - a_end
-                            a_end = consumed[backlog]
-                    produced.append(a_end)
-                task_end[a_index] = a_end
-                a_prev_end = a_end
-                if a_end > free[a_core]:
-                    free[a_core] = a_end
-
-            # ---- phase B: replicated parallel stage ----------------------------------
-            b_end = a_end
-            if b_task is not None:
-                b_index, cost, sources, sections = b_task
-                ready = free[b_core]
-                if a_task is not None and a_end + latency > ready:
-                    ready = a_end + latency
-                start = ready
-                for source in sources:
-                    if task_end[source] > start:
-                        start = task_end[source]
-                serialization_wait += start - ready
-                if a_task is not None:
-                    consumed = a_to_b_consumed[b_core]
-                    produced = a_to_b_produced[b_core]
-                    if len(consumed) >= len(produced):
-                        raise QueueEmptyError(
-                            f"queue A->B{b_core}: consume {len(consumed)} precedes "
-                            f"produce {len(consumed)} — deadlocked schedule"
-                        )
-                    if produced[len(consumed)] > start:
-                        start = produced[len(consumed)]
-                    consumed.append(start)
-                b_end = start + cost
-                if sections:
-                    # Commutative sections run under their group's lock,
-                    # acquired in group order.
-                    acquired = start
-                    for group, section in sections:
-                        held_until = lock_free.get(group, 0)
-                        if held_until > acquired:
-                            acquired = held_until
-                        lock_free[group] = acquired + section
-                    lock_wait += acquired - start
-                    b_end += acquired - start
-                busy[b_core] += cost
-                if c_task is not None:
-                    produced = b_to_c_produced[b_core]
-                    backlog = len(produced) - capacity
-                    if backlog >= 0:
-                        consumed = b_to_c_consumed[b_core]
-                        if backlog >= len(consumed):
-                            raise QueueFullError(
-                                f"queue B{b_core}->C: produce {len(produced)} needs "
-                                f"consume {backlog} which has not been recorded — "
-                                "deadlocked schedule"
-                            )
-                        if consumed[backlog] > b_end:
-                            queue_stall += consumed[backlog] - b_end
-                            b_end = consumed[backlog]
-                    produced.append(b_end)
-                free[b_core] = b_end
-                task_end[b_index] = b_end
-                task_start[b_index] = start
-                task_core[b_index] = b_core
-
-            # ---- phase C: serial chain on the C core -----------------------------------
-            if c_task is not None:
-                c_index, cost, sources, sections = c_task
-                ready = free[c_core]  # never earlier than the end of the C chain
-                if b_task is not None and b_end + latency > ready:
-                    ready = b_end + latency
-                start = ready
-                for source in sources:
-                    if task_end[source] > start:
-                        start = task_end[source]
-                serialization_wait += start - ready
-                if b_task is not None:
-                    consumed = b_to_c_consumed[b_core]
-                    produced = b_to_c_produced[b_core]
-                    if len(consumed) >= len(produced):
-                        raise QueueEmptyError(
-                            f"queue B{b_core}->C: consume {len(consumed)} precedes "
-                            f"produce {len(consumed)} — deadlocked schedule"
-                        )
-                    if produced[len(consumed)] > start:
-                        start = produced[len(consumed)]
-                    consumed.append(start)
-                c_end = start + cost
-                if sections:
-                    acquired = start
-                    for group, section in sections:
-                        held_until = lock_free.get(group, 0)
-                        if held_until > acquired:
-                            acquired = held_until
-                        lock_free[group] = acquired + section
-                    lock_wait += acquired - start
-                    c_end += acquired - start
-                busy[c_core] += cost
-                task_end[c_index] = c_end
-                task_start[c_index] = start
-                task_core[c_index] = c_core
-                if c_end > free[c_core]:
-                    free[c_core] = c_end
-
         return SimulationResult(
-            machine=self.machine,
+            machine=machine,
             plan=plan,
-            makespan=max(task_end) if task_end else 0,
+            makespan=max(run.ends) if run.ends else 0,
             sequential_time=graph.total_cost(),
-            task_end_times=task_end,
-            task_start_times=task_start,
-            task_cores=task_core,
-            queue_stall_time=queue_stall,
-            serialization_wait_time=serialization_wait,
-            lock_wait_time=lock_wait,
-            core_busy_time={core: busy[core] for core in cores_used},
+            task_end_times=run.ends,
+            task_start_times=run.starts,
+            task_cores=run.cores,
+            queue_stall_time=run.queue_stall,
+            serialization_wait_time=run.serialization_wait,
+            lock_wait_time=run.lock_wait,
+            core_busy_time={core: run.busy[core] for core in cores_used},
         )
+
+
+class Schedule(NamedTuple):
+    """What :func:`schedule` computed, per task index and per core id."""
+
+    starts: List[Time]
+    ends: List[Time]
+    cores: List[int]
+    #: Work (task cost, without lock or queue waits) done on each core id.
+    busy: List[Time]
+    queue_stall: Time
+    serialization_wait: Time
+    lock_wait: Time
+
+
+def schedule(
+    rows: Iterable[Sequence[Optional[CompiledTask]]],
+    stages: Sequence[Tuple[int, ...]],
+    capacities: Sequence[int],
+    latencies: Sequence[Time],
+    tasks: int,
+) -> Schedule:
+    """Schedule ``rows`` of per-stage tasks on a pipeline of ``stages``.
+
+    ``rows[i][s]`` is iteration ``i``'s task in stage ``s`` (``None`` when it
+    has none), a :data:`~repro.core.tasks.CompiledTask` whose index is below
+    ``tasks``.  ``stages[s]`` is the tuple of core ids stage ``s`` runs on;
+    hop ``h`` joins stage ``h`` to stage ``h + 1`` with ``capacities[h]``
+    slots and ``latencies[h]`` time units of transfer.  Times may be ints or
+    floats.  The rules, applied in one in-order pass:
+
+    - a task goes to the lowest-numbered core of its stage that is idle by
+      the moment the previous stage's task of its row finished computing
+      (the end of that stage's latest task, if the row has none), else to
+      the earliest-free core;
+    - each (producer core, consumer core) pair has one queue: produce *k*
+      completes no earlier than consume *k - capacity*, and the producer's
+      core is held until it does; a task consumes its row's token when it
+      starts, no earlier than ``latency`` after the produce;
+    - a task starts no earlier than the end of each serialization source;
+    - a task's Commutative sections run under their group's lock, acquired
+      in group order, and push its end back by the time spent waiting.
+    """
+    for hop, capacity in enumerate(capacities):
+        if capacity < 1:
+            raise QueueFullError(
+                f"hop {hop}: a queue of capacity {capacity} never takes a "
+                "token — deadlocked schedule"
+            )
+    slots = max(core for stage in stages for core in stage) + 1
+    free: List[Time] = [0] * slots
+    busy: List[Time] = [0] * slots
+    # consumed[producer * slots + consumer]: the indices of the tasks that
+    # took that queue's tokens, so consume k happened at starts[consumed[k]].
+    # Each token is produced and consumed within its row: the list's length
+    # is also the queue's produce count.
+    consumed: List[Optional[List[int]]] = [None] * (slots * slots)
+    for producers, consumers in zip(stages, stages[1:]):
+        for producer in producers:
+            for consumer in consumers:
+                consumed[producer * slots + consumer] = []
+    # Per stage: its first core, the others, and the hop feeding it.
+    layout = [
+        (stage[0] if stage else None, stage[1:],
+         capacities[s - 1] if s else 0, latencies[s - 1] if s else 0)
+        for s, stage in enumerate(stages)
+    ]
+    # latest[s]: end of the latest task of stage s - 1 (latest[0] stays 0).
+    latest: List[Time] = [0] * (len(stages) + 1)
+    starts: List[Time] = [0] * tasks
+    ends: List[Time] = [0] * tasks
+    cores: List[int] = [-1] * tasks
+    lock_free: Dict[str, Time] = {}
+    queue_stall = serialization_wait = lock_wait = 0
+
+    for row in rows:
+        # The previous stage's task of this row, held back until its
+        # consumer's core is known: its core (-1: none), index and end.  With
+        # no such task, held_end is the previous stage's latest end instead:
+        # either way, the moment the pick below is made at.
+        held = -1
+        held_index = held_end = 0
+        for s, task in enumerate(row):
+            if task is None:
+                if held >= 0:
+                    ends[held_index] = free[held] = latest[s] = held_end
+                    held = -1
+                held_end = latest[s + 1]
+                continue
+            index, cost, sources, sections = task
+            first, others, capacity, latency = layout[s]
+            core = first
+            least = free[core]
+            if least > held_end and others:
+                for candidate in others:
+                    if free[candidate] < least:
+                        core = candidate
+                        least = free[candidate]
+                        if least <= held_end:
+                            break
+            ready = least
+            if held >= 0:
+                queue = consumed[held * slots + core]
+                backlog = len(queue) - capacity
+                if backlog >= 0:
+                    freed = starts[queue[backlog]]
+                    if freed > held_end:
+                        queue_stall += freed - held_end
+                        held_end = freed
+                queue.append(index)
+                ends[held_index] = free[held] = latest[s] = held_end
+                if held_end + latency > ready:
+                    ready = held_end + latency
+            start = ready
+            if sources:
+                for source in sources:
+                    if ends[source] > start:
+                        start = ends[source]
+                serialization_wait += start - ready
+            end = start + cost
+            if sections:
+                acquired = start
+                for group, section in sections:
+                    held_until = lock_free.get(group, 0)
+                    if held_until > acquired:
+                        acquired = held_until
+                    lock_free[group] = acquired + section
+                lock_wait += acquired - start
+                end += acquired - start
+            busy[core] += cost
+            starts[index] = start
+            cores[index] = core
+            held, held_index, held_end = core, index, end
+        if held >= 0:
+            ends[held_index] = free[held] = latest[len(row)] = held_end
+
+    return Schedule(starts, ends, cores, busy, queue_stall, serialization_wait, lock_wait)

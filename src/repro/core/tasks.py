@@ -81,7 +81,7 @@ class SerializationEdge:
 
 #: One task as the pipeline recurrence reads it: ``(index, cost, indices of
 #: its serialization sources, its Commutative (group, section cost) pairs
-#: sorted by group)``.
+#: sorted by group — always empty for a phase A task)``.
 CompiledTask = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[str, int], ...]]
 #: One iteration's A, B and C task; ``None`` where the phase has no task.
 IterationRow = Tuple[Optional[CompiledTask], Optional[CompiledTask], Optional[CompiledTask]]
@@ -198,7 +198,11 @@ class TaskGraph:
                 task.index,
                 task.cost,
                 tuple(edge.source for edge in incoming.get(task.index, ())),
-                tuple(sorted(task.section_costs.items())),
+                # The serial producer takes no Commutative lock.  Its tasks
+                # never overlap each other; that one may overlap a B or C
+                # section of the same group is a known limitation
+                # (docs/performance_model.md).
+                () if task.phase is Phase.A else tuple(sorted(task.section_costs.items())),
             )
 
         invalid = out_of_order or duplicate

@@ -11,9 +11,9 @@ sequential stage.  This module generalizes both halves:
   order (every maximal doall run becomes its own parallel stage);
 - :class:`MultiStageSimulator` schedules any such chain: sequential stages
   get one dedicated core each, parallel stages share the remaining cores
-  (allocated proportionally to stage cost), bounded queues connect adjacent
-  stages, and serialization edges are honored exactly as in the 3-phase
-  simulator.
+  (allocated proportionally to stage cost), and the 3-phase simulator's own
+  recurrence, :func:`repro.core.simulator.schedule`, runs the chain with
+  its bounded core-to-core queues between adjacent stages.
 
 The ablation benchmark shows where this wins and verifies it reduces to the
 paper's model on 3-phase shapes.
@@ -22,11 +22,12 @@ paper's model on 3-phase shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence
 
+from repro.core.simulator import schedule
 from repro.dswp.partition import Partition, Stage, StageKind
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import TimedQueueModel
 from repro.ir.loops import Loop
 from repro.ir.program import Program
 from repro.pdg.scc import SCC, condense
@@ -138,50 +139,30 @@ class MultiStageSimulator:
 
     def simulate(self, partition: Partition, iterations: int) -> MultiStageResult:
         stages = partition.stages
+        sequential_time = sum(stage.cost for stage in stages) * iterations
         if self.machine.cores <= len(stages):
             # Not enough cores to pipeline: sequential baseline.
-            total = sum(stage.cost for stage in stages) * iterations
-            return MultiStageResult(self.machine, total, total, [1] * len(stages))
+            return MultiStageResult(
+                self.machine, sequential_time, sequential_time, [1] * len(stages)
+            )
 
         allocation = self.allocate_cores(stages)
-        capacity = self.machine.queue_capacity
-        latency = self.machine.communication_latency
-        costs = [stage.cost for stage in stages]
-
-        # free[s][core]: a sequential stage is a pool of one, so its chain
-        # and a parallel stage's cores are the same recurrence.
-        free: List[List[int]] = [[0] * cores for cores in allocation]
-        # queues[s][core] carries tokens from stage s-1 to that core of stage
-        # s; nothing feeds stage 0, so its queues stay empty.
-        queues: List[List[TimedQueueModel]] = [
-            [TimedQueueModel(capacity, name=f"q{index}.{core}") for core in range(cores)]
-            for index, cores in enumerate(allocation)
+        # Stage s runs on the next allocation[s] core ids, in stage order.
+        first_core = list(accumulate(allocation, initial=0))
+        cores = [tuple(range(lo, hi)) for lo, hi in zip(first_core, first_core[1:])]
+        width = len(stages)
+        rows = [
+            tuple((i * width + s, stage.cost, (), ()) for s, stage in enumerate(stages))
+            for i in range(iterations)
         ]
-
-        makespan = 0
-        for iteration in range(iterations):
-            previous_end = 0
-            for index, pool in enumerate(free):
-                arrival = previous_end + (latency if index else 0)
-                # Least-loaded core: every core idle by the token's arrival
-                # is as good as any other (arrivals at a stage never go back
-                # in time), so take the first idle one, else the earliest free.
-                core = 0
-                least = pool[0]
-                if least > arrival:
-                    for candidate in range(1, len(pool)):
-                        if pool[candidate] < least:
-                            core = candidate
-                            least = pool[candidate]
-                            if least <= arrival:
-                                break
-                ready = max(least, arrival)
-                if index > 0:
-                    queue = queues[index][core]
-                    queue.record_produce(previous_end)
-                    ready = max(ready, queue.record_consume(ready))
-                previous_end = pool[core] = ready + costs[index]
-            makespan = max(makespan, previous_end)
-
-        sequential_time = sum(stage.cost for stage in stages) * iterations
-        return MultiStageResult(self.machine, makespan, sequential_time, allocation)
+        hops = width - 1
+        run = schedule(
+            rows,
+            cores,
+            (self.machine.queue_capacity,) * hops,
+            (self.machine.communication_latency,) * hops,
+            width * iterations,
+        )
+        return MultiStageResult(
+            self.machine, max(run.ends, default=0), sequential_time, allocation
+        )

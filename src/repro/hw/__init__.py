@@ -8,8 +8,9 @@ subsystem, allowing for privatization of data and memory alias speculation.
 
 - :mod:`repro.hw.machine` — the machine description (cores, queues, latency);
 - :mod:`repro.hw.queues` — bounded core-to-core queues with full/empty
-  blocking semantics, in two forms: an executable queue for runtime tests
-  and a timestamped occupancy model for the performance simulator;
+  blocking semantics, executable for the runtimes and their tests (the
+  performance simulator applies the same rule to times, in
+  :func:`repro.core.simulator.schedule`);
 - :mod:`repro.hw.versioned_memory` — an executable versioned-memory model:
   per-epoch speculative versions, privatization, conflict detection, eager
   forwarding, silent-store suppression, in-order commit and rollback;
@@ -23,7 +24,6 @@ from repro.hw.queues import (
     BoundedQueue,
     QueueEmptyError,
     QueueFullError,
-    TimedQueueModel,
 )
 from repro.hw.versioned_memory import (
     ConflictError,
@@ -42,6 +42,5 @@ __all__ = [
     "MachineConfig",
     "QueueEmptyError",
     "QueueFullError",
-    "TimedQueueModel",
     "VersionedMemory",
 ]

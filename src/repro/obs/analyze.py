@@ -18,9 +18,11 @@ This module closes that gap:
   and frame cost), ``commit_lag`` (the in-order commit discipline), and
   ``misspeculation`` (re-execution, conflicts, throttle gates);
 - :func:`replay` projects *what-if virtual speedups* ("+1 B replica",
-  "batch N -> 2N", "pipe -> shm", "no misspeculation") by re-running the
-  measured per-item costs through a discrete-event model of the
-  producer/workers/in-order-committer pipeline with the edited parameter.
+  "batch N -> 2N", "pipe -> shm", "no misspeculation") by turning the
+  measured per-item costs, with the edited parameter, into rows for the
+  simulator's own pipeline recurrence
+  (:func:`repro.core.simulator.schedule`): a serial producer, replicated
+  workers, an in-order committer.
   Projections are replay-relative (edited replay vs baseline replay), so
   model bias cancels; every projection is cross-checked against the §3.1
   analytic bound ``max(A_total, B_total/W, C_total)`` — the same
@@ -46,6 +48,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.simulator import schedule
 from repro.obs.events import CHANNEL_IDS, EventKind, Instant, Span
 from repro.obs.merge import MergedTrace, _build_histograms
 
@@ -392,7 +395,7 @@ def compute_critical_path(
 @dataclass
 class ChainCosts:
     """Measured per-item costs (seconds), in committed order — the input
-    the discrete-event replay re-schedules under edited parameters."""
+    :func:`replay` re-schedules under edited parameters."""
 
     a: List[float]
     b: List[float]
@@ -466,38 +469,39 @@ def replay(
     capacity_scale: float = 1.0,
     drop_misspeculation: bool = False,
 ) -> float:
-    """Discrete-event replay of the measured costs through the pipeline
-    model: a serial producer, ``workers`` replicated B stages behind a
-    bounded work queue, and an in-order committer.  Returns the projected
-    wall clock in seconds."""
+    """The projected wall clock, in seconds, of the measured costs under one
+    edit, scheduled by the simulator's own recurrence
+    (:func:`repro.core.simulator.schedule`): a serial producer running
+    A + the work channel's serialization, ``workers`` replicated B stages
+    running gate + B behind a work channel of ``capacity`` slots per worker
+    (0: unbounded), and an in-order committer running C + re-execution.
+    The done channel's serialization is the B -> C hop latency: it is one
+    per-run constant (:func:`costs_from_chains` spreads the channel total
+    evenly), its mean when hand-built costs vary."""
     n = len(costs)
     if n == 0:
         return 0.0
     count = max(1, workers + extra_workers)
-    bound = max(1, int(round(capacity * capacity_scale))) if capacity else n + 1
-    worker_free = [0.0] * count
-    producer_t = 0.0
-    commit_free = 0.0
-    dequeue: List[float] = []
-    for i in range(n):
-        credit = dequeue[i - bound] if i >= bound else 0.0
-        produced = (
-            max(producer_t, credit)
-            + costs.a[i]
-            + costs.s_prod[i] * serialization_scale
+    gate = [0.0] * n if drop_misspeculation else costs.gate
+    reexec = [0.0] * n if drop_misspeculation else costs.reexec
+    rows = [
+        (
+            (3 * i, a + s_prod * serialization_scale, (), ()),
+            (3 * i + 1, g + b, (), ()),
+            (3 * i + 2, c + r, (), ()),
         )
-        producer_t = produced
-        slot = min(range(count), key=worker_free.__getitem__)
-        start_b = max(worker_free[slot], produced)
-        dequeue.append(start_b)
-        gate = 0.0 if drop_misspeculation else costs.gate[i]
-        end_b = start_b + gate + costs.b[i]
-        worker_free[slot] = end_b
-        arrival = end_b + costs.s_done[i] * serialization_scale
-        start_c = max(commit_free, arrival)
-        reexec = 0.0 if drop_misspeculation else costs.reexec[i]
-        commit_free = start_c + costs.c[i] + reexec
-    return commit_free
+        for i, (a, s_prod, g, b, c, r) in enumerate(
+            zip(costs.a, costs.s_prod, gate, costs.b, costs.c, reexec)
+        )
+    ]
+    run = schedule(
+        rows,
+        ((0,), tuple(range(1, count + 1)), (count + 1,)),
+        (max(1, round(capacity * capacity_scale)) if capacity else n, n),
+        (0.0, sum(costs.s_done) / n * serialization_scale),
+        3 * n,
+    )
+    return max(run.ends)
 
 
 def analytic_wall(
@@ -506,12 +510,14 @@ def analytic_wall(
     *,
     extra_workers: int = 0,
     serialization_scale: float = 1.0,
+    capacity_scale: float = 1.0,
     drop_misspeculation: bool = False,
-    **_ignored,
 ) -> float:
     """The §3.1 slowest-stage bound for the same edit: the pipeline can go
     no faster than its busiest stage, ``max(A, B/W, C)`` with each stage's
-    serialization and misspeculation overhead folded in."""
+    serialization and misspeculation overhead folded in.  It takes every
+    edit :func:`replay` takes; the bound has no queue, so ``capacity_scale``
+    leaves it where it is."""
     count = max(1, workers + extra_workers)
     gate = 0.0 if drop_misspeculation else sum(costs.gate)
     reexec = 0.0 if drop_misspeculation else sum(costs.reexec)

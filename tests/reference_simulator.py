@@ -1,13 +1,21 @@
-"""Frozen reference implementations the optimised simulators are diffed against.
+"""Frozen reference implementations the shipped simulators are diffed against.
 
-Test-only: nothing in ``src/`` imports this module.  It holds the pipeline
-recurrence exactly as ``repro.core.simulator`` computed it before the task
-graph was compiled once per graph (ISSUE 20) — dict-keyed core state,
-``min(..., key=...)`` least-loaded pick, one :class:`TimedQueueModel` per
-queue, per-run ``_index_by_iteration`` — and the multi-stage loop as
-``repro.dswp.multistage`` had it.  Both are slow and obviously the paper's
-rules; ``tests/test_simulator_differential.py`` asserts the shipped
-simulators produce the same result, field for field.
+Test-only: nothing in ``src/`` imports this module, and it imports nothing
+``src/`` has deleted.  It holds
+
+- the pipeline recurrence exactly as ``repro.core.simulator`` computed it
+  before the task graph was compiled once per graph (ISSUE 20) — dict-keyed
+  core state, ``min(..., key=...)`` least-loaded pick, one
+  :class:`TimedQueueModel` per queue, per-run ``_index_by_iteration``;
+- the multi-stage loop as ``repro.dswp.multistage`` had it;
+- :class:`TimedQueueModel`, the queue model both of them stand on;
+- :func:`reference_replay`, the analyzer's discrete-event what-if replay as
+  ``repro.obs.analyze`` had it before it became a plan over
+  ``repro.core.simulator.schedule``.
+
+All are slow and obviously their own rules;
+``tests/test_simulator_differential.py`` asserts the shipped code produces
+the same result, field for field, or lists where and why it does not.
 
 Do not "improve" this file: its value is that it does not change.
 """
@@ -21,7 +29,82 @@ from repro.core.simulator import SimulationResult
 from repro.core.tasks import Phase, Task, TaskGraph
 from repro.dswp.partition import Stage, StageKind
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import TimedQueueModel
+from repro.hw.queues import QueueEmptyError, QueueFullError
+
+
+class TimedQueueModel:
+    """Occupancy-over-time model of one bounded queue.
+
+    The performance simulator records the time of each produce and each
+    consume.  The capacity bound means produce *k* (0-based) may not complete
+    before consume *k - capacity* has happened: the producer stalls on a full
+    queue.  Symmetrically consume *k* may not happen before produce *k*.
+
+    The model is intentionally order-strict (FIFO tokens); the DSWP execution
+    plans produce and consume iteration tokens in order per queue.
+    """
+
+    def __init__(self, capacity: int = 32, name: str = "") -> None:
+        if capacity < 1:
+            raise ValueError("queue capacity must be positive")
+        self.capacity = capacity
+        self.name = name
+        self._produce_times: List[int] = []
+        self._consume_times: List[int] = []
+        self.stall_time = 0
+
+    def earliest_produce_completion(self, ready_time: int) -> int:
+        """When the next produce may complete, given it is ready at ``ready_time``."""
+        k = len(self._produce_times)
+        blocked_until = ready_time
+        backlog_index = k - self.capacity
+        if backlog_index >= 0:
+            if backlog_index >= len(self._consume_times):
+                raise QueueFullError(
+                    f"queue {self.name}: produce {k} needs consume {backlog_index} "
+                    "which has not been recorded — deadlocked schedule"
+                )
+            blocked_until = max(blocked_until, self._consume_times[backlog_index])
+        return blocked_until
+
+    def record_produce(self, ready_time: int) -> int:
+        """Record a produce that became ready at ``ready_time``; return its completion time."""
+        completion = self.earliest_produce_completion(ready_time)
+        self.stall_time += completion - ready_time
+        self._produce_times.append(completion)
+        return completion
+
+    def earliest_consume(self, ready_time: int) -> int:
+        """When the next consume may happen, given the consumer is ready then."""
+        k = len(self._consume_times)
+        if k >= len(self._produce_times):
+            raise QueueEmptyError(
+                f"queue {self.name}: consume {k} precedes produce {k} — "
+                "deadlocked schedule"
+            )
+        return max(ready_time, self._produce_times[k])
+
+    def record_consume(self, ready_time: int) -> int:
+        moment = self.earliest_consume(ready_time)
+        self._consume_times.append(moment)
+        return moment
+
+    @property
+    def produced(self) -> int:
+        return len(self._produce_times)
+
+    @property
+    def consumed(self) -> int:
+        return len(self._consume_times)
+
+    def occupancy_at_end(self) -> int:
+        return self.produced - self.consumed
+
+    def __repr__(self) -> str:
+        return (
+            f"TimedQueueModel({self.name!r}, produced={self.produced}, "
+            f"consumed={self.consumed}, capacity={self.capacity})"
+        )
 
 
 def reference_simulate(
@@ -292,3 +375,47 @@ def reference_multistage_makespan(
             previous_end = end
         makespan = max(makespan, previous_end)
     return makespan
+
+
+def reference_replay(
+    costs,
+    workers: int,
+    capacity: int = 0,
+    *,
+    extra_workers: int = 0,
+    serialization_scale: float = 1.0,
+    capacity_scale: float = 1.0,
+    drop_misspeculation: bool = False,
+) -> float:
+    """Discrete-event replay of the measured costs through the pipeline
+    model: a serial producer, ``workers`` replicated B stages behind a
+    bounded work queue, and an in-order committer.  Returns the projected
+    wall clock in seconds."""
+    n = len(costs)
+    if n == 0:
+        return 0.0
+    count = max(1, workers + extra_workers)
+    bound = max(1, int(round(capacity * capacity_scale))) if capacity else n + 1
+    worker_free = [0.0] * count
+    producer_t = 0.0
+    commit_free = 0.0
+    dequeue: List[float] = []
+    for i in range(n):
+        credit = dequeue[i - bound] if i >= bound else 0.0
+        produced = (
+            max(producer_t, credit)
+            + costs.a[i]
+            + costs.s_prod[i] * serialization_scale
+        )
+        producer_t = produced
+        slot = min(range(count), key=worker_free.__getitem__)
+        start_b = max(worker_free[slot], produced)
+        dequeue.append(start_b)
+        gate = 0.0 if drop_misspeculation else costs.gate[i]
+        end_b = start_b + gate + costs.b[i]
+        worker_free[slot] = end_b
+        arrival = end_b + costs.s_done[i] * serialization_scale
+        start_c = max(commit_free, arrival)
+        reexec = 0.0 if drop_misspeculation else costs.reexec[i]
+        commit_free = start_c + costs.c[i] + reexec
+    return commit_free

@@ -39,7 +39,7 @@ from repro.obs import (
     to_chrome_trace,
     validate_bottleneck,
 )
-from repro.obs.analyze import ChainCosts, analytic_wall, replay
+from repro.obs.analyze import ChainCosts, analytic_wall, default_what_ifs, replay
 from repro.obs.compare import PhaseComparison
 from repro.obs.events import Instant, Span
 from repro.obs.merge import MergedTrace
@@ -263,6 +263,14 @@ class TestReplay:
         base = replay(costs, workers=2)
         clean = replay(costs, workers=2, drop_misspeculation=True)
         assert clean < base
+
+    def test_analytic_bound_rejects_a_misspelt_edit(self):
+        costs = _uniform_costs(n=8)
+        with pytest.raises(TypeError):
+            analytic_wall(costs, 2, extra_worker=1)
+        # Every standard edit is one the bound takes.
+        for _, _, edits in default_what_ifs(2, capacity=8):
+            analytic_wall(costs, 2, **edits)
 
     def test_analytic_bound_never_exceeds_replay(self):
         """The §3.1 slowest-stage bound is a lower bound on the replayed

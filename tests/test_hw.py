@@ -2,14 +2,10 @@
 
 import pytest
 
+from repro.core.simulator import schedule
 from repro.hw.events import EventKernel
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import (
-    BoundedQueue,
-    QueueEmptyError,
-    QueueFullError,
-    TimedQueueModel,
-)
+from repro.hw.queues import BoundedQueue, QueueEmptyError, QueueFullError
 from repro.hw.versioned_memory import ConflictError, EpochState, VersionedMemory
 
 
@@ -67,35 +63,54 @@ class TestBoundedQueue:
         assert queue.max_occupancy == 5
 
 
+def _two_stage(producer_costs, consumer_costs, capacity, latency=0, consumers=1):
+    """One producer core, ``consumers`` consumer cores, one token per row."""
+    rows = [
+        ((2 * i, a, (), ()), (2 * i + 1, b, (), ()))
+        for i, (a, b) in enumerate(zip(producer_costs, consumer_costs))
+    ]
+    stages = ((0,), tuple(range(1, consumers + 1)))
+    return schedule(rows, stages, (capacity,), (latency,), 2 * len(rows))
+
+
 class TestTimedQueueModel:
+    """The timed queue rule as :func:`repro.core.simulator.schedule`
+    applies it between two stages: produce k completes no earlier than
+    consume k - capacity, consume k no earlier than produce k."""
+
     def test_produce_unblocked_when_space(self):
-        queue = TimedQueueModel(capacity=2)
-        assert queue.record_produce(10) == 10
+        run = _two_stage([10], [1], capacity=2)
+        assert run.ends[0] == 10
+        assert run.queue_stall == 0
 
     def test_produce_blocked_by_full_queue(self):
-        queue = TimedQueueModel(capacity=2)
-        queue.record_produce(0)
-        queue.record_produce(1)
-        queue.record_consume(5)  # first token consumed at t=5
-        # Third produce must wait for the first consume.
-        assert queue.record_produce(2) == 5
-        assert queue.stall_time == 3
+        # Token 0 is consumed at 1 and token 1 at 6, when the slow consumer
+        # frees up; with one slot, produce 2 (ready at 3) must wait for it.
+        run = _two_stage([1, 1, 1, 1], [5, 5, 5, 5], capacity=1)
+        assert [run.starts[1], run.starts[3]] == [1, 6]
+        assert run.ends[4] == 6
+        assert run.queue_stall == 3 + 4  # produce 3 is ready at 7, waits to 11
+        # ... and the producer's core is held until the produce completes.
+        assert run.starts[6] == 6
 
     def test_consume_waits_for_produce(self):
-        queue = TimedQueueModel(capacity=2)
-        queue.record_produce(10)
-        assert queue.record_consume(3) == 10
+        assert _two_stage([10], [1], capacity=2).starts[1] == 10
+        assert _two_stage([10], [1], capacity=2, latency=3).starts[1] == 13
 
     def test_deadlock_detection_on_overfull(self):
-        queue = TimedQueueModel(capacity=1)
-        queue.record_produce(0)
+        # A queue with no slot can never complete a produce.
         with pytest.raises(QueueFullError):
-            queue.record_produce(1)
+            _two_stage([1], [1], capacity=0)
 
-    def test_consume_before_produce_rejected(self):
-        queue = TimedQueueModel(capacity=1)
-        with pytest.raises(QueueEmptyError):
-            queue.record_consume(0)
+    def test_each_core_pair_has_its_own_queue(self):
+        run = _two_stage([1] * 5, [5] * 5, capacity=1, consumers=2)
+        assert run.cores[1::2] == [1, 2, 1, 2, 1]
+        # Row 3's token goes to core 2, whose one slot holds row 1's token,
+        # taken at 2: no stall.  A slot shared by both cores would still
+        # hold row 2's, taken at 6.
+        assert run.ends[6] == 4
+        # Row 4's goes to core 1, whose slot holds row 2's until 6.
+        assert run.ends[8] == 6
 
 
 class TestVersionedMemory:

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 - bounded queues behave exactly like a capacity-checked deque;
-- the timed queue model never violates capacity or FIFO timing;
+- the pipeline recurrence's queues never exceed capacity or break FIFO timing;
 - versioned-memory TLS execution always equals sequential execution;
 - the pipeline simulator obeys conservation laws on random task graphs;
 - SCC condensation partitions the PDG and stays acyclic.
@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan
-from repro.core.simulator import PipelineSimulator
+from repro.core.simulator import PipelineSimulator, schedule
 from repro.core.tasks import Phase, SerializationEdge, Task, TaskGraph
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import BoundedQueue, TimedQueueModel
+from repro.hw.queues import BoundedQueue
 from repro.hw.versioned_memory import VersionedMemory
 from repro.tls.epochs import TLSExecution
 
@@ -49,38 +49,40 @@ def test_bounded_queue_matches_reference(operations, capacity):
 
 
 # ---------------------------------------------------------------------------------
-# TimedQueueModel invariants
+# Queue invariants of the pipeline recurrence
 # ---------------------------------------------------------------------------------
 
 @given(
-    produce_gaps=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
-    consume_gaps=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
+    costs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=9)),
+        min_size=1,
+        max_size=60,
+    ),
+    consumers=st.integers(min_value=1, max_value=3),
     capacity=st.integers(min_value=1, max_value=4),
+    latency=st.integers(min_value=0, max_value=3),
 )
-def test_timed_queue_capacity_never_exceeded(produce_gaps, consume_gaps, capacity):
-    """Interleave produces and consumes; occupancy at any produce time must
-    respect the capacity bound and consumes must follow their produce."""
-    queue = TimedQueueModel(capacity=capacity)
-    produce_times = []
-    consume_times = []
-    time = 0
-    for gap in produce_gaps:
-        time += gap
-        # Keep the schedule feasible: consume when the queue would overflow.
-        if queue.produced - queue.consumed >= capacity:
-            consume_ready = consume_times[-1] if consume_times else 0
-            consume_times.append(queue.record_consume(consume_ready))
-        produce_times.append(queue.record_produce(time))
-    while queue.consumed < queue.produced:
-        ready = consume_times[-1] if consume_times else 0
-        consume_times.append(queue.record_consume(ready))
-
-    # FIFO timing: consume k happens at/after produce k.
-    for k, consume_time in enumerate(consume_times):
-        assert consume_time >= produce_times[k]
-    # Monotone sequences.
-    assert produce_times == sorted(produce_times)
-    assert consume_times == sorted(consume_times)
+def test_timed_queue_capacity_never_exceeded(costs, consumers, capacity, latency):
+    """A producer core feeding ``consumers`` cores, one queue per pair: a
+    produce completes only once its queue, the new token included, holds at
+    most ``capacity``; consumes follow their produce by the latency; both
+    are in order."""
+    rows = [
+        ((2 * i, a, (), ()), (2 * i + 1, b, (), ()))
+        for i, (a, b) in enumerate(costs)
+    ]
+    stages = ((0,), tuple(range(1, consumers + 1)))
+    run = schedule(rows, stages, (capacity,), (latency,), 2 * len(rows))
+    for consumer in stages[1]:
+        taken = [i for i in range(len(rows)) if run.cores[2 * i + 1] == consumer]
+        produce_times = [run.ends[2 * i] for i in taken]
+        consume_times = [run.starts[2 * i + 1] for i in taken]
+        for k, produced in enumerate(produce_times):
+            assert consume_times[k] >= produced + latency
+            if k >= capacity:
+                assert produced >= consume_times[k - capacity]
+        assert produce_times == sorted(produce_times)
+        assert consume_times == sorted(consume_times)
 
 
 # ---------------------------------------------------------------------------------
