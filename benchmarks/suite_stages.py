@@ -7,8 +7,12 @@ best of ``--repeat`` readings per analog and prints the per-pass sum::
     PYTHONPATH=src python benchmarks/suite_stages.py [--repeat 5]
 
 "tracer hooks" is the traced run minus the untraced one (the same run under
-a tracer whose hooks do nothing); "mem2reg" is the time 176.gcc's traced run
-spends in ``promote_memory_to_registers``.
+a tracer whose hooks do nothing).  Four rows are the analogs' own kernels,
+each the time spent inside it: "text generation" is ``generate_text``
+inside the construction of 164.gzip and 256.bzip2; "mem2reg" is
+``promote_memory_to_registers`` inside 176.gcc's traced run; "bzip2
+compress_block" is the traced run's block compressions; "gzip deflate" is
+``GzipWorkload._deflate_block`` inside both of 164.gzip's traced runs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import inputs  # noqa: E402
 
 import repro.ir.ssa as ssa  # noqa: E402
+import repro.workloads.bzip2_w as bzip2_w  # noqa: E402
+import repro.workloads.gzip_w as gzip_w  # noqa: E402
 from repro.annotations.registry import global_registry  # noqa: E402
 from repro.core.framework import ParallelizationFramework  # noqa: E402
 from repro.core.tasks import TaskGraph  # noqa: E402
@@ -77,34 +83,67 @@ def plan_and_misspeculation(framework, workload, profile):
     return plan
 
 
-class Mem2regClock:
-    """Accumulates the time spent in ``promote_memory_to_registers``."""
+class Clock:
+    """Accumulates the time spent in the functions it is installed on."""
 
-    def __init__(self):
+    def __init__(self, *targets):
         self.seconds = 0.0
-        self._inner = ssa.promote_memory_to_registers
+        for owner, attribute in targets:
+            self._install(owner, attribute)
 
-    def __call__(self, function):
-        elapsed, promoted = timed(lambda: self._inner(function))
-        self.seconds += elapsed
-        return promoted
+    def _install(self, owner, attribute):
+        inner = getattr(owner, attribute)
+
+        def clocked(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - started
+
+        setattr(owner, attribute, clocked)
 
 
-def stage_times(framework, name, clock):
+def install_clocks():
+    """Kernel clocks, each named by the stage row it prints as."""
+    return {
+        "text generation": Clock(
+            (gzip_w, "generate_text"), (bzip2_w, "generate_text")
+        ),
+        "mem2reg (176.gcc)": Clock((ssa, "promote_memory_to_registers")),
+        "bzip2 compress_block": Clock((bzip2_w, "compress_block")),
+        "gzip deflate (both traces)": Clock((gzip_w.GzipWorkload, "_deflate_block")),
+    }
+
+
+def clocked_stage(clocks, function):
+    """(seconds, result, {clock name: seconds inside it}) of one stage."""
+    for clock in clocks.values():
+        clock.seconds = 0.0
+    seconds, result = timed(function)
+    return seconds, result, {name: clock.seconds for name, clock in clocks.items()}
+
+
+def stage_times(framework, name, clocks):
     """One reading of every stage for analog ``name``, in seconds."""
     times = {}
-    times["analog construction"], workload = timed(lambda: inputs.analog(name))
-    clock.seconds = 0.0
-    times["traced run (= ref_wall_s)"], (trace, _) = timed(
-        lambda: framework.profile_workload(workload, parallel_policy=False)
+    times["analog construction"], workload, inside = clocked_stage(
+        clocks, lambda: inputs.analog(name)
     )
-    times["mem2reg (176.gcc)"] = clock.seconds
+    times["text generation"] = inside["text generation"]
+    times["traced run (= ref_wall_s)"], (trace, _), inside = clocked_stage(
+        clocks, lambda: framework.profile_workload(workload, parallel_policy=False)
+    )
+    for kernel in ("mem2reg (176.gcc)", "bzip2 compress_block",
+                   "gzip deflate (both traces)"):
+        times[kernel] = inside[kernel]
     times["untraced run"], _ = timed(lambda: untraced_run(workload))
     times["Y-branch second trace"] = 0.0
     if workload.uses_ybranch:
-        times["Y-branch second trace"], (trace, _) = timed(
-            lambda: framework.profile_workload(workload, parallel_policy=True)
+        times["Y-branch second trace"], (trace, _), inside = clocked_stage(
+            clocks, lambda: framework.profile_workload(workload, parallel_policy=True)
         )
+        times["gzip deflate (both traces)"] += inside["gzip deflate (both traces)"]
     times["MemoryProfile"], profile = timed(lambda: MemoryProfile(trace))
     times["plan + misspeculation"], plan = timed(
         lambda: plan_and_misspeculation(framework, workload, profile)
@@ -125,12 +164,11 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     framework = ParallelizationFramework()
-    clock = Mem2regClock()
-    ssa.promote_memory_to_registers = clock
+    clocks = install_clocks()
     best = {}
     for name in inputs.ANALOG_SIZES:
         for _ in range(args.repeat):
-            for stage, seconds in stage_times(framework, name, clock).items():
+            for stage, seconds in stage_times(framework, name, clocks).items():
                 key = (stage, name)
                 best[key] = min(best.get(key, seconds), seconds)
     totals = {}

@@ -3,9 +3,10 @@
 Unlike the figure/table benches (which run once and assert shapes), these
 use pytest-benchmark's real repeated timing: they track the throughput of
 the components a user pays for — the pipeline simulator, the tracer, the
-memory profiler, the task-graph build, mem2reg, PDG condensation, and the
-whole-program alias analysis — so regressions in the infrastructure itself
-are visible.
+memory profiler, the task-graph build, mem2reg, PDG condensation, the
+whole-program alias analysis, and the analogs' hottest kernels (bzip2's BWT
+and the text generator) — so regressions in the infrastructure itself are
+visible.
 """
 
 import pytest
@@ -126,6 +127,25 @@ def test_perf_mem2reg_gcc_functions(benchmark):
 
     promoted = benchmark.pedantic(promote, setup=setup, rounds=10)
     assert promoted > 0
+
+
+def test_perf_bwt_4k_block(benchmark):
+    """256.bzip2's suffix sort on one block at the benchmark's block size."""
+    from repro.workloads.bzip2_w import burrows_wheeler_transform
+    from repro.workloads.generators import generate_text
+
+    block = generate_text(256, 4096)
+    last_column, work = benchmark(lambda: burrows_wheeler_transform(block))
+    assert len(last_column) == 4097 and work > 4097
+
+
+def test_perf_generate_text_96k(benchmark):
+    """164.gzip's input at the benchmark's size, built on every round as
+    the benchmark builds it inside each timed evaluation."""
+    from repro.workloads.generators import generate_text
+
+    text = benchmark(lambda: generate_text(164, 96 * 1024))
+    assert len(text) == 96 * 1024
 
 
 def test_perf_scc_condensation(benchmark, pipeline_program_and_loop):

@@ -44,6 +44,10 @@ class Bzip2Workload(Workload):
 
     def __init__(self, seed: int = 256, block_size: int = 24 * 1024,
                  blocks: int = 7) -> None:
+        if block_size <= 0 or blocks <= 0:
+            raise ValueError(
+                f"block_size and blocks must be positive, got {block_size} and {blocks}"
+            )
         self.block_size = block_size
         self.text = generate_text(seed, block_size * blocks)
 
@@ -155,35 +159,39 @@ def burrows_wheeler_transform(block: bytes) -> Tuple[List[int], int]:
     units ∝ n log n, the real asymptotic cost of the transform).
     """
     n = len(block) + 1  # sentinel at the end, smaller than every byte
-    rank = [block[i] + 1 for i in range(len(block))] + [0]
+    rank = [byte + 1 for byte in block]
+    rank.append(0)
     temp = [0] * n
     order = sorted(range(n), key=rank.__getitem__)
     work = n
+    # Each round sorts suffixes by the pair (rank[i], rank[i + k]), with -1
+    # past the end, packed into one integer.  Ranks stay below
+    # max(n, 257): byte ranks reach 256 before the first re-rank.
+    width = max(n, 257) + 1
     k = 1
     while k < n:
-        def sort_key(i: int) -> Tuple[int, int]:
-            second = rank[i + k] if i + k < n else -1
-            return (rank[i], second)
-
-        order.sort(key=sort_key)
+        keys = [first * width + second + 1
+                for first, second in zip(rank, rank[k:])]
+        keys += [first * width for first in rank[n - k:]]
+        order.sort(key=keys.__getitem__)
         work += n
-        temp[order[0]] = 0
-        for j in range(1, n):
-            temp[order[j]] = temp[order[j - 1]]
-            if sort_key(order[j]) != sort_key(order[j - 1]):
-                temp[order[j]] += 1
+        current = 0
+        previous = keys[order[0]]
+        for suffix in order:
+            key = keys[suffix]
+            if key != previous:
+                current += 1
+                previous = key
+            temp[suffix] = current
         rank, temp = temp, rank
-        if rank[order[-1]] == n - 1:
+        if current == n - 1:
             break
         k *= 2
 
-    last_column: List[int] = []
-    for suffix in order:
-        if suffix == 0:
-            last_column.append(-1)  # the sentinel
-        else:
-            last_column.append(block[suffix - 1])
-    return last_column, work
+    # before[suffix] is the symbol preceding the suffix: -1 (the sentinel)
+    # for the whole block.
+    before = [-1, *block]
+    return [before[suffix] for suffix in order], work
 
 
 def move_to_front(symbols: List[int]) -> List[int]:

@@ -10,20 +10,24 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MULTIPLIER = 0x2545F4914F6CDD1D
+
 
 class Xorshift:
     """A tiny, portable PRNG (xorshift64*), independent of ``random``."""
 
     def __init__(self, seed: int) -> None:
-        self.state = (seed or 0x9E3779B9) & 0xFFFFFFFFFFFFFFFF
+        self.state = (seed or 0x9E3779B9) & _MASK64
 
     def next(self) -> int:
+        # The state is below 2**64, so only the left shift needs a mask.
         x = self.state
-        x ^= (x >> 12) & 0xFFFFFFFFFFFFFFFF
-        x ^= (x << 25) & 0xFFFFFFFFFFFFFFFF
-        x ^= (x >> 27) & 0xFFFFFFFFFFFFFFFF
-        self.state = x & 0xFFFFFFFFFFFFFFFF
-        return (x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * _MULTIPLIER) & _MASK64
 
     def below(self, bound: int) -> int:
         if bound <= 0:
@@ -54,27 +58,68 @@ _WORD_STEMS = [
 ]
 
 
+_WORDS = tuple(stem.encode() for stem in _WORD_STEMS)
+_CAPITALISED = tuple(word.capitalize() for word in _WORDS)
+#: ``Xorshift.chance(p)`` thresholds, the same floats ``p * 1_000_000``.
+_CAPITAL_BELOW = 0.08 * 1_000_000
+_PUNCTUATE_BELOW = 0.12 * 1_000_000
+_FULL_STOP_BELOW = 0.3 * 1_000_000
+
+
 def generate_text(seed: int, size: int) -> bytes:
-    """English-like byte text of exactly ``size`` bytes (Zipf-ish words)."""
-    rng = Xorshift(seed)
+    """English-like byte text of exactly ``size`` bytes (Zipf-ish words).
+
+    The draws are ``Xorshift(seed)``'s: ``below(vocabulary ** 2)`` for the
+    word, then ``chance(0.08)`` to capitalise it, ``chance(0.12)`` for
+    punctuation and ``chance(0.3)`` for a full stop, with the xorshift64*
+    step written out in the loop.
+    """
+    mask = _MASK64
+    multiplier = _MULTIPLIER
+    words = _WORDS
+    capitalised = _CAPITALISED
+    capital_below = _CAPITAL_BELOW
+    punctuate_below = _PUNCTUATE_BELOW
+    full_stop_below = _FULL_STOP_BELOW
+    vocabulary = len(words)
+    square = vocabulary * vocabulary
+    cube = vocabulary ** 3
+    x = Xorshift(seed).state
     pieces: List[bytes] = []
+    append = pieces.append
     produced = 0
-    vocabulary = len(_WORD_STEMS)
     while produced < size:
         # Zipf-like: squaring a uniform fraction concentrates mass on the
         # low indices (P(index <= k) = sqrt(k/n)), so common words dominate.
-        draw = rng.below(vocabulary * vocabulary)
-        index = (draw * draw) // (vocabulary ** 3)
-        word = _WORD_STEMS[min(index, vocabulary - 1)].encode()
-        if rng.chance(0.08):
-            word = word.capitalize()
-        pieces.append(word)
+        # draw < square, so the index is below the vocabulary size.
+        x ^= x >> 12
+        x ^= (x << 25) & mask
+        x ^= x >> 27
+        draw = ((x * multiplier) & mask) % square
+        x ^= x >> 12
+        x ^= (x << 25) & mask
+        x ^= x >> 27
+        index = (draw * draw) // cube
+        if ((x * multiplier) & mask) % 1_000_000 < capital_below:
+            word = capitalised[index]
+        else:
+            word = words[index]
+        append(word)
         produced += len(word)
-        if rng.chance(0.12):
-            pieces.append(b".\n" if rng.chance(0.3) else b", ")
+        x ^= x >> 12
+        x ^= (x << 25) & mask
+        x ^= x >> 27
+        if ((x * multiplier) & mask) % 1_000_000 < punctuate_below:
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            if ((x * multiplier) & mask) % 1_000_000 < full_stop_below:
+                append(b".\n")
+            else:
+                append(b", ")
             produced += 2
         else:
-            pieces.append(b" ")
+            append(b" ")
             produced += 1
     return b"".join(pieces)[:size]
 

@@ -65,10 +65,13 @@ class GzipWorkload(Workload):
 
     def __init__(self, seed: int = 164, size: int = 960 * 1024,
                  block_interval: int = 16384) -> None:
-        if block_interval % _DECIDE_GRANULARITY != 0:
+        if block_interval <= 0 or block_interval % _DECIDE_GRANULARITY != 0:
             raise ValueError(
-                f"block_interval must be a multiple of {_DECIDE_GRANULARITY}"
+                f"block_interval must be a positive multiple of "
+                f"{_DECIDE_GRANULARITY}, got {block_interval}"
             )
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
         self.text = generate_text(seed, size)
         self.block_interval = block_interval
         # The site's probability is per *decision instance*; decisions happen
@@ -169,6 +172,10 @@ class GzipWorkload(Workload):
         so tests can decode and verify losslessness.
         """
         heads: Dict[bytes, int] = {}
+        lookup = heads.get
+        decide = self.ybranch.decide
+        end = len(data)
+        last_key = end - _MIN_MATCH  # the last position with a whole key
         position = start
         bits = 0
         checksum = 0
@@ -176,18 +183,21 @@ class GzipWorkload(Workload):
         matched_since_decision = 0
         next_decision = _DECIDE_GRANULARITY
 
-        while position < len(data):
+        while position < end:
             work += 1
-            if position + _MIN_MATCH <= len(data):
+            if position <= last_key:
                 key = data[position:position + _MIN_MATCH]
-                candidate = heads.get(key, -1)
+                candidate = lookup(key, -1)
                 heads[key] = position
             else:
                 candidate = -1
 
             length = 0
             if candidate >= start and position - candidate <= _WINDOW:
-                limit = min(_MAX_MATCH, len(data) - position)
+                limit = end - position
+                if limit > _MAX_MATCH:
+                    limit = _MAX_MATCH
+                length = _MIN_MATCH  # the candidate shares this position's key
                 while (
                     length < limit
                     and data[candidate + length] == data[position + length]
@@ -197,14 +207,14 @@ class GzipWorkload(Workload):
 
             if length >= _MIN_MATCH:
                 bits += _MATCH_BITS
-                checksum = (checksum * 131 + length) % (1 << 32)
+                checksum = (checksum * 131 + length) & 0xFFFFFFFF
                 if tokens is not None:
                     tokens.append((position - candidate, length))
                 position += length
                 matched_since_decision += 1
             else:
                 bits += _LITERAL_BITS
-                checksum = (checksum * 131 + data[position]) % (1 << 32)
+                checksum = (checksum * 131 + data[position]) & 0xFFFFFFFF
                 if tokens is not None:
                     tokens.append(data[position])
                 position += 1
@@ -217,10 +227,10 @@ class GzipWorkload(Workload):
                 )
                 matched_since_decision = 0
                 next_decision += _DECIDE_GRANULARITY
-                if self.ybranch.decide(stale):
+                if decide(stale):
                     return position, bits, checksum, work, stale
 
-        return len(data), bits, checksum, work, False
+        return end, bits, checksum, work, False
 
     def compare_outputs(self, sequential, parallel) -> OutputComparison:
         return compare_gzip_outputs(sequential, parallel)
@@ -238,20 +248,26 @@ def deflate_fixed_block(block: bytes) -> Tuple[int, int]:
     the boundary, so phase B is a pure function of its slice.
     """
     heads: Dict[bytes, int] = {}
+    lookup = heads.get
+    end = len(block)
+    last_key = end - _MIN_MATCH  # the last position with a whole key
     position = 0
     bits = 0
     checksum = 0
-    while position < len(block):
-        if position + _MIN_MATCH <= len(block):
+    while position < end:
+        if position <= last_key:
             key = block[position:position + _MIN_MATCH]
-            candidate = heads.get(key, -1)
+            candidate = lookup(key, -1)
             heads[key] = position
         else:
             candidate = -1
 
         length = 0
         if candidate >= 0 and position - candidate <= _WINDOW:
-            limit = min(_MAX_MATCH, len(block) - position)
+            limit = end - position
+            if limit > _MAX_MATCH:
+                limit = _MAX_MATCH
+            length = _MIN_MATCH  # the candidate shares this position's key
             while (
                 length < limit
                 and block[candidate + length] == block[position + length]
@@ -260,11 +276,11 @@ def deflate_fixed_block(block: bytes) -> Tuple[int, int]:
 
         if length >= _MIN_MATCH:
             bits += _MATCH_BITS
-            checksum = (checksum * 131 + length) % (1 << 32)
+            checksum = (checksum * 131 + length) & 0xFFFFFFFF
             position += length
         else:
             bits += _LITERAL_BITS
-            checksum = (checksum * 131 + block[position]) % (1 << 32)
+            checksum = (checksum * 131 + block[position]) & 0xFFFFFFFF
             position += 1
     return bits, checksum
 

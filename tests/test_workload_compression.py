@@ -106,6 +106,13 @@ class TestBzip2Workload:
     def test_output_identical_under_parallel_policy(self, evaluation):
         assert evaluation.output_comparison.equivalent
 
+    @pytest.mark.parametrize("args", [
+        dict(block_size=0), dict(block_size=-4), dict(blocks=0), dict(blocks=-1),
+    ])
+    def test_non_positive_sizes_rejected_at_construction(self, args):
+        with pytest.raises(ValueError):
+            Bzip2Workload(**args)
+
 
 def inflate(tokens):
     """Decode an LZ77 token stream back to bytes (the decompressor)."""
@@ -195,6 +202,14 @@ class TestGzipWorkload:
             GzipWorkload(size=64 * 1024, block_interval=4096)
         )
         assert evaluation.report.best_speedup < 1.5
+
+    @pytest.mark.parametrize("args", [
+        dict(block_interval=0), dict(block_interval=-512), dict(block_interval=100),
+        dict(size=0), dict(size=-1),
+    ])
+    def test_invalid_sizes_rejected_at_construction(self, args):
+        with pytest.raises(ValueError):
+            GzipWorkload(**args)
 
     def test_compression_actually_compresses(self):
         workload = GzipWorkload(size=64 * 1024, block_interval=4096)
