@@ -14,8 +14,8 @@ The package implements, from scratch, the full system the paper describes:
   (:mod:`repro.annotations`);
 - Decoupled Software Pipelining with speculation and parallel-stage
   replication (:mod:`repro.dswp`) plus a TLS baseline (:mod:`repro.tls`);
-- an event-driven multicore hardware model with versioned memory and
-  bounded inter-core queues (:mod:`repro.hw`);
+- the multicore hardware model: machine description and versioned memory
+  (:mod:`repro.hw`);
 - the parallelization framework itself — tasks, phases, execution plans,
   simulation, and reporting (:mod:`repro.core`);
 - executable analogs of the eleven SPEC CINT2000 C benchmarks

@@ -36,11 +36,14 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 from repro.core.plan import ExecutionPlan
 from repro.core.tasks import CompiledTask, Phase, TaskGraph
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import QueueFullError
 
 #: Simulated time: abstract work units for the simulators, seconds for the
 #: analyzer's replay of measured costs.
 Time = Union[int, float]
+
+
+class QueueFullError(RuntimeError):
+    """A queue that can never take a token: the schedule deadlocks."""
 
 
 @dataclass

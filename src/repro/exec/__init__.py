@@ -1,8 +1,8 @@
 """repro.exec — the real multiprocess pipeline execution engine.
 
-The simulator (:mod:`repro.core.simulator`) predicts; the threaded runtime
-(:mod:`repro.dswp.runtime`) demonstrates correctness under the GIL; this
-package *executes*: the paper's A/B/C pipeline on real OS processes with
+The simulator (:mod:`repro.core.simulator`) predicts; this package
+*executes*: the paper's A/B/C pipeline on real OS processes (or, with
+``transport="thread"``, on threads of the calling process) with
 bounded full/empty-blocking channels, speculative write buffers with
 commit-time validation and rollback, bounded crash/hang recovery with
 graceful degradation to sequential execution, and per-run metrics that

@@ -1,10 +1,9 @@
 """Inter-process channels with the paper's full/empty blocking semantics.
 
-:class:`ProcessChannel` is the multiprocess sibling of
-:class:`repro.hw.queues.BlockingBoundedQueue`: a bounded FIFO where a
-produce *blocks* while the channel is full and a consume *blocks* while it
-is empty — the synchronization-array behaviour the simulator models on its
-256 32-entry queues, realized on real OS pipes.
+:class:`ProcessChannel` is a bounded FIFO where a produce *blocks* while
+the channel is full and a consume *blocks* while it is empty — the
+synchronization-array behaviour the simulator models on its 256 32-entry
+queues (:func:`repro.core.simulator.schedule`), realized on real OS pipes.
 
 The wire beneath the channel is pluggable (:mod:`repro.exec.transport`):
 an OS pipe of length-prefixed messages, a zero-copy shared-memory ring
@@ -418,8 +417,8 @@ class ProcessChannel:
             self._send_frame([STOP], self._deadline(timeout), framed=False)
             return
         self._append(item)
-        if self.batch_size == 1 or len(self._send_buffer) >= self.batch_size:
-            self.flush(timeout=timeout, partial=self.batch_size == 1)
+        if len(self._send_buffer) >= self.batch_size:
+            self.flush(timeout=timeout, partial=False)
         elif self.flush_due():
             self.flush(timeout=timeout)
 

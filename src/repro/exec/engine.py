@@ -1,11 +1,11 @@
 """The multiprocess pipeline execution engine.
 
 Where :mod:`repro.core.simulator` *predicts* the makespan of the paper's
-A/B/C pipeline from abstract task costs, and :mod:`repro.dswp.runtime`
-*demonstrates* its correctness on GIL-bound threads, this engine *runs* it:
-one phase-A producer process, N replicated phase-B worker processes pulling
-from a bounded inter-process channel, and an in-order committer (phase C)
-in the calling process — real parallelism on real cores.
+A/B/C pipeline from abstract task costs, this engine *runs* it: one phase-A
+producer process, N replicated phase-B worker processes pulling from a
+bounded inter-process channel, and an in-order committer (phase C) in the
+calling process — real parallelism on real cores.  ``transport="thread"``
+runs the same stages as threads of the calling process.
 
 Execution is speculative in the versioned-memory sense: each B task runs
 against a private :class:`~repro.exec.rollback.WriteBuffer`; the committer
@@ -525,6 +525,9 @@ class ExecutionEngine:
                 or time.monotonic() - last_activity > policy.stall_timeout
             ):
                 return True
+        if not metrics.startup_seconds and committer.next_commit:
+            # the first commits were also the last: one frame held the run
+            metrics.startup_seconds = last_activity - entered
         return False
 
     # -- health -----------------------------------------------------------------

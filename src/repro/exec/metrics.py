@@ -260,9 +260,11 @@ class EngineMetrics:
             f"teardown {self.teardown_seconds:.3f}s",
         ]
         if self.sequential_seconds is not None:
+            # no speedup when nothing ran (a resume of a finished run)
+            speedup = self.measured_speedup
             lines.append(
-                f"sequential        {self.sequential_seconds:.3f}s  "
-                f"-> measured speedup {self.measured_speedup:.2f}x"
+                f"sequential        {self.sequential_seconds:.3f}s"
+                + ("" if speedup is None else f"  -> measured speedup {speedup:.2f}x")
             )
         lines.append(
             f"commits           {self.commits} in order "

@@ -7,24 +7,15 @@ subsystem, allowing for privatization of data and memory alias speculation.
 32-entry queues."
 
 - :mod:`repro.hw.machine` — the machine description (cores, queues, latency);
-- :mod:`repro.hw.queues` — bounded core-to-core queues with full/empty
-  blocking semantics, executable for the runtimes and their tests (the
-  performance simulator applies the same rule to times, in
-  :func:`repro.core.simulator.schedule`);
+  the queues' full/empty rule is applied to times by
+  :func:`repro.core.simulator.schedule` and to real items by the engine's
+  channels (:mod:`repro.exec.channels`);
 - :mod:`repro.hw.versioned_memory` — an executable versioned-memory model:
   per-epoch speculative versions, privatization, conflict detection, eager
-  forwarding, silent-store suppression, in-order commit and rollback;
-- :mod:`repro.hw.events` — a small deterministic discrete-event kernel.
+  forwarding, silent-store suppression, in-order commit and rollback.
 """
 
-from repro.hw.events import EventKernel
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import (
-    BlockingBoundedQueue,
-    BoundedQueue,
-    QueueEmptyError,
-    QueueFullError,
-)
 from repro.hw.versioned_memory import (
     ConflictError,
     Epoch,
@@ -33,14 +24,9 @@ from repro.hw.versioned_memory import (
 )
 
 __all__ = [
-    "BlockingBoundedQueue",
-    "BoundedQueue",
     "ConflictError",
     "Epoch",
     "EpochState",
-    "EventKernel",
     "MachineConfig",
-    "QueueEmptyError",
-    "QueueFullError",
     "VersionedMemory",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Set, Tuple
 
 Location = Tuple[str, Hashable]
 
@@ -80,13 +80,6 @@ class VersionedMemory:
         self.eager_forwarding = eager_forwarding
         self.conflicts_detected = 0
         self.silent_stores_suppressed = 0
-        #: chaos-harness hook: called at commit time as
-        #: ``injector(committing_epoch_number, younger_epoch) -> bool``;
-        #: a True verdict force-squashes the younger epoch exactly as a real
-        #: conflict would (cascades included), so sequential equivalence can
-        #: be tested under arbitrary forced misspeculation.
-        self.conflict_injector: Optional[Any] = None
-        self.injected_conflicts = 0
 
     # -- epoch lifecycle --------------------------------------------------------
 
@@ -180,19 +173,6 @@ class VersionedMemory:
                     self.conflicts_detected += 1
                     squashed.append(younger)
                     break
-        # Forced misspeculation (chaos harness): squash additional younger
-        # epochs on the injector's verdict, before cascades propagate.
-        if self.conflict_injector is not None:
-            for number in sorted(self._epochs):
-                if number <= epoch.number:
-                    continue
-                younger = self._epochs[number]
-                if younger.state is not EpochState.RUNNING:
-                    continue
-                if self.conflict_injector(epoch.number, younger):
-                    younger.state = EpochState.SQUASHED
-                    self.injected_conflicts += 1
-                    squashed.append(younger)
         # Cascade: an epoch that forwarded a value out of a now-squashed
         # epoch read a version that will never commit — squash it too.
         frontier = list(squashed)

@@ -105,16 +105,12 @@ class ServiceConfig:
     port: int = 0
     pool_workers: int = 2
     slots: int = 2
-    #: Workers leased per job.  None = an even split of the pool across
-    #: the job slots (so concurrent jobs actually run concurrently); the
-    #: pool clamps to what is idle either way.
-    workers_per_job: Optional[int] = None
     capacity: int = 16
     batch_size: int = 8
     max_queued: int = 16
     tenant_queued_quota: int = 8
     tenant_running_quota: int = 1
-    default_weight: int = 1
+    #: Scheduling weight per tenant name; an unnamed tenant weighs 1.
     weights: Dict[str, int] = field(default_factory=dict)
     drain_timeout: float = 10.0
     history_path: Optional[str] = None
@@ -133,17 +129,12 @@ class ServiceConfig:
     #: Default ``max_attempts`` for jobs that do not set ``params.retry``
     #: (1 = a failure is terminal, the pre-durability behavior).
     default_max_attempts: int = 1
-    #: Journal records at startup beyond which recovery compacts the
-    #: journal to a snapshot (0 = auto: ``max(256, 8 * live jobs)``).
-    compact_threshold: int = 0
     #: Trace *every* job end to end (``--trace-jobs``).  Off by default —
     #: spools cost a file per role per job; individual jobs opt in with
     #: ``params.trace`` regardless of this flag.
     trace_jobs: bool = False
     #: Post-mortem bundles retained per tenant (LRU by mtime).
     postmortem_keep: int = 8
-    #: Flight-recorder ring capacity (recent job-plane events).
-    flight_capacity: int = 256
 
 
 class PipelineService:
@@ -176,12 +167,12 @@ class PipelineService:
             pool_workers=cfg.pool_workers,
             capacity=cfg.capacity,
             batch_size=cfg.batch_size,
-            default_weight=cfg.default_weight,
             weights=cfg.weights,
         )
-        self.workers_per_job = cfg.workers_per_job or max(
-            1, cfg.pool_workers // max(1, cfg.slots)
-        )
+        #: Workers leased per job: an even split of the pool across the job
+        #: slots (so concurrent jobs actually run concurrently); the pool
+        #: clamps to what is idle either way.
+        self.workers_per_job = max(1, cfg.pool_workers // max(1, cfg.slots))
         self.jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -207,9 +198,9 @@ class PipelineService:
         #: feeding Retry-After on 429.
         self._dispatch_times: Deque[float] = deque(maxlen=32)
         # -- tracing plane -------------------------------------------------
-        #: Bounded ring of recent job-plane events; snapshotted into every
-        #: post-mortem bundle.
-        self.flight = FlightRecorder(cfg.flight_capacity)
+        #: Bounded ring of the last 256 job-plane events; snapshotted into
+        #: every post-mortem bundle.
+        self.flight = FlightRecorder()
         #: Recent journal records (mirrored even when not durable) — the
         #: "journal tail" a post-mortem bundle carries.
         self._journal_tail: Deque[dict] = deque(maxlen=64)
@@ -345,10 +336,9 @@ class PipelineService:
                 self.recovery.restarted, self.recovery.terminal,
                 self.recovery.errors,
             )
-        threshold = self.config.compact_threshold or max(
-            256, 8 * max(1, len(self.jobs))
-        )
-        if self.journal.stats.records > threshold:
+        # Compact once the journal holds more records than a snapshot of
+        # the live jobs would (at least 256).
+        if self.journal.stats.records > max(256, 8 * max(1, len(self.jobs))):
             self._compact_journal()
 
     def _recover_one(self, entry) -> None:

@@ -182,12 +182,10 @@ class TenantDirectory:
         pool_workers: int,
         capacity: int,
         batch_size: int,
-        default_weight: int = 1,
         weights: Optional[Dict[str, int]] = None,
         throttle_config: Optional[ThrottleConfig] = None,
     ) -> None:
         self._max_window = max_window_for(pool_workers, capacity, batch_size)
-        self._default_weight = max(1, default_weight)
         self._weights = dict(weights or {})
         self._throttle_config = throttle_config or ThrottleConfig()
         self._tenants: Dict[str, TenantState] = {}
@@ -197,7 +195,7 @@ class TenantDirectory:
         if tenant is None:
             tenant = TenantState(
                 name,
-                self._weights.get(name, self._default_weight),
+                self._weights.get(name, 1),
                 TenantThrottle(self._throttle_config, self._max_window),
             )
             self._tenants[name] = tenant

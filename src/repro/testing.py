@@ -2,12 +2,11 @@
 
 These construct small IR programs with well-understood dependence shapes:
 
-- :func:`build_pipeline_loop` — the canonical A/B/C shape (cheap induction,
-  heavy pure compute, accumulator);
+- :func:`build_caller_callee_loop` — heavy compute behind a call, the
+  whole-program-scope case that inlining exposes;
 - :func:`build_two_hump_loop` — two heavy DOALL regions split by a
   sequential recurrence, the shape where multi-stage PS-DSWP beats the
-  paper's 3-phase plan;
-- :func:`build_counter_loop` — a single fully-serial memory recurrence.
+  paper's 3-phase plan.
 """
 
 from __future__ import annotations
@@ -18,52 +17,6 @@ from repro.ir.builder import ProgramBuilder
 from repro.ir.loops import Loop, find_loops
 from repro.ir.program import Program
 from repro.ir.types import IntType
-
-
-def build_counter_loop(trip_count: int = 100) -> Tuple[Program, Loop]:
-    """One global counter incremented per iteration: a pure recurrence."""
-    pb = ProgramBuilder("counter")
-    counter = pb.global_variable("counter")
-    fb = pb.function("main")
-    fb.block("entry")
-    fb.jump("loop")
-    fb.block("loop")
-    value = fb.load(counter, [counter], name="value")
-    incremented = fb.add(value, 1, name="incremented")
-    fb.store(incremented, counter, [counter])
-    done = fb.compare("lt", incremented, trip_count, name="done")
-    fb.branch(done, "loop", "exit")
-    fb.block("exit")
-    fb.ret(0)
-    program = pb.finish()
-    return program, find_loops(program.function("main")).outermost()
-
-
-def build_pipeline_loop(
-    trip_count: int = 1000, compute_cost: int = 50
-) -> Tuple[Program, Loop]:
-    """Induction (A) -> heavy pure compute (B) -> accumulator (C)."""
-    pb = ProgramBuilder("pipeline")
-    total = pb.global_variable("total")
-    data = pb.global_variable("data")
-    fb = pb.function("main")
-    fb.block("entry")
-    fb.jump("loop")
-    fb.block("loop")
-    i = fb.phi(IntType(64), [(0, "entry")], name="i")
-    element = fb.load(data, [data], name="element", cost=2)
-    squared = fb.mul(element, element, name="squared", cost=compute_cost)
-    running = fb.load(total, [total], name="running", cost=1)
-    fb.store(fb.add(running, squared, name="updated", cost=1), total, [total], cost=1)
-    next_i = fb.add(i, 1, name="next_i", cost=1)
-    phi = fb.function.block("loop").phis()[0]
-    phi.operands.append(next_i)
-    phi.incoming_blocks.append("loop")
-    fb.branch(fb.compare("lt", next_i, trip_count, name="cond"), "loop", "exit")
-    fb.block("exit")
-    fb.ret()
-    program = pb.finish()
-    return program, find_loops(program.function("main")).outermost()
 
 
 def build_caller_callee_loop(

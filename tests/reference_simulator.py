@@ -25,11 +25,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.plan import ExecutionPlan
-from repro.core.simulator import SimulationResult
+from repro.core.simulator import QueueFullError, SimulationResult
 from repro.core.tasks import Phase, Task, TaskGraph
 from repro.dswp.partition import Stage, StageKind
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import QueueEmptyError, QueueFullError
+
+
+class QueueEmptyError(RuntimeError):
+    """Non-blocking consume on an empty queue."""
 
 
 class TimedQueueModel:

@@ -1,10 +1,15 @@
-"""The pipeline model is written once (AST only — nothing is imported or run).
+"""The pipeline is written once (AST only — nothing is imported or run).
 
 ``repro.core.simulator.schedule`` is the §3.1 recurrence.  The 3-phase
 simulator, the multi-stage simulator and the analyzer's what-if replay are
 plans over it; each once had its own copy of the loop, with its own queue
 model and its own worker pick.  These checks are the ratchet: building rows
 in a comprehension is fine, a scheduling loop of its own is not.
+
+The executable pipeline is written once too: :mod:`repro.exec` (its
+``thread`` transport included).  The threaded prototype it replaced
+(``repro.dswp.runtime`` on ``repro.hw.queues``) and the event kernel no
+simulator used (``repro.hw.events``) must not come back.
 """
 
 import ast
@@ -64,3 +69,31 @@ def test_the_plans_call_the_one_recurrence(path, name):
         if isinstance(node, ast.Call)
     }
     assert "schedule" in called
+
+
+#: Modules and classes of the prototype executable pipeline.
+PROTOTYPE_MODULES = ("repro.dswp.runtime", "repro.hw.queues", "repro.hw.events")
+PROTOTYPE_NAMES = {"BoundedQueue", "BlockingBoundedQueue", "EventKernel"}
+
+
+def test_one_executable_pipeline_under_src():
+    found = []
+    for path in SRC.rglob("*.py"):
+        module = ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        if module in PROTOTYPE_MODULES:
+            found.append(module)
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                imported = []
+            found += [f"{module}: import {name}" for name in imported
+                      if name in PROTOTYPE_MODULES]
+            name = getattr(node, "name", None) or getattr(node, "id", None) \
+                or getattr(node, "attr", None)
+            if name in PROTOTYPE_NAMES:
+                found.append(f"{module}:{node.lineno}: {name}")
+    assert not found

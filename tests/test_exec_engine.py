@@ -362,6 +362,10 @@ class TestMetricsAndEdges:
         result = ExecutionEngine(workers=2).run(arithmetic_spec(0))
         assert result.output == []
         assert result.metrics.commits == 0
+        # the CLI's summary of a run that executed nothing (``exec
+        # --resume`` of a finished run): no speedup to print
+        result.metrics.sequential_seconds = 0.5
+        assert "sequential        0.500s\n" in result.metrics.format_summary()
 
     def test_invalid_engine_parameters(self):
         with pytest.raises(ValueError):

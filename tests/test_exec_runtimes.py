@@ -1,9 +1,10 @@
 """One engine path, two runtimes: the same spec on a process tree of the
 engine's own (``LocalRuntime``: pipe, shm, thread) and on a worker-pool
 lease (``LeaseRuntime``: pipe, shm) must be the same run — output and the
-counters that do not depend on timing.  Plus what the runtime owns now
-that the engine does not: the roster's seats on the wake-ups, and a
-start-up that fails half-way.
+counters that do not depend on timing.  The thread transport is also run
+over every worker count and queue capacity: it is the repo's threaded
+pipeline.  Plus what the runtime owns now that the engine does not: the
+roster's seats on the wake-ups, and a start-up that fails half-way.
 
 Nothing here passes by timing: every deadline is far out of reach, and the
 injected faults (soft faults, forced conflicts, ``os._exit`` at a named
@@ -57,6 +58,17 @@ def own_cell(i, value, ctx):
     return square(i, value)
 
 
+#: Shared with every process the module forks, pool workers included.
+BUMPS = multiprocessing.Value("i", 0)
+
+
+def bump(i, value):
+    """A Commutative update from phase B: any order, under its lock."""
+    with BUMPS.get_lock():
+        BUMPS.value += 1
+    return square(i, value)
+
+
 def running_sum(i, value, ctx):
     """One location for everybody: each task but the first read what its
     predecessor replaced."""
@@ -87,21 +99,31 @@ def _seeded_faults():
     )
 
 
-#: name -> (spec, fault plan, conflicts, serial re-executions, soft faults)
+#: name -> (spec, fault plan, conflicts, serial re-executions, soft faults,
+#: bumps of the Commutative counter)
 ROWS = {
-    "independent": (_spec(square), None, 0, 0, 0),
+    "independent": (_spec(square), None, 0, 0, 0, 0),
     "all-conflict": (
         _spec(running_sum, speculative=True, shared_state={("sum", None): 0}),
-        None, ITEMS - 1, ITEMS - 1, 0,
+        None, ITEMS - 1, ITEMS - 1, 0, 0,
     ),
     "seeded-faults": (
-        _spec(own_cell, speculative=True), _seeded_faults(), 4, 7, 3,
+        _spec(own_cell, speculative=True), _seeded_faults(), 4, 7, 3, 0,
     ),
+    "commutative": (_spec(bump), None, 0, 0, 0, ITEMS),
 }
 
+#: (owner, transport, workers, capacity): every runtime and transport at
+#: the pool's shape, then the thread transport over workers x capacity
 MODES = [
-    ("local", "pipe"), ("local", "shm"), ("local", "thread"),
-    ("lease", "pipe"), ("lease", "shm"),
+    ("local", "pipe", 2, 8), ("local", "shm", 2, 8), ("local", "thread", 2, 8),
+    ("lease", "pipe", 2, 8), ("lease", "shm", 2, 8),
+] + [
+    ("local", "thread", workers, capacity)
+    for workers in (1, 2, 4, 8) for capacity in (1, 4, 32)
+]
+MODE_IDS = [f"{owner}-{transport}" for owner, transport, _, _ in MODES[:5]] + [
+    f"{transport}-w{workers}c{capacity}" for _, transport, workers, capacity in MODES[5:]
 ]
 
 
@@ -124,7 +146,7 @@ def pools():
         pool.shutdown()
 
 
-def _run(pools, owner, transport, spec, fault_plan):
+def _run(pools, owner, transport, workers, capacity, spec, fault_plan):
     pool = pools(transport) if owner == "lease" else None
     lease = pool.try_lease() if pool is not None else None
     if lease is not None:
@@ -132,7 +154,7 @@ def _run(pools, owner, transport, spec, fault_plan):
         lease.job_throttle = SpeculationThrottle(ThrottleConfig(), 64)
     try:
         return ExecutionEngine(
-            workers=2, capacity=8, batch_size=4, policy=PATIENT,
+            workers=workers, capacity=capacity, batch_size=4, policy=PATIENT,
             transport=transport, fault_plan=fault_plan, runtime=lease,
         ).run(spec)
     finally:
@@ -140,17 +162,18 @@ def _run(pools, owner, transport, spec, fault_plan):
             pool.release(lease)
 
 
-@pytest.mark.parametrize(
-    "owner,transport", MODES, ids=["-".join(mode) for mode in MODES]
-)
+@pytest.mark.parametrize("owner,transport,workers,capacity", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize("row", ROWS)
 def test_every_runtime_and_transport_is_the_same_run(
-    pools, row, owner, transport
+    pools, row, owner, transport, workers, capacity
 ):
-    spec, fault_plan, conflicts, serial, soft_faults = ROWS[row]
-    result = _run(pools, owner, transport, spec, fault_plan)
+    spec, fault_plan, conflicts, serial, soft_faults, bumps = ROWS[row]
+    expected = run_sequential(spec)[0]
+    BUMPS.value = 0
+    result = _run(pools, owner, transport, workers, capacity, spec, fault_plan)
     metrics = result.metrics
-    assert result.output == run_sequential(spec)[0]
+    assert BUMPS.value == bumps
+    assert result.output == expected
     assert not metrics.degraded_to_sequential
     assert metrics.transport == transport
     assert (
@@ -321,7 +344,7 @@ def test_failed_lease_start_leaves_the_slot_as_it_was(pools, tmp_path):
     finally:
         pool.release(lease)
     assert pool.stats() == before  # same pids: nobody was replaced
-    assert _run(pools, "lease", "pipe", spec, None).output == (
+    assert _run(pools, "lease", "pipe", 2, 8, spec, None).output == (
         run_sequential(spec)[0]
     )
     assert pool.stats() == before

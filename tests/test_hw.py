@@ -1,11 +1,9 @@
-"""Tests for the hardware model: queues, versioned memory, event kernel."""
+"""Tests for the hardware model: machine, the timed queue rule, versioned memory."""
 
 import pytest
 
-from repro.core.simulator import schedule
-from repro.hw.events import EventKernel
+from repro.core.simulator import QueueFullError, schedule
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import BoundedQueue, QueueEmptyError, QueueFullError
 from repro.hw.versioned_memory import ConflictError, EpochState, VersionedMemory
 
 
@@ -26,41 +24,6 @@ class TestMachineConfig:
         resized = machine.with_cores(8)
         assert resized.cores == 8
         assert resized.communication_latency == 3
-
-
-class TestBoundedQueue:
-    def test_fifo_order(self):
-        queue = BoundedQueue(capacity=4)
-        for i in range(4):
-            queue.produce(i)
-        assert [queue.consume() for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_full_raises(self):
-        queue = BoundedQueue(capacity=2)
-        queue.produce(1)
-        queue.produce(2)
-        with pytest.raises(QueueFullError):
-            queue.produce(3)
-        assert queue.full_rejections == 1
-
-    def test_empty_raises(self):
-        queue = BoundedQueue(capacity=2)
-        with pytest.raises(QueueEmptyError):
-            queue.consume()
-
-    def test_try_variants(self):
-        queue = BoundedQueue(capacity=1)
-        assert queue.try_produce("a")
-        assert not queue.try_produce("b")
-        assert queue.try_consume() == "a"
-        assert queue.try_consume() is None
-
-    def test_max_occupancy_tracked(self):
-        queue = BoundedQueue(capacity=8)
-        for i in range(5):
-            queue.produce(i)
-        queue.consume()
-        assert queue.max_occupancy == 5
 
 
 def _two_stage(producer_costs, consumer_costs, capacity, latency=0, consumers=1):
@@ -207,45 +170,3 @@ class TestVersionedMemory:
         assert memory.committed_value("x") is None
         memory.commit(e0)
         assert memory.committed_value("x") == 1
-
-
-class TestEventKernel:
-    def test_events_fire_in_time_order(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(5, lambda: fired.append("b"))
-        kernel.schedule(1, lambda: fired.append("a"))
-        kernel.schedule(9, lambda: fired.append("c"))
-        kernel.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_tie_break_by_priority_then_fifo(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(1, lambda: fired.append("low"), priority=5)
-        kernel.schedule(1, lambda: fired.append("high"), priority=0)
-        kernel.schedule(1, lambda: fired.append("low2"), priority=5)
-        kernel.run()
-        assert fired == ["high", "low", "low2"]
-
-    def test_scheduling_in_past_rejected(self):
-        kernel = EventKernel()
-        kernel.schedule(5, lambda: kernel.schedule(1, lambda: None))
-        with pytest.raises(ValueError):
-            kernel.run()
-
-    def test_cascading_events(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(1, lambda: kernel.schedule_after(2, lambda: fired.append(kernel.now)))
-        kernel.run()
-        assert fired == [3]
-
-    def test_run_until(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(1, lambda: fired.append(1))
-        kernel.schedule(10, lambda: fired.append(10))
-        kernel.run(until=5)
-        assert fired == [1]
-        assert kernel.pending == 1

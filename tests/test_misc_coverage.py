@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.framework import FrameworkConfig
-from repro.hw.events import EventKernel
 from repro.ir.builder import ProgramBuilder
 from repro.ir.printer import format_program
 from repro.ir.region import form_loop_region
@@ -69,19 +68,6 @@ class TestRegionQueries:
         assert not region.contains(outside)
         assert region.total_cost() > 0
         assert "Region" in repr(region)
-
-
-class TestEventKernelStep:
-    def test_step_until_empty(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(3, lambda: fired.append(3))
-        kernel.schedule(1, lambda: fired.append(1))
-        assert kernel.step()
-        assert kernel.step()
-        assert not kernel.step()
-        assert fired == [1, 3]
-        assert kernel.events_processed == 2
 
 
 class TestTraceResultQueries:

@@ -1,13 +1,10 @@
 """Property-based tests (hypothesis) for the core invariants.
 
-- bounded queues behave exactly like a capacity-checked deque;
 - the pipeline recurrence's queues never exceed capacity or break FIFO timing;
 - versioned-memory TLS execution always equals sequential execution;
 - the pipeline simulator obeys conservation laws on random task graphs;
 - SCC condensation partitions the PDG and stays acyclic.
 """
-
-from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,36 +13,8 @@ from repro.core.plan import ExecutionPlan
 from repro.core.simulator import PipelineSimulator, schedule
 from repro.core.tasks import Phase, SerializationEdge, Task, TaskGraph
 from repro.hw.machine import MachineConfig
-from repro.hw.queues import BoundedQueue
 from repro.hw.versioned_memory import VersionedMemory
 from repro.tls.epochs import TLSExecution
-
-
-# ---------------------------------------------------------------------------------
-# BoundedQueue vs a reference deque
-# ---------------------------------------------------------------------------------
-
-@given(
-    operations=st.lists(
-        st.one_of(st.tuples(st.just("produce"), st.integers()), st.just(("consume", 0))),
-        max_size=200,
-    ),
-    capacity=st.integers(min_value=1, max_value=8),
-)
-def test_bounded_queue_matches_reference(operations, capacity):
-    queue = BoundedQueue(capacity=capacity)
-    reference = deque()
-    for op, value in operations:
-        if op == "produce":
-            ok = queue.try_produce(value)
-            assert ok == (len(reference) < capacity)
-            if ok:
-                reference.append(value)
-        else:
-            item = queue.try_consume()
-            expected = reference.popleft() if reference else None
-            assert item == expected
-    assert len(queue) == len(reference)
 
 
 # ---------------------------------------------------------------------------------

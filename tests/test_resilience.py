@@ -21,7 +21,6 @@ from repro.exec import (
     RobustnessPolicy,
     run_sequential,
 )
-from repro.hw import EpochState, VersionedMemory
 from repro.resilience import (
     ChaosConfig,
     ChaosReport,
@@ -551,48 +550,6 @@ class TestInvariants:
         assert "exactly-once-commit" in message
         assert "in-order-commit" in message
         assert len(excinfo.value.violations) >= 2
-
-
-# -- cross-layer: forced conflicts in the versioned-memory subsystem ---------------
-
-
-class TestVersionedMemoryInjection:
-    def test_injected_squash_preserves_sequential_equivalence(self):
-        memory = VersionedMemory()
-        # Force-squash every even-numbered younger epoch once.
-        squashed_once = set()
-
-        def injector(committer, younger):
-            if younger.number % 2 == 0 and younger.number not in squashed_once:
-                squashed_once.add(younger.number)
-                return True
-            return False
-
-        memory.conflict_injector = injector
-        epochs = [memory.begin_epoch() for _ in range(6)]
-        for number, epoch in enumerate(epochs):
-            memory.write(epoch, "x", number, number * 10)
-
-        for number in range(6):
-            epoch = memory._epochs[number]
-            if epoch.state is EpochState.SQUASHED:
-                epoch = memory.reissue(epoch)
-                memory.write(epoch, "x", number, number * 10)
-            memory.commit(epoch)
-
-        assert memory.injected_conflicts >= 2
-        for number in range(6):
-            assert memory.committed_value("x", number) == number * 10
-
-    def test_injector_squashes_are_reported_to_caller(self):
-        memory = VersionedMemory()
-        memory.conflict_injector = lambda committer, younger: True
-        first = memory.begin_epoch()
-        second = memory.begin_epoch()
-        memory.write(first, "x", None, 1)
-        squashed = memory.commit(first)
-        assert second in squashed
-        assert second.state is EpochState.SQUASHED
 
 
 # -- RobustnessPolicy edge cases (satellite) ---------------------------------------

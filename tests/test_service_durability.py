@@ -377,6 +377,101 @@ class TestDurableRestart:
         finally:
             svc2.drain_and_stop()
 
+    def test_startup_compaction_replays_the_same_jobs_and_keys(self, tmp_path):
+        """A journal past 256 records is rewritten as a snapshot at
+        startup; replaying the snapshot must give back every job's state
+        and every idempotency key the long journal gave."""
+        state = tmp_path / "state"
+        svc = durable_service(state)
+        try:
+            jobs = [
+                svc.submit(
+                    "acme", "synthetic", {"iterations": 8},
+                    idempotency_key=f"req-{n}",
+                )[0]
+                for n in range(3)
+            ]
+            wait_terminal(jobs)
+        finally:
+            svc.drain_and_stop()
+        # a poison job bounced through 150 retries: 302 more records
+        journal, _ = JobJournal.open(str(state / "journal.jsonl"))
+        journal.append("submitted", "j900", {
+            "tenant": "acme", "workload": "synthetic",
+            "params": {"iterations": 8}, "idempotency_key": "req-poison",
+        })
+        for attempt in range(1, 151):
+            journal.append("leased", "j900", {"attempt": attempt})
+            journal.append("retry_scheduled", "j900", {"attempt": attempt})
+        journal.append("dead_letter", "j900", {"error": "poison"})
+        journal.close()
+
+        def replayed(service):
+            keys = {
+                key: service.submit(
+                    "acme", "synthetic", {"iterations": 8}, idempotency_key=key
+                )[0].id
+                for key in ("req-0", "req-1", "req-2", "req-poison")
+            }
+            states = {
+                job.id: (job.state, job.error)
+                for job in service.jobs.values()
+            }
+            return states, keys
+
+        expected_states = {job.id: (JobState.DONE, None) for job in jobs}
+        expected_states["j900"] = (JobState.DEAD_LETTER, "poison")
+        expected_keys = {f"req-{n}": job.id for n, job in enumerate(jobs)}
+        expected_keys["req-poison"] = "j900"
+
+        svc2 = durable_service(state)
+        try:
+            assert svc2.recovery.journal.records > 256
+            assert replayed(svc2) == (expected_states, expected_keys)
+        finally:
+            svc2.drain_and_stop()
+        _, records = JobJournal.open(str(state / "journal.jsonl"))
+        assert len(records) < 20  # the snapshot, not the 300-record history
+
+        svc3 = durable_service(state)
+        try:
+            assert svc3.recovery.journal.records == len(records)
+            assert svc3.recovery.errors == 0
+            assert replayed(svc3) == (expected_states, expected_keys)
+        finally:
+            svc3.drain_and_stop()
+
+
+class TestHistoryRecords:
+    def test_every_finished_job_appends_one_history_record(self, tmp_path):
+        """``serve --history PATH``: each job that ends DONE appends one
+        record to the cross-run history, labelled with its job id."""
+        from repro.obs.history import load_history
+
+        path = tmp_path / "history.jsonl"
+        svc = PipelineService(ServiceConfig(
+            pool_workers=2, slots=2, capacity=8, batch_size=4,
+            policy=FAST_POLICY, history_path=str(path),
+        )).start(serve_http=False)
+        try:
+            jobs = [
+                svc.submit(tenant, "synthetic", {"iterations": 8})[0]
+                for tenant in ("acme", "globex")
+            ]
+            wait_terminal(jobs)
+        finally:
+            svc.drain_and_stop()
+        assert all(job.state is JobState.DONE for job in jobs)
+        records = sorted(load_history(str(path)), key=lambda r: r["label"])
+        assert [
+            (r["label"], r["name"], r["ok"], r["iterations"],
+             r["tenant"], r["job_state"])
+            for r in records
+        ] == [
+            (job.id, "service:synthetic", True, 8, job.tenant, "done")
+            for job in sorted(jobs, key=lambda j: j.id)
+        ]
+
 
 class TestRetryDeadlineDeadLetter:
     def test_transient_retry_resumes_and_poison_dead_letters(self, tmp_path):
