@@ -27,7 +27,11 @@ schedules, and exactly-once dedup all keep their per-item semantics.
 
 Frames are serialized once, by the wire, with
 ``pickle.dumps(protocol=HIGHEST_PROTOCOL)``; homogeneous ``bytes`` payloads
-skip pickle entirely via a length-prefixed raw mode.  A multi-item frame
+skip pickle entirely via a length-prefixed raw mode.  That mode is for a
+channel of bare ``bytes`` items: the engine's own frames never take it —
+a work frame is ``(i, value, a_seconds)`` tuples and a ``done`` frame
+protocol tuples, pickled whatever the values are, 64 KiB blocks
+included.  A multi-item frame
 the wire can never hold (``transport.FrameTooLarge``: 32 items of 64 KiB
 against a 2 MiB ring) is split, down to single items, and the channel
 keeps to the smaller frame from then on.

@@ -12,12 +12,18 @@ around the commit callback and a serial re-execution (the latency samples);
 every other instant is the caller's.  So it runs the same under the engine's
 loop (:class:`repro.exec.engine.ExecutionEngine`), behind either runtime,
 and in a test that hands it reports by hand.
+
+The reports carry no phase-A values (a claim is an iteration and its
+``a_seconds``), so the value of a task re-executed here — lost to a crash,
+hang or soft fault, or misspeculated — is replayed here too, by one
+:class:`PhaseAReplay` cursor per run: at most one extra phase-A pass per
+run, on the loss and conflict path only.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Collection, Dict, List, Set, Tuple
+from typing import Any, Callable, Collection, Dict, List, Set, Tuple
 
 from repro.exec.metrics import EngineMetrics
 from repro.exec.rollback import CommittedStore, WriteBuffer
@@ -27,9 +33,39 @@ from repro.obs.registry import WRITER_COMMITTER
 
 logger = logging.getLogger(__name__)
 
-#: Arrival stamp of a task no worker ever claimed (the serial finish makes
-#: its claims itself): later than any commit, so it yields no lag sample.
-_NEVER_ARRIVED = 2 ** 63
+
+class PhaseAReplay:
+    """Phase A run a second time, in the committer, for the values of the
+    tasks it re-executes — a worker's claims name iterations and carry no
+    value, so this is the only way back to one.
+
+    One cursor per run over the committer's own copy of ``produce`` (the
+    spec's; a phase A running as a thread of this process is handed a copy
+    of its own): ``produce(0), produce(1), …`` in order, each at most once,
+    which is what a stateful phase A needs to give the values the producer
+    gave — workload determinism.  Re-execution only ever happens at the
+    commit frontier, and the frontier only moves forward, so the cursor is
+    asked for growing iterations and holds no value: those it steps over
+    are committed.  Cost: none on a run that loses no task and has no
+    conflict; otherwise at most ``iterations`` calls of ``produce`` in the
+    whole run, however many tasks are re-executed.
+    """
+
+    def __init__(self, produce: Callable[[int], Any]) -> None:
+        self._produce = produce
+        #: the next iteration ``produce`` will be called for
+        self.position = 0
+
+    def value(self, i: int) -> Any:
+        if i < self.position:
+            raise RuntimeError(
+                f"phase A was already replayed past iteration {i}"
+            )
+        produce = self._produce
+        for skipped in range(self.position, i):
+            produce(skipped)  # committed: only its state evolution counts
+        self.position = i + 1
+        return produce(i)
 
 
 class Committer:
@@ -44,11 +80,12 @@ class Committer:
 
     State, all keyed by iteration: ``claims`` holds, per claimed and
     uncommitted iteration, ``[claimant, claim clock (hung-task timeout),
-    phase-A value, first arrival (ns)]`` — the value so that any lost task
-    can be re-executed serially.  ``pending`` is the reorder buffer: result
+    first arrival (ns)]``.  ``pending`` is the reorder buffer: result
     entries as the workers sent them, ``(i, result, reads, writes,
     b_seconds)``.  ``serial_needed`` are the tasks owed a serial retry.
-    ``next_commit`` is the frontier.
+    ``next_commit`` is the frontier.  ``replay`` is where a re-executed
+    task's phase-A value comes from (:class:`PhaseAReplay`): the claims
+    name iterations, they carry no values.
     """
 
     def __init__(
@@ -79,6 +116,7 @@ class Committer:
         self.claims: Dict[int, list] = {}
         self.pending: Dict[int, tuple] = {}
         self.serial_needed: Set[int] = set()
+        self.replay = PhaseAReplay(spec.produce)
         # Per-item latency samples collect in plain lists and reach
         # ``metrics.latency`` in bulk (``fold_samples``): a list append per
         # sample on the commit path instead of a histogram update.
@@ -127,9 +165,7 @@ class Committer:
                 accepted += 1
                 b_seconds += entry[4]
                 b_samples(entry[4])
-                while frontier in pending or (
-                    frontier in serial_needed and frontier in claims
-                ):
+                while frontier in pending or frontier in serial_needed:
                     frontier += 1
             metrics.stage_seconds["B"] += b_seconds
             metrics.worker_iterations[wid] = (
@@ -142,12 +178,12 @@ class Committer:
             next_commit = self.next_commit
             a_samples = self.samples["task_a"].append
             a_seconds = 0.0
-            for i, value, seconds in items:
+            for i, seconds in items:
                 if i < next_commit:
                     continue  # late duplicate of an already-committed task
                 claim = claims.get(i)
                 if claim is None:
-                    claims[i] = [wid, now, value, arrived_ns]
+                    claims[i] = [wid, now, arrived_ns]
                     if tracer is not None:
                         tracer.record(
                             EventKind.CLAIM, arrived_ns, arrived_ns,
@@ -276,7 +312,7 @@ class Committer:
                             tracer.instant(EventKind.CONFLICT, arg=i)
                     else:
                         store.apply(entry[3])
-            elif i in serial_needed and i in claims:
+            elif i in serial_needed:
                 misspeculated = True
             else:
                 break
@@ -293,8 +329,8 @@ class Committer:
             c_seconds += elapsed
             c_samples(elapsed)
             claim = claims.pop(i, None)
-            if claim is not None and commit_ns >= claim[3]:
-                lag_seconds = (commit_ns - claim[3]) / 1e9
+            if claim is not None and commit_ns >= claim[2]:
+                lag_seconds = (commit_ns - claim[2]) / 1e9
                 lag_samples(lag_seconds)
                 if registry is not None:
                     registry.observe(
@@ -331,28 +367,28 @@ class Committer:
         """Graceful degradation: finish the run sequentially, in-process
         (the caller has already halted the pipeline's children).
 
-        Phase A is replayed from iteration 0 on the caller's own (pristine,
-        never-called) copy of ``produce`` — workload determinism guarantees
-        identical values — but only uncommitted iterations execute B and C:
-        each is marked owed a serial retry and the frontier advanced over
-        it, on the commit path every other iteration takes.  Results
-        already waiting in ``pending`` are therefore still validated and
-        reused, and the committed prefix keeps checkpointing, so even a
-        degraded run can be resumed incrementally if it is interrupted.
+        Every uncommitted iteration is marked owed a serial retry and the
+        frontier advanced over it, on the commit path every other iteration
+        takes; the values come from the run's one phase-A replay cursor
+        (:class:`PhaseAReplay`), which goes on from wherever an earlier
+        re-execution left it — a stateful ``produce`` can be replayed only
+        once, never restarted at 0.  Results already waiting in
+        ``pending`` are therefore still validated and reused, and the
+        committed prefix keeps checkpointing, so even a degraded run can be
+        resumed incrementally if it is interrupted.
         """
         self.throttle = None  # nobody is left to throttle
-        for i in range(self.spec.iterations):
-            value = self.spec.produce(i)  # replay for phase-A state evolution
+        for i in range(self.next_commit, self.spec.iterations):
             if i < self.next_commit:
-                continue
-            self.claims.setdefault(i, [None, 0.0, value, _NEVER_ARRIVED])
+                continue  # committed by the run the last advance made
             self.serial_needed.add(i)
             self.advance()
 
     def _reexecute(self, i: int) -> Any:
-        """Misspeculation-as-re-execution: run task *i* on live state."""
+        """Misspeculation-as-re-execution: run task *i* on live state, on
+        the phase-A value the replay cursor gives back."""
         spec, store, metrics = self.spec, self.store, self.metrics
-        value = self.claims[i][2]
+        value = self.replay.value(i)
         t0_ns = now_ns()
         if spec.speculative:
             buffer = WriteBuffer(store.snapshot())

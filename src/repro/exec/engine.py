@@ -92,7 +92,11 @@ class PipelineSpec:
     ``produce`` and ``work`` cross process boundaries and must be picklable
     (module-level functions, ``functools.partial`` over picklable state, or
     instances of module-level classes).  ``init``/``commit``/``finalize``
-    run only in the committer and may close over anything.
+    run only in the committer and may close over anything.  ``produce`` may
+    keep state but must be deterministic: called for ``0, 1, …`` in order
+    it gives the same values every time, because the committer replays it
+    (on this object; a thread-run phase A gets a deep copy) to recover the
+    value of a task it re-executes.
 
     When ``speculative`` is true, ``work`` takes ``(i, value, ctx)`` where
     ``ctx`` is a :class:`WriteBuffer` over shared state seeded from

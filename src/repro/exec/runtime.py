@@ -13,6 +13,7 @@ and registry the stages share — plus a roster.
 
 from __future__ import annotations
 
+import copy
 import logging
 import multiprocessing
 import os
@@ -295,9 +296,14 @@ class LocalRuntime(StageSet):
 
     def start(self, spec, store, start, batch_size, fault_plan) -> None:
         self._job = (spec, store, batch_size, fault_plan)
+        # A forked phase A has a copy of ``produce`` of its own; a thread
+        # is handed one, so the committer's replay copy stays uncalled.
+        produce = (
+            copy.deepcopy(spec.produce) if self._threaded else spec.produce
+        )
         self.producer = self._start_stage(
             "exec-A", producer_main,
-            (self.work.for_stage(), spec.iterations, spec.produce,
+            (self.work.for_stage(), spec.iterations, produce,
              fault_plan, self._child_shutdown, start, batch_size,
              self._trace, self.registry, WRITER_PRODUCER, True,
              self._workers),

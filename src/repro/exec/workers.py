@@ -13,12 +13,15 @@ way.
 Message protocol (all on the ``done`` channel, tagged tuples) — a chunk
 costs two messages, whatever its size:
 
-``("claims", wid, [(i, value, a_seconds), ...])``
+``("claims", wid, [(i, a_seconds), ...])``
     A worker announces the chunk it dequeued **before** executing any of
-    it, carrying the phase-A values.  The committer keeps each value until
-    commit so a task lost to a crash, hang, or soft fault can be
-    re-executed serially without re-running the (stateful, sequential)
-    phase A.
+    it: the iterations it now owns, and no values.  A task lost to a
+    crash, hang, or soft fault is re-executed serially by the committer,
+    which gets the phase-A value back by replaying phase A on its own copy
+    of ``produce`` — in order, each iteration at most once per run, and
+    only on that loss (or conflict) path
+    (:class:`repro.exec.committer.PhaseAReplay`).  So a chunk's values
+    cross the wire once, to the worker, never back.
 ``("results", wid, [(i, result, reads, writes, b_seconds), ...])``
     The speculative outcomes of the tasks finished since the worker's last
     report, in execution order: read-set versions and buffered writes for
@@ -59,7 +62,7 @@ oldest unresolved claim from the hung-task timeout.
 Speculation throttling: the committer publishes its commit watermark and
 the controller's current window in shared memory (:class:`ThrottleGate`);
 a worker holding iteration ``i`` waits (after claiming, so the committer
-can still recover the value) while ``i - watermark >= window``, and the
+knows whose it is) while ``i - watermark >= window``, and the
 committer wakes the gate when the watermark has moved.  Finished results
 are reported before the wait — gating must never hold back the very
 commits that would open the window.
@@ -415,10 +418,10 @@ def _worker_loop(
             stop()
             return
 
-        # Claim the whole chunk up front and *flush*: the committer holds
-        # each value until commit, so any item this process loses to a
+        # Claim the whole chunk up front and *flush*: once the committer
+        # knows whose the items are, any item this process loses to a
         # crash, hang, or soft fault can be re-executed serially.
-        if not report(claims=items):
+        if not report(claims=[(item[0], item[2]) for item in items]):
             return  # shutdown mid-claim: nothing executed, nothing lost
         if registry is not None:
             registry.add(writer, "claimed", len(items))

@@ -43,6 +43,7 @@ the serial re-execution path preserves exactness.
 
 from __future__ import annotations
 
+import copy
 import logging
 import multiprocessing
 import os
@@ -183,10 +184,13 @@ class LeaseRuntime(StageSet):
             self._send_lease(worker)
         # Phase A gets buffers (and a tracer slot) of its own but waits on
         # the slot's own bell: the members were forked before this job
-        # existed, and ring only the bells that existed then.
+        # existed, and ring only the bells that existed then.  It runs a
+        # copy of ``produce``: the spec's own is the committer's, for
+        # replaying the values of re-executed tasks.
         self.producer = ThreadStage(
             producer_main,
-            (self.work.for_caller(), spec.iterations, spec.produce, fault_plan,
+            (self.work.for_caller(), spec.iterations,
+             copy.deepcopy(spec.produce), fault_plan,
              self.shutdown, start, batch_size, self.trace_config,
              self.registry, WRITER_PRODUCER, False, len(self._members),
              raise_hard_exit),

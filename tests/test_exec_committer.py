@@ -7,6 +7,7 @@ microseconds and on any number of CPUs."""
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 import pytest
@@ -46,6 +47,31 @@ def _add_to_sum(i, value, ctx):
     return total
 
 
+class RunningTotal:
+    """A stateful phase A: value ``i`` is ``0 + 1 + … + i``, so only calls
+    for ``0, 1, …`` in order give the producer's values — a replay that
+    skips, repeats or restarts at 0 does not.  Counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.total = 0
+
+    def __call__(self, i):
+        self.calls += 1
+        self.total += i
+        return self.total
+
+
+def running_total(iterations):
+    return PipelineSpec(
+        iterations=iterations,
+        produce=RunningTotal(),
+        work=lambda i, value: value * 2 + i,
+        commit=_append,
+        finalize=lambda acc: acc.get("out", []),
+    )
+
+
 def running_sum(iterations):
     """Every task reads and writes one location: whatever ran against a
     stale snapshot conflicts."""
@@ -74,6 +100,11 @@ class Bench:
         self.window = SimpleNamespace(value=window)
         #: what every worker speculates against: the state at spawn
         self.snapshot = self.store.snapshot()
+        # Phase A as the producer ran it, and the sequential output, both
+        # on copies: the spec's own ``produce`` is the committer's replay.
+        phase_a = copy.deepcopy(spec.produce)
+        self.values = [phase_a(i) for i in range(spec.iterations)]
+        self.expected = run_sequential(copy.deepcopy(spec))[0]
         self.committer = Committer(
             spec, self.store, self.accumulator, start, self.metrics,
             self.watermark, self.window, throttle, manager,
@@ -81,13 +112,12 @@ class Bench:
 
     def claims(self, wid, items, now=0.0):
         self.committer.report(
-            ("claims", wid, [(i, self.spec.produce(i), 0.0) for i in items]),
-            now, 0,
+            ("claims", wid, [(i, 0.0) for i in items]), now, 0,
         )
 
     def entry(self, i):
         """What a worker sends for task ``i``."""
-        value = self.spec.produce(i)
+        value = self.values[i]
         if not self.spec.speculative:
             return (i, self.spec.work(i, value), {}, {}, 0.0)
         buffer = WriteBuffer(self.snapshot)
@@ -110,7 +140,7 @@ class Bench:
 
     def assert_done(self, **counters):
         committer, metrics = self.committer, self.metrics
-        assert self.output == run_sequential(self.spec)[0]
+        assert self.output == self.expected
         assert committer.next_commit == self.spec.iterations
         assert self.watermark.value == self.spec.iterations
         assert not committer.pending and not committer.claims
@@ -338,6 +368,39 @@ def test_serial_finish_keeps_checkpointing_at_the_same_cuts():
     bench.assert_done(serial_reexecutions=13)
     assert [c.next_commit for c in manager.checkpoints] == [5, 10, 15]
     assert [c.metrics["commits"] for c in manager.checkpoints] == [5, 10, 15]
+
+
+def test_serial_finish_goes_on_from_where_a_reexecution_left_the_replay():
+    """A soft fault on 1 is re-executed on a replayed value (phase A called
+    for 0 and 1); the degradation that follows goes on from 2 instead of
+    replaying from 0, so phase A runs once in all, and a stateful one
+    still gives the producer's values."""
+    spec = running_total(8)
+    bench = Bench(spec)
+    bench.claims(0, range(4))
+    bench.results(0, [0])
+    bench.fault(0, 1)
+    assert spec.produce.calls == bench.committer.replay.position == 2
+    bench.results(0, [3])  # 2 is lost; 4..7 were never dispatched
+    bench.committer.finish_serially()
+    bench.assert_done(
+        soft_faults=1, retries=1, serial_reexecutions=6,
+        out_of_order_completions=1,
+    )
+    # 3's result was reused: the cursor stepped over it, once
+    assert spec.produce.calls == bench.committer.replay.position == 8
+
+
+def test_reexecutions_at_the_frontier_never_replay_phase_a_twice():
+    spec = running_total(6)
+    bench = Bench(spec)
+    bench.claims(0, range(6))
+    bench.committer.lose_worker(0)
+    bench.committer.advance()  # all six re-executed, one replay pass
+    bench.assert_done(retries=6, serial_reexecutions=6)
+    assert spec.produce.calls == 6
+    with pytest.raises(RuntimeError, match="already replayed"):
+        bench.committer.replay.value(3)
 
 
 def test_resumed_committer_starts_at_the_checkpoint():

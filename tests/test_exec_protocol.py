@@ -8,6 +8,7 @@ itself advances, and every read of ``done`` is exactly one frame.
 """
 
 import multiprocessing
+import pickle
 import threading
 import time
 
@@ -51,6 +52,12 @@ def chunk(first, count):
     return [(i, i * 3, 0.0) for i in range(first, first + count)]
 
 
+def claimed(first, count):
+    """The claims message a worker answers ``chunk(first, count)`` with:
+    iterations and their ``a_seconds``, no values."""
+    return ("claims", WID, [(i, 0.0) for i in range(first, first + count)])
+
+
 class _Worker:
     """One phase-B replica on a thread; the test is producer and committer.
 
@@ -58,12 +65,12 @@ class _Worker:
     is how a test looks at the wire while a chunk is half done."""
 
     def __init__(self, monkeypatch, hold=(), slow=(), done_capacity=64,
-                 flush_interval=60.0, window=None):
+                 flush_interval=60.0, window=None, max_chunk=8, task=None):
         self.clock_ns = 0
         monkeypatch.setattr(workers, "now_ns", lambda: self.clock_ns)
         self.flush_interval = flush_interval
         self.work = ProcessChannel(
-            64, name="work", ctx=CTX, batch_size=8, transport="thread"
+            64, name="work", ctx=CTX, batch_size=max_chunk, transport="thread"
         )
         self.done = ProcessChannel(
             done_capacity, name="done", ctx=CTX, batch_size=8,
@@ -78,8 +85,8 @@ class _Worker:
         self.thread = threading.Thread(
             target=worker_main,
             args=(WID, self.work.for_stage(), self.done.for_stage(),
-                  self.task, False, {}, None, self.shutdown,
-                  self.gate.seat(), 8),
+                  task or self.task, False, {}, None, self.shutdown,
+                  self.gate.seat(), max_chunk),
             kwargs={"hard_exit": raise_hard_exit},
             daemon=True,
         )
@@ -124,7 +131,7 @@ class TestWorkerReports:
     ):
         worker = _Worker(monkeypatch, hold=[0])
         worker.dispatch(chunk(0, 4))
-        assert worker.frame() == [("claims", WID, chunk(0, 4))]
+        assert worker.frame() == [claimed(0, 4)]
         worker.running(0)  # ...and only now does the first task exist
         worker.release(0)
         (report,) = worker.frame()
@@ -138,13 +145,13 @@ class TestWorkerReports:
     ):
         worker = _Worker(monkeypatch, hold=[0, 4])
         worker.dispatch(chunk(0, 4))
-        assert worker.frame() == [("claims", WID, chunk(0, 4))]
+        assert worker.frame() == [claimed(0, 4)]
         worker.running(0)
         worker.dispatch(chunk(4, 4))  # waiting before chunk one ends
         worker.release(0)
         report, claims = worker.frame()
         assert results_of(report) == [0, 1, 2, 3]
-        assert claims == ("claims", WID, chunk(4, 4))
+        assert claims == claimed(4, 4)
         worker.running(4)  # claimed first, executed second
         worker.release(4)
         # nothing was waiting this time: the results travel alone
@@ -155,7 +162,7 @@ class TestWorkerReports:
     def test_a_slow_item_is_reported_before_its_chunk_ends(self, monkeypatch):
         worker = _Worker(monkeypatch, hold=[2], slow=[1], flush_interval=0.05)
         worker.dispatch(chunk(0, 4))
-        assert worker.frame() == [("claims", WID, chunk(0, 4))]
+        assert worker.frame() == [claimed(0, 4)]
         # item 1 took three flush intervals: it leaves with item 0 while
         # item 2 is still running
         (report,) = worker.frame()
@@ -170,7 +177,7 @@ class TestWorkerReports:
     def test_a_gated_worker_has_reported_everything_it_holds(self, monkeypatch):
         worker = _Worker(monkeypatch, window=2)
         worker.dispatch(chunk(0, 4))
-        assert worker.frame() == [("claims", WID, chunk(0, 4))]
+        assert worker.frame() == [claimed(0, 4)]
         _until(lambda: worker.gate._opened.waiters == 1, "the worker to gate")
         (report,) = worker.frame()  # sent before the wait, not after it
         assert results_of(report) == [0, 1]
@@ -189,9 +196,24 @@ class TestWorkerReports:
         worker = _Worker(monkeypatch, done_capacity=1)
         worker.dispatch(chunk(0, 4))
         _until(lambda: worker.done._credit.waiters == 1, "the report to block")
-        assert worker.frame() == [("claims", WID, chunk(0, 4))]
+        assert worker.frame() == [claimed(0, 4)]
         (report,) = worker.frame()
         assert results_of(report) == [0, 1, 2, 3]
+        worker.finish()
+
+    def test_claims_carry_no_values(self, monkeypatch):
+        """A chunk of 16 blocks of 64 KiB is claimed in under 1 KiB: the
+        values crossed the wire once, to the worker, and never come back
+        (a lost task's value is the committer's phase-A replay)."""
+        worker = _Worker(
+            monkeypatch, max_chunk=16, task=lambda i, block: len(block)
+        )
+        worker.dispatch([(i, bytes(64 * 1024), 0.0) for i in range(16)])
+        (claims,) = worker.frame()
+        assert claims == claimed(0, 16)
+        assert len(pickle.dumps(claims, pickle.HIGHEST_PROTOCOL)) < 1024
+        (report,) = worker.frame()
+        assert [entry[1] for entry in report[2]] == [64 * 1024] * 16
         worker.finish()
 
     def test_shutdown_while_idle_says_goodbye(self, monkeypatch):

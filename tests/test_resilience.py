@@ -38,6 +38,7 @@ from repro.resilience import (
     run_chaos,
     spec_fingerprint,
 )
+from tests.test_exec_committer import RunningTotal
 
 #: CI's chaos job sweeps this through a fixed seed matrix.
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -661,6 +662,76 @@ class TestRobustnessPolicyEdges:
         assert result.output == expected
         assert result.metrics.commits == 30 - checkpoint.next_commit
         assert result.metrics.resumed_from == checkpoint.next_commit
+
+
+# -- a stateful phase A on the recovery paths ----------------------------------------
+
+
+def running_total_spec(iterations):
+    """In an engine run ``produce.calls`` counts the committer's calls."""
+    return PipelineSpec(
+        iterations=iterations,
+        produce=RunningTotal(),
+        work=square_work,
+        commit=append_commit,
+        finalize=take_out,
+    )
+
+
+TRANSPORTS = ["pipe", "shm", "thread"]
+
+
+class TestStatefulPhaseA:
+    @pytest.mark.parametrize("crash_at", [15, 35])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_degraded_parser_run_is_the_sequential_one(
+        self, transport, crash_at
+    ):
+        """197.parser's phase A toggles echo mode on every command; a
+        producer crash degrades the run to the committer's own replay of
+        phase A, which must never be the object a phase-A thread has
+        already advanced."""
+        from repro.workloads.parser_w import ParserWorkload
+
+        def spec():
+            return ParserWorkload(
+                sentence_count=120, command_every=10
+            ).exec_spec()
+
+        expected, _ = run_sequential(spec())
+        result = ExecutionEngine(
+            workers=2, capacity=4, transport=transport,
+            fault_plan=FaultPlan(producer_crash_at=crash_at),
+            policy=FAST_POLICY,
+        ).run(spec())
+        assert result.metrics.degraded_to_sequential
+        assert result.output == expected
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_phase_a_is_replayed_at_most_once(self, transport):
+        """A soft fault, two lost workers (no respawns, so the second loss
+        degrades the run): every recovery reads one phase-A replay in the
+        committer, which calls ``produce`` at most once per iteration."""
+        iterations = 40
+        spec = running_total_spec(iterations)
+        expected, _ = run_sequential(running_total_spec(iterations))
+        result = ExecutionEngine(
+            workers=2, capacity=4, transport=transport,
+            fault_plan=FaultPlan(
+                error_iterations={5}, crash_iterations={10, 20}
+            ),
+            policy=RobustnessPolicy(
+                task_timeout=5.0, stall_timeout=10.0, max_respawns=0,
+                poll_interval=0.01,
+            ),
+        ).run(spec)
+        assert result.output == expected
+        metrics = result.metrics
+        assert metrics.soft_faults == 1
+        assert metrics.worker_crashes == 2
+        assert metrics.degraded_to_sequential
+        assert metrics.serial_reexecutions >= 3
+        assert 0 < spec.produce.calls <= iterations
 
 
 # -- CLI surface -------------------------------------------------------------------
