@@ -25,13 +25,16 @@ at close).  Consumers unframe transparently: :meth:`get` still hands back
 one item at a time, in order, so the committer, throttle watermarks, chaos
 schedules, and exactly-once dedup all keep their per-item semantics.
 
-Frames are serialized once, by the wire, with
-``pickle.dumps(protocol=HIGHEST_PROTOCOL)``; homogeneous ``bytes`` payloads
-skip pickle entirely via a length-prefixed raw mode.  That mode is for a
-channel of bare ``bytes`` items: the engine's own frames never take it —
-a work frame is ``(i, value, a_seconds)`` tuples and a ``done`` frame
-protocol tuples, pickled whatever the values are, 64 KiB blocks
-included.  A multi-item frame
+Frames are serialized once, by the wire
+(:func:`repro.exec.transport.encode`).  A frame of two or more items that
+all share one flat shape of int64, float and ``bytes`` fields, at least
+one of them ``bytes``, skips pickle: an index holds the shape and the
+scalars, and the ``bytes`` go in place — written from the producer's own
+objects, copied once into each rebuilt item.  The engine's work frames
+take this raw mode whenever phase A yields ``bytes`` (``(i, value,
+a_seconds)`` with a ``bytes`` value; 64 KiB blocks on ``pipeline-bulk``);
+work frames of scalar values, ``done`` frames of protocol tuples, and any
+other frame are pickled once at ``HIGHEST_PROTOCOL``.  A multi-item frame
 the wire can never hold (``transport.FrameTooLarge``: 32 items of 64 KiB
 against a 2 MiB ring) is split, down to single items, and the channel
 keeps to the smaller frame from then on.
@@ -66,7 +69,6 @@ from __future__ import annotations
 import copy
 import logging
 import multiprocessing
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -93,11 +95,11 @@ _CHAOS_DROP = int(ChaosCode.CHANNEL_DROP)
 #: sends the sentinel as its own unframed message.
 STOP = ("__repro.exec.stop__",)
 
-#: Frame tags.  Payload items in this engine are protocol tuples keyed by
-#: small ints/strings, so collision with user data is not a practical
-#: concern (and is documented: do not send 2/3-tuples led by these tags).
+#: Frame tag of :func:`encode_frame`.  Payload items in this engine are
+#: protocol tuples keyed by small ints/strings, so collision with user data
+#: is not a practical concern (and is documented: do not send 3-tuples led
+#: by this tag).
 _FRAME_TAG = "__repro.exec.frame__"
-_RAW_TAG = "__repro.exec.frame.raw__"
 
 #: Queue waits shorter than this are not traced: they are scheduling
 #: noise, and recording them would swamp the bounded spool ring.
@@ -223,32 +225,29 @@ class Wakeup:
 
 
 def encode_frame(items: List[Any]) -> tuple:
-    """Serialize ``items`` into one frame payload.
+    """Serialize ``items`` into one frame: ``(tag, flag, payload)``.
 
-    The frame codec as a pure function, for callers that carry frames
-    over a wire of their own (the transports in this package serialize
-    straight onto theirs).  Homogeneous ``bytes`` payloads use a
-    length-prefixed raw concatenation (no pickle of the items at all);
-    everything else is pickled once at ``HIGHEST_PROTOCOL``.
+    The wires' own codec (:func:`repro.exec.transport.encode`) as a pure
+    function, for callers that carry frames over a wire of their own: the
+    same raw mode for frames of one flat shape of int64, float and
+    ``bytes`` fields with a ``bytes`` among them, the same single pickle
+    for everything else — only joined into one ``bytes`` where the wires
+    write the parts in place.
     """
-    if len(items) > 1 and all(type(item) is bytes for item in items):
-        return (_RAW_TAG, tuple(len(item) for item in items), b"".join(items))
-    return (_FRAME_TAG, pickle.dumps(list(items), pickle.HIGHEST_PROTOCOL))
+    flag, parts = _transport.encode(items, True)
+    return (_FRAME_TAG, flag, b"".join(parts))
 
 
 def decode_frame(obj: Any) -> Optional[List[Any]]:
     """The inverse of :func:`encode_frame`; ``None`` for unframed items."""
-    if type(obj) is tuple:
-        if len(obj) == 2 and obj[0] == _FRAME_TAG and type(obj[1]) is bytes:
-            return pickle.loads(obj[1])
-        if len(obj) == 3 and obj[0] == _RAW_TAG:
-            _, lengths, blob = obj
-            items: List[Any] = []
-            offset = 0
-            for length in lengths:
-                items.append(blob[offset : offset + length])
-                offset += length
-            return items
+    if (
+        type(obj) is tuple
+        and len(obj) == 3
+        and obj[0] == _FRAME_TAG
+        and type(obj[2]) is bytes
+    ):
+        with memoryview(obj[2]) as payload:
+            return _transport.decode(obj[1], payload, 0, len(payload))[0]
     return None
 
 

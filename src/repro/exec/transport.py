@@ -34,17 +34,17 @@ Three backends:
 :class:`PipeTransport`
     One OS pipe of length-prefixed messages, written and read by the
     calling thread itself under a send lock and a recv lock.  Portable and
-    kernel-buffered; every frame pays one pickle (raw ``bytes`` frames:
-    none), one ``writev`` and the kernel's copy.
+    kernel-buffered; every message pays one :func:`encode` (no pickle for a
+    raw frame), one ``writev`` and the kernel's copies.
 
 :class:`ShmRingTransport`
     A shared-memory ring buffer (``multiprocessing.shared_memory``) of
     fixed-size slots with an aligned-int64 seq-number publication
     discipline — the crash-safe ring proven in :mod:`repro.obs.spool`,
     here with blocking flow control instead of overwrite.  Messages are
-    written directly into the mapped segment (homogeneous ``bytes``
-    frames entirely pickle-free) and decoded straight out of it, so the
-    kernel never copies payload bytes at all.
+    written directly into the mapped segment (raw frames entirely
+    pickle-free) and decoded straight out of it, so the kernel never
+    copies payload bytes at all.
 
 :class:`ThreadTransport`
     An in-process deque for thread-mode pipelines: items move by
@@ -93,7 +93,7 @@ _SLOT_HEADER = struct.Struct("<qII")
 #: Slot flags.
 _FLAG_SINGLE = 0  #: pickled single object (unframed message)
 _FLAG_FRAME = 1  #: pickled list of items
-_FLAG_RAW = 2  #: homogeneous bytes frame, written in place (no pickle)
+_FLAG_RAW = 2  #: raw frame: an index, then its bytes in place (no pickle)
 _FLAG_WRAP = 3  #: marker: rest of the ring lap is skipped, message at slot 0
 
 #: An int64 cursor cell in the ring header.
@@ -117,7 +117,6 @@ _RING_BASE = 128
 #: publishing and signalling.
 _WAIT_SLICE = 0.05
 
-
 class TransportFull(Exception):
     """The wire could not accept a message within its timeout."""
 
@@ -132,43 +131,145 @@ class FrameTooLarge(ValueError):
     the caller's to fix."""
 
 
-def _pack_raw_index(lengths: List[int]) -> bytes:
-    """Head of a raw frame's payload: item count, then every length."""
-    return struct.pack(f"<I{len(lengths)}I", len(lengths), *lengths)
+#: Head of a raw frame's index: the item count (u32), then the width of
+#: the items' shape (u8) — 0 for bare ``bytes`` items, else the field
+#: count of the flat tuples, whose field codes follow as ASCII.
+_RAW_HEAD = struct.Struct("<IB")
+
+#: The field types a raw frame carries, as the struct codes of their index
+#: entries: an int64, a double, and a ``bytes`` field by its u32 length
+#: (its bytes follow the index).  Exact types only: a ``bool``, an
+#: ``IntEnum`` or a ``bytearray`` would come back as something else.
+_FIELD_CODES = {int: "q", float: "d", bytes: "I"}
 
 
-def _unpack_raw(buf, body: int) -> List[bytes]:
+def encode(items: List[Any], framed: bool) -> Tuple[int, list]:
+    """One message as its flag and the parts of its payload, in order: the
+    codec both process wires share (the pipe gathers the parts with
+    ``writev``, the ring copies them into its slots) and
+    :func:`repro.exec.channels.encode_frame` joins.
+
+    A frame of two or more items that all share one flat shape of int64,
+    float and ``bytes`` fields, at least one of them ``bytes``, takes the
+    raw mode (``_FLAG_RAW``): an index holding the shape once and every
+    item's scalars and ``bytes`` lengths, then each ``bytes`` field itself,
+    in place.  A bare ``bytes`` item is one such shape; the engine's work
+    triple ``(i, value, a_seconds)`` with a ``bytes`` value is another.
+    Everything else — a frame of scalar tuples too, which one C
+    ``pickle.loads`` rebuilds faster than the raw decoder's loop — is
+    pickled once at ``HIGHEST_PROTOCOL``.
+    """
+    if not framed:
+        return _FLAG_SINGLE, [pickle.dumps(items[0], pickle.HIGHEST_PROTOCOL)]
+    parts = _raw_parts(items)
+    if parts is not None:
+        return _FLAG_RAW, parts
+    return _FLAG_FRAME, [pickle.dumps(list(items), pickle.HIGHEST_PROTOCOL)]
+
+
+def decode(flag: int, buf, start: int, end: int) -> Tuple[Optional[list], Any]:
+    """The inverse of :func:`encode`, over the payload ``buf[start:end]``
+    (pass a memoryview: each ``bytes`` field is then one copy).  Returns
+    ``(items, None)`` for a frame, ``(None, obj)`` for an unframed
+    message."""
+    if flag == _FLAG_RAW:
+        return _decode_raw(buf, start), None
+    obj = pickle.loads(buf[start:end])
+    if flag == _FLAG_FRAME:
+        return obj, None
+    return None, obj
+
+
+def _raw_parts(items: List[Any]) -> Optional[list]:
+    """A frame's raw-mode payload — its index, then every ``bytes`` field,
+    item by item — or ``None`` for a frame the raw mode does not carry.
+    Gives up at the first item that does not conform."""
+    if len(items) < 2:
+        return None
+    first = items[0]
+    if type(first) is bytes:
+        for item in items:
+            if type(item) is not bytes:
+                return None
+        codes, scalars, blobs = "", list(map(len, items)), items
+    elif type(first) is tuple and first:
+        codes = ""
+        for value in first:
+            code = _FIELD_CODES.get(type(value))
+            if code is None:
+                return None
+            codes += code
+        if "I" not in codes:
+            return None  # scalars only: left to pickle (see :func:`encode`)
+        shape = tuple(map(type, first))
+        scalars = []
+        blobs = []
+        for item in items:
+            if type(item) is not tuple or tuple(map(type, item)) != shape:
+                return None
+            for value in item:
+                if type(value) is bytes:
+                    blobs.append(value)
+                    scalars.append(len(value))
+                else:
+                    scalars.append(value)
+    else:
+        return None
+    try:
+        index = struct.pack(
+            f"<IB{len(codes)}s{(codes or 'I') * len(items)}",
+            len(items), len(codes), codes.encode(), *scalars,
+        )
+    except struct.error:
+        return None  # an int beyond int64, or a ``bytes`` of 4 GiB
+    return [index, *blobs]
+
+
+def _decode_raw(buf, body: int) -> List[Any]:
     """The items of the raw frame whose payload starts at ``buf[body]``."""
-    (count,) = struct.unpack_from("<I", buf, body)
-    lengths = struct.unpack_from(f"<{count}I", buf, body + 4)
-    cursor = body + 4 + 4 * count
-    items = []
-    for length in lengths:
-        end = cursor + length
-        items.append(bytes(buf[cursor:end]))
-        cursor = end
+    count, width = _RAW_HEAD.unpack_from(buf, body)
+    cursor = body + _RAW_HEAD.size
+    codes = str(buf[cursor : cursor + width], "ascii")
+    cursor += width
+    layout = f"<{(codes or 'I') * count}"
+    scalars = struct.unpack_from(layout, buf, cursor)
+    cursor += struct.calcsize(layout)
+    items: List[Any] = []
+    if not width:
+        for length in scalars:
+            end = cursor + length
+            items.append(bytes(buf[cursor:end]))
+            cursor = end
+        return items
+    blob_fields = [k for k, code in enumerate(codes) if code == "I"]
+    for start in range(0, len(scalars), width):
+        item = scalars[start : start + width]
+        if blob_fields:
+            fields = list(item)
+            for k in blob_fields:
+                end = cursor + fields[k]
+                fields[k] = bytes(buf[cursor:end])
+                cursor = end
+            item = tuple(fields)
+        items.append(item)
     return items
-
-
-def _is_raw(items: List[Any], framed: bool) -> bool:
-    return (
-        framed
-        and len(items) > 1
-        and all(type(item) is bytes for item in items)
-    )
 
 
 class PipeTransport:
     """One OS pipe carrying length-prefixed messages, written and read
     directly by the calling thread.
 
-    A message is ``_HEADER`` (payload length, flag) and its payload:
-    one pickle of the frame's item list, one pickle of an unframed object,
-    or — homogeneous ``bytes`` frames — the raw index and the items
-    themselves, gathered by ``writev`` with no copy on this side of the
-    kernel.  Writers serialize on ``send_lock``, readers on ``recv_lock``
-    (both channels have several writers, ``work`` several readers), so
-    the bytes of one message are contiguous in the pipe.
+    A message is ``_HEADER`` (payload length, flag) and the payload
+    :func:`encode` makes: one pickle of the frame's item list, one pickle
+    of an unframed object, or — a raw frame, such as the engine's work
+    triples with ``bytes`` values — the raw index followed by the items'
+    ``bytes`` fields themselves, gathered by ``writev`` straight from the
+    sender's objects.  The reader reads a message into a ``bytearray`` of
+    its length and decodes it there: a ``bytes`` field costs one copy out
+    of it.  Writers
+    serialize on ``send_lock``, readers on ``recv_lock`` (both channels
+    have several writers, ``work`` several readers), so the bytes of one
+    message are contiguous in the pipe.
 
     Both ends are non-blocking; whoever finds the pipe full or empty polls
     it in ``_WAIT_SLICE`` slices, so every wait can look at its deadline
@@ -229,18 +330,8 @@ class PipeTransport:
     ) -> float:
         deadline = _deadline(timeout)
         started = time.perf_counter()
-        if _is_raw(items, framed):
-            flag = _FLAG_RAW
-            parts = [_pack_raw_index([len(item) for item in items]), *items]
-        else:
-            flag = _FLAG_FRAME if framed else _FLAG_SINGLE
-            parts = [
-                pickle.dumps(
-                    list(items) if framed else items[0],
-                    pickle.HIGHEST_PROTOCOL,
-                )
-            ]
-        length = sum(len(part) for part in parts)
+        flag, parts = encode(items, framed)
+        length = sum(map(len, parts))
         if length > 0xFFFFFFFF:
             raise FrameTooLarge(
                 f"message of {length} bytes exceeds the pipe wire's 4 GiB "
@@ -314,14 +405,8 @@ class PipeTransport:
             raise
         self.recv_lock.release()
         started = time.perf_counter()
-        items: Optional[List[Any]] = None
-        single: Any = None
-        if flag == _FLAG_RAW:
-            items = _unpack_raw(payload, 0)
-        elif flag == _FLAG_FRAME:
-            items = pickle.loads(payload)
-        else:
-            single = pickle.loads(payload)
+        with memoryview(payload) as view:
+            items, single = decode(flag, view, 0, len(payload))
         return items, single, time.perf_counter() - started
 
     def _read(self, deadline) -> Tuple[int, bytearray]:
@@ -408,10 +493,12 @@ class ShmRingTransport:
     only makes a writer wait one poll longer.
 
     Frames decode inside the recv lock, straight out of the mapping
-    (``pickle.loads`` on a memoryview slice; raw frames slice ``bytes``
-    per item) — the slot cannot be reused until the reader publishes the
-    new ``head_slot``, so the zero-copy view is stable for exactly as
-    long as it is read.
+    (:func:`decode`: ``pickle.loads`` on a memoryview slice, or a raw
+    frame's ``bytes`` fields copied out one each) — the slot cannot be
+    reused until the reader publishes the new ``head_slot``, so the view
+    is stable for exactly as long as it is read.  A sender's :func:`encode`
+    parts, raw ``bytes`` fields included, are copied straight into the
+    slots.
     """
 
     kind = "shm"
@@ -541,23 +628,10 @@ class ShmRingTransport:
         if self._closed:
             raise OSError("shm ring transport is closed")
         deadline = _deadline(timeout)
-        raw = _is_raw(items, framed)
-        serialize_seconds = 0.0
-        if raw:
-            # Vectored in-place write: sizes computed here, bytes land
-            # directly in the mapped segment below — zero intermediate
-            # copies, no pickle on the fast path.
-            lengths = [len(item) for item in items]
-            payload_len = 4 + 4 * len(items) + sum(lengths)
-            data = None
-        else:
-            started = time.perf_counter()
-            data = pickle.dumps(
-                list(items) if framed else items[0],
-                pickle.HIGHEST_PROTOCOL,
-            )
-            serialize_seconds = time.perf_counter() - started
-            payload_len = len(data)
+        started = time.perf_counter()
+        flags, parts = encode(items, framed)
+        serialize_seconds = time.perf_counter() - started
+        payload_len = sum(map(len, parts))
         if payload_len > self.max_payload:
             raise FrameTooLarge(
                 f"message of {payload_len} bytes exceeds shm ring capacity "
@@ -595,21 +669,13 @@ class ShmRingTransport:
                     self.data_sem.release()
             self._wait_space(buf, tail, cells, deadline, abort)
             offset = _RING_BASE + index * self.slot_bytes
-            body = offset + _SLOT_HEADER.size
-            if raw:
-                started = time.perf_counter()
-                head = _pack_raw_index(lengths)
-                cursor = body + len(head)
-                buf[body:cursor] = head
-                for item in items:
-                    end = cursor + len(item)
-                    buf[cursor:end] = item
-                    cursor = end
-                serialize_seconds = time.perf_counter() - started
-                flags = _FLAG_RAW
-            else:
-                buf[body : body + payload_len] = data
-                flags = _FLAG_FRAME if framed else _FLAG_SINGLE
+            # The parts land straight in the mapped segment: a raw frame's
+            # ``bytes`` fields are copied once, from the sender's objects.
+            cursor = offset + _SLOT_HEADER.size
+            for part in parts:
+                end = cursor + len(part)
+                buf[cursor:end] = part
+                cursor = end
             struct.pack_into("<II", buf, offset + 8, payload_len, flags)
             _I64.pack_into(buf, offset, seq)  # publication point
             _I64.pack_into(buf, _OFF_TAIL_SLOT, tail + cells)
@@ -689,14 +755,7 @@ class ShmRingTransport:
                 continue
             body = offset + _SLOT_HEADER.size
             started = time.perf_counter()
-            items: Optional[List[Any]] = None
-            single: Any = None
-            if flags == _FLAG_RAW:
-                items = _unpack_raw(buf, body)
-            elif flags == _FLAG_FRAME:
-                items = pickle.loads(buf[body : body + length])
-            else:
-                single = pickle.loads(buf[body : body + length])
+            items, single = decode(flags, buf, body, body + length)
             deserialize_seconds = time.perf_counter() - started
             read_slot += self._cells(length)
             read_seq += 1

@@ -3,7 +3,10 @@
 Covers the batching-specific contracts on top of ``tests/test_exec_engine``:
 
 - frame encode/decode round-trips preserve content and order
-  (property-based, including the raw-bytes mode for homogeneous payloads);
+  (property-based): frames of one flat shape of int64, float and ``bytes``
+  fields with a ``bytes`` among them — bare ``bytes``, engine work triples —
+  take the raw mode and come back bit for bit, and lookalikes (scalar-only
+  frames too) take pickle and come back as they were;
 - STOP is never buried mid-frame — it flushes the batch and travels alone;
 - chaos decisions are memoized per put index, so a timed-out put retried
   via ``flush()`` re-applies neither the latency sleep nor the first copy
@@ -38,8 +41,9 @@ from repro.exec.channels import (
     encode_frame,
 )
 from repro.exec.engine import ExecutionEngine
-from repro.exec.transport import TRANSPORT_KINDS
+from repro.exec.transport import _FLAG_FRAME, _FLAG_RAW, TRANSPORT_KINDS
 from repro.resilience import ChaosConfig, run_chaos
+from tests.test_exec_transport import LOOKALIKES, RAW_TRIPLES, typed
 
 #: The CI chaos matrix, run here with batching explicitly on.
 SEED_MATRIX = (1337, 20071209, 424242)
@@ -99,8 +103,8 @@ class TestFraming:
     @settings(deadline=None, max_examples=40)
     def test_homogeneous_bytes_use_raw_mode_and_roundtrip(self, items):
         frame = encode_frame(items)
-        assert isinstance(frame[-1], bytes)  # joined blob, not a pickle
-        assert decode_frame(frame) == items
+        assert frame[1] == _FLAG_RAW
+        assert typed(decode_frame(frame)) == typed(items)
 
     def test_single_and_empty_frames(self):
         assert decode_frame(encode_frame([])) == []
@@ -109,6 +113,28 @@ class TestFraming:
     def test_unframed_objects_pass_through(self):
         for obj in (17, "plain", ("claim", 1, 2), None, b"raw"):
             assert decode_frame(obj) is None
+
+    @given(RAW_TRIPLES)
+    @settings(deadline=None, max_examples=60)
+    def test_work_triples_take_the_raw_mode_and_come_back_identical(
+        self, items
+    ):
+        """Engine work triples ``(i, value, a_seconds)`` — values 0 B to
+        256 KiB, ints at the int64 bounds, ``-0.0``, ``inf`` and ``nan`` —
+        skip pickle and round-trip bit for bit."""
+        frame = encode_frame(items)
+        assert frame[1] == _FLAG_RAW
+        assert typed(decode_frame(frame)) == typed(items)
+
+    @given(LOOKALIKES)
+    @settings(deadline=None, max_examples=60)
+    def test_lookalikes_are_pickled_and_come_back_identical(self, items):
+        """A ``bool``, an int beyond int64, a ``bytearray`` or ``bytes``
+        subclass, a nested tuple, mixed shapes, a one-item frame, a frame
+        with no ``bytes`` field."""
+        frame = encode_frame(items)
+        assert frame[1] == _FLAG_FRAME
+        assert typed(decode_frame(frame)) == typed(items)
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @given(

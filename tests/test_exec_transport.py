@@ -9,7 +9,8 @@ pipe (no feeder thread: the caller writes and reads the fd itself):
   their own deadlines — and nothing after the tear is ever decoded;
 - a full pipe honours the send deadline and ``abort`` (cleanly before the
   first byte, by abandoning the wire after it), ``recv_nowait`` never
-  blocks, and a reader whose deadline passes inside a message resumes it;
+  blocks, and a reader whose deadline passes inside a message resumes it,
+  and reads the larger and smaller messages after it whole;
 - an engine parent SIGKILLed while a worker is inside a message larger
   than the pipe buffer strands nobody.
 
@@ -21,8 +22,11 @@ The shm ring:
   and FIFO order survives arbitrary payload-size mixes (property-based);
 - full-ring backpressure: a stuffed ring raises ``TransportFull`` at the
   deadline and recovers once the reader frees slots;
-- the raw-bytes fast path: homogeneous byte frames travel without pickle
-  and round-trip exactly;
+- the raw codec: frames of one flat shape of int64, float and ``bytes``
+  fields with a ``bytes`` among them (bare ``bytes``, engine work triples)
+  cross both wires without a call to pickle and come back bit for bit; lookalikes are pickled and come
+  back as they were; an engine run of ``bytes`` values pickles no work
+  frame;
 - segment lifecycle: the owner unlinks on close, attached copies never
   unlink, pickling attaches by name, a SIGKILLed run leaks nothing the
   resource tracker cannot reclaim, and ``reap_stale_segments`` reclaims
@@ -35,7 +39,9 @@ import fcntl
 import multiprocessing
 import os
 import pickle
+import random
 import signal
+import struct
 import subprocess
 import sys
 import termios
@@ -45,6 +51,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exec import transport as transport_module
 from repro.exec.channels import ChannelTimeout, ProcessChannel
 from repro.exec.engine import ExecutionEngine, PipelineSpec, run_sequential
 from repro.exec.transport import (
@@ -55,6 +62,9 @@ from repro.exec.transport import (
     ThreadTransport,
     TransportEmpty,
     TransportFull,
+    _FLAG_FRAME,
+    _FLAG_RAW,
+    encode,
     make_transport,
     orphaned_segments,
     reap_stale_segments,
@@ -308,6 +318,34 @@ class TestDirectPipe:
             sender.kill()
             pipe.close()
 
+    def test_resumed_reads_then_a_larger_and_a_smaller_message(self):
+        """The deadline passes inside the header, then inside the payload
+        of a raw work frame; each read resumes where the last stopped.  A
+        larger raw message and a smaller pickled one follow, read whole."""
+        pipe = PipeTransport(CTX)
+        block = _pipe_bytes(pipe) // 8
+        first = [(k, bytes([k]) * block, 0.5 * k) for k in range(2)]
+        flag, parts = encode(first, True)
+        payload = b"".join(parts)
+        wire = PipeTransport._HEADER.pack(len(payload), flag) + payload
+        try:
+            for piece in (wire[:3], wire[3 : len(wire) // 2]):
+                os.write(pipe._writer.fileno(), piece)
+                with pytest.raises(TransportEmpty):
+                    pipe.recv(timeout=0.05)
+                assert pipe._partial is not None
+            os.write(pipe._writer.fileno(), wire[len(wire) // 2 :])
+            assert typed(pipe.recv(timeout=DEADLINE)[0]) == typed(first)
+            larger = [(k, bytes([k]) * (2 * block), -0.0) for k in range(2)]
+            pipe.send(larger, True, timeout=DEADLINE)
+            assert typed(pipe.recv(timeout=DEADLINE)[0]) == typed(larger)
+            assert pipe._partial is None
+            smaller = [("small", True)]
+            pipe.send(smaller, True, timeout=DEADLINE)
+            assert pipe.recv(timeout=DEADLINE)[0] == smaller
+        finally:
+            pipe.close()
+
     def test_recv_nowait_treats_a_dead_readers_lock_as_empty(self):
         pipe = PipeTransport(CTX)
         try:
@@ -442,8 +480,6 @@ class TestTornWrites:
             assert ring.recv(timeout=1.0)[0] == [b"live"]
             # A writer that died mid-fill: payload bytes land but the slot
             # seq was never published (it still holds a stale lap's value).
-            import struct
-
             buf = ring._shm.buf
             offset = 128 + (1 % ring.slots) * ring.slot_bytes
             struct.pack_into("<II", buf, offset + 8, 4, 1)  # length, FRAME
@@ -539,7 +575,129 @@ class TestBackpressure:
             ring.close()
 
 
-# -- the raw-bytes fast path -------------------------------------------------------
+# -- the raw codec: frames of one flat shape skip pickle ----------------------------
+
+FORK = multiprocessing.get_context("fork")
+
+INT64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+#: Every double, and the ones equality cannot tell apart or from themselves.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+)
+#: Values from empty to 256 KiB; a seeded generator fills them, so
+#: hypothesis draws a size and a seed, not the bytes.
+BLOCKS = st.builds(
+    lambda size, seed: random.Random(seed).randbytes(size),
+    st.one_of(
+        st.integers(0, 64),
+        st.sampled_from([65536, 256 * 1024]),
+        st.integers(0, 256 * 1024),
+    ),
+    st.integers(0, 1 << 16),
+)
+#: Engine work frames ``(i, value, a_seconds)``, ints at the int64 bounds.
+RAW_TRIPLES = st.lists(
+    st.tuples(st.one_of(INT64, st.sampled_from([-(1 << 63), (1 << 63) - 1])),
+              BLOCKS, FLOATS),
+    min_size=2, max_size=5,
+)
+RAW_BARE = st.lists(st.binary(max_size=256), min_size=2, max_size=24)
+
+
+class BytesSubclass(bytes):
+    """Must come back as itself, not as ``bytes``."""
+
+
+#: Ways to make one item of a raw-eligible frame not quite fit the shape.
+SPOILERS = (
+    lambda i, value, a: (True, value, a),
+    lambda i, value, a: (1 << 63, value, a),
+    lambda i, value, a: (-(1 << 63) - 1, value, a),
+    lambda i, value, a: (i, bytearray(value), a),
+    lambda i, value, a: (i, BytesSubclass(value), a),
+    lambda i, value, a: (i, (value,), a),
+    lambda i, value, a: (i, value),
+    lambda i, value, a: value,
+)
+
+
+@st.composite
+def lookalikes(draw):
+    """A work frame with one item spoiled, cut to a single item, or with
+    every value a scalar (no ``bytes`` field left: it stays on pickle)."""
+    frame = draw(RAW_TRIPLES)
+    cut = draw(st.sampled_from(["spoil", "single", "scalars"]))
+    if cut == "single":
+        return frame[:1]
+    if cut == "scalars":
+        return [(i, draw(st.one_of(INT64, FLOATS)), a) for i, _, a in frame]
+    at = draw(st.integers(0, len(frame) - 1))
+    frame[at] = draw(st.sampled_from(SPOILERS))(*frame[at])
+    return frame
+
+
+LOOKALIKES = lookalikes()
+
+
+def typed(value):
+    """``value`` with every type and float bit pattern spelled out: ``-0.0``
+    and ``0.0``, ``nan``, ``True`` and ``1``, ``bytes`` and a subclass all
+    differ."""
+    if type(value) in (list, tuple):
+        return type(value), tuple(typed(v) for v in value)
+    if type(value) is float:
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def _cross(kind, frame):
+    """``frame`` sent by another thread over a fresh ``kind`` wire (it may
+    be larger than the pipe buffer) and read back."""
+    wire = make_transport(kind, CTX, 64)
+    sender = threading.Thread(target=wire.send, args=(frame, True, DEADLINE))
+    try:
+        sender.start()
+        items, single, _ = wire.recv(timeout=DEADLINE)
+        assert single is None
+        return items
+    finally:
+        sender.join(DEADLINE)
+        wire.close()
+
+
+def _is_work_frame(obj):
+    return type(obj) is list and any(
+        type(item) is tuple and len(item) == 3 and type(item[1]) is bytes
+        for item in obj
+    )
+
+
+class _CountingPickle:
+    """Stands in for ``pickle`` inside ``repro.exec.transport``: counts its
+    calls, and those carrying a work frame, in cells forked stages share."""
+
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+    def __init__(self):
+        self.calls = FORK.RawValue("l", 0)
+        self.work_frames = FORK.RawValue("l", 0)
+
+    def _count(self, obj):
+        self.calls.value += 1
+        if _is_work_frame(obj):
+            self.work_frames.value += 1
+
+    def dumps(self, obj, protocol=None):
+        self._count(obj)
+        return pickle.dumps(obj, protocol)
+
+    def loads(self, data):
+        obj = pickle.loads(data)
+        self._count(obj)
+        return obj
+
+
 
 
 class TestRawFastPath:
@@ -565,6 +723,55 @@ class TestRawFastPath:
             assert ring.recv(timeout=2.0)[0] == frame
         finally:
             ring.close()
+
+    @pytest.mark.parametrize("kind", ["pipe", "shm"])
+    @given(frame=st.one_of(RAW_TRIPLES, RAW_BARE))
+    @settings(deadline=None, max_examples=30)
+    def test_raw_frames_cross_equal_and_type_identical(self, kind, frame):
+        assert encode(frame, True)[0] == _FLAG_RAW
+        assert typed(_cross(kind, frame)) == typed(frame)
+
+    @pytest.mark.parametrize("kind", ["pipe", "shm"])
+    @given(frame=LOOKALIKES)
+    @settings(deadline=None, max_examples=30)
+    def test_lookalikes_take_pickle_and_come_back_type_identical(
+        self, kind, frame
+    ):
+        assert encode(frame, True)[0] == _FLAG_FRAME
+        assert typed(_cross(kind, frame)) == typed(frame)
+
+    @pytest.mark.parametrize("kind", ["pipe", "shm"])
+    def test_a_work_frame_crosses_without_pickle(self, kind, monkeypatch):
+        """The ratchet: 16 work triples of 64 KiB each, no call to
+        ``pickle.dumps`` or ``pickle.loads`` on either side."""
+        counter = _CountingPickle()
+        monkeypatch.setattr(transport_module, "pickle", counter)
+        frame = [(i, produce_block(i), 0.001 * i) for i in range(16)]
+        assert _cross(kind, frame) == frame
+        assert counter.calls.value == 0
+
+    @pytest.mark.parametrize("kind", ["pipe", "shm"])
+    def test_an_engine_run_of_bytes_values_pickles_no_work_frame(
+        self, kind, monkeypatch
+    ):
+        """Phase A yields 64 KiB blocks, so every work frame takes the raw
+        mode, the crash-free hand-back included.  (A one-item chunk — the
+        ramp's first, the last few — is an unframed message, pickled like
+        STOP; ``done`` frames are protocol tuples, pickled too, which shows
+        the counter reaches the forked stages.)"""
+        counter = _CountingPickle()
+        monkeypatch.setattr(transport_module, "pickle", counter)
+        spec = PipelineSpec(
+            iterations=96, produce=produce_block, work=block_sum,
+            commit=append_commit, finalize=take_out,
+        )
+        result = ExecutionEngine(
+            workers=2, batch_size=16, transport=kind, start_method="fork"
+        ).run(spec)
+        assert result.output == run_sequential(spec)[0]
+        assert result.metrics.comm_overhead["work"]["flushes"] > 2
+        assert counter.calls.value > 0
+        assert counter.work_frames.value == 0
 
 
 # -- segment lifecycle -------------------------------------------------------------
