@@ -601,20 +601,83 @@ def _append_history(
           f"(diff with: python -m repro history)")
 
 
+def _checkpoint_config(args):
+    """``--checkpoint PATH``'s ``CheckpointConfig``, else None."""
+    if not args.checkpoint:
+        return None
+    from repro.resilience import CheckpointConfig
+
+    return CheckpointConfig(
+        interval=args.checkpoint_interval, path=args.checkpoint
+    )
+
+
+def _print_models(args, metrics, merged) -> None:
+    """``--calibrate`` / ``--compare``: simulate the workload's analog once,
+    at the run's thread count, and set it beside the measured run."""
+    from repro.core.report import CalibrationRow, format_calibration_table
+
+    threads = args.workers + 2  # + phase-A core + phase-C core
+    config = FrameworkConfig().with_(thread_counts=(1, threads))
+    evaluation = ParallelizationFramework(config).evaluate(
+        make_workload(args.name)
+    )
+    if args.calibrate:
+        row = CalibrationRow(
+            workers=args.workers,
+            threads=threads,
+            simulated_speedup=evaluation.report.curve[threads],
+            measured_speedup=metrics.measured_speedup or 0.0,
+        )
+        print()
+        print(format_calibration_table(args.name, [row]))
+    if args.compare:
+        from repro.obs import format_report
+
+        print()
+        print(
+            format_report(
+                args.name,
+                evaluation.graph,
+                evaluation.simulations[threads],
+                metrics.stage_seconds,
+                measured_speedup=metrics.measured_speedup,
+                merged=merged,
+            )
+        )
+
+
+def _finish_exec(
+    args, metrics, spool_dir, record, *, seed, ok, chaos=None
+) -> None:
+    """Everything an ``exec`` run does once the engine has returned: the
+    trace and the analyzer's verdict (``--trace``), the model comparisons
+    (``--calibrate``, ``--compare``), ``--metrics-out``, the history record
+    and ``--json`` (``record.to_json()``)."""
+    merged = None
+    if spool_dir is not None:
+        merged = _export_trace(args, spool_dir)
+        _attach_trace_bottleneck(merged, metrics)
+    if args.calibrate or args.compare:
+        _print_models(args, metrics, merged)
+    _write_metrics(args, metrics)
+    _append_history(args, args.name, metrics, seed=seed, chaos=chaos, ok=ok)
+    if args.json:
+        import json
+
+        _ensure_parent(args.json)
+        with open(args.json, "w") as handle:
+            json.dump(record.to_json(), handle, indent=2)
+        print(f"wrote {args.json}")
+
+
 def _run_chaos(args) -> int:
     """``exec NAME --chaos N``: one audited seeded chaos run."""
-    from repro.resilience import ChaosConfig, CheckpointConfig, run_chaos
+    from repro.resilience import ChaosConfig, run_chaos
 
     workload = make_workload(args.name)
     seed = _chaos_seed(args)
     print(f"chaos seed: {seed}  (replay with --seed {seed})")
-    checkpoint_config = (
-        CheckpointConfig(
-            interval=args.checkpoint_interval, path=args.checkpoint
-        )
-        if args.checkpoint
-        else None
-    )
     trace_config, spool_dir = _trace_config(args)
     report = run_chaos(
         workload.exec_spec,
@@ -622,7 +685,7 @@ def _run_chaos(args) -> int:
         workers=args.workers,
         capacity=args.capacity,
         config=ChaosConfig.sized(args.chaos),
-        checkpoint_config=checkpoint_config,
+        checkpoint_config=_checkpoint_config(args),
         batch_size=args.batch_size,
         flush_interval=args.flush_interval,
         transport=args.transport,
@@ -631,28 +694,17 @@ def _run_chaos(args) -> int:
     )
     print(report.format_summary())
     print(report.result.metrics.format_summary())
-    if spool_dir is not None:
-        merged = _export_trace(args, spool_dir)
-        _attach_trace_bottleneck(merged, report.result.metrics)
-    _write_metrics(args, report.result.metrics)
-    _append_history(
-        args, args.name, report.result.metrics,
+    _finish_exec(
+        args, report.result.metrics, spool_dir, report,
         seed=seed, chaos=args.chaos, ok=report.ok,
     )
-    if args.json:
-        import json
-
-        _ensure_parent(args.json)
-        with open(args.json, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-        print(f"wrote {args.json}")
     return 0 if report.ok else 1
 
 
 def _run_exec(args) -> int:
-    from repro.core.report import CalibrationRow, format_calibration_table
-    from repro.exec import ExecutionEngine, FaultPlan, run_sequential
-    from repro.resilience import CheckpointConfig, ThrottleConfig
+    from repro.exec import ExecutionEngine, run_sequential
+    from repro.resilience import ThrottleConfig, chaos_plan
+    from repro.resilience.chaos import INJECT_FAULTS
 
     if args.chaos is not None:
         return _run_chaos(args)
@@ -666,21 +718,14 @@ def _run_exec(args) -> int:
     if args.inject_faults:
         seed = _chaos_seed(args)
         print(f"fault injection seed: {seed}  (replay with --seed {seed})")
-        fault_plan = FaultPlan.seeded(spec.iterations, seed)
-    checkpoint_config = (
-        CheckpointConfig(
-            interval=args.checkpoint_interval, path=args.checkpoint
-        )
-        if args.checkpoint
-        else None
-    )
+        fault_plan = chaos_plan(spec.iterations, seed, INJECT_FAULTS)
     trace_config, spool_dir = _trace_config(args)
     engine = ExecutionEngine(
         workers=args.workers,
         capacity=args.capacity,
         fault_plan=fault_plan,
         throttle=ThrottleConfig(enabled=not args.no_throttle),
-        checkpoints=checkpoint_config,
+        checkpoints=_checkpoint_config(args),
         batch_size=args.batch_size,
         flush_interval=args.flush_interval,
         transport=args.transport,
@@ -701,58 +746,10 @@ def _run_exec(args) -> int:
         print(f"output: MISMATCH — engine {result.output!r} "
               f"vs sequential {sequential_output!r}")
 
-    merged = None
-    if spool_dir is not None:
-        merged = _export_trace(args, spool_dir)
-        _attach_trace_bottleneck(merged, result.metrics)
-
-    if args.calibrate:
-        threads = args.workers + 2  # + phase-A core + phase-C core
-        config = FrameworkConfig().with_(thread_counts=(1, threads))
-        evaluation = ParallelizationFramework(config).evaluate(
-            make_workload(args.name)
-        )
-        row = CalibrationRow(
-            workers=args.workers,
-            threads=threads,
-            simulated_speedup=evaluation.report.curve[threads],
-            measured_speedup=result.metrics.measured_speedup or 0.0,
-        )
-        print()
-        print(format_calibration_table(args.name, [row]))
-
-    if args.compare:
-        from repro.obs import format_report
-
-        threads = args.workers + 2  # + phase-A core + phase-C core
-        config = FrameworkConfig().with_(thread_counts=(1, threads))
-        evaluation = ParallelizationFramework(config).evaluate(
-            make_workload(args.name)
-        )
-        print()
-        print(
-            format_report(
-                args.name,
-                evaluation.graph,
-                evaluation.simulations[threads],
-                result.metrics.stage_seconds,
-                measured_speedup=result.metrics.measured_speedup,
-                merged=merged,
-            )
-        )
-
-    _write_metrics(args, result.metrics)
-    _append_history(
-        args, args.name, result.metrics,
+    _finish_exec(
+        args, result.metrics, spool_dir, result.metrics,
         seed=args.seed, ok=identical,
     )
-    if args.json:
-        import json
-
-        _ensure_parent(args.json)
-        with open(args.json, "w") as handle:
-            json.dump(result.metrics.to_json(), handle, indent=2)
-        print(f"wrote {args.json}")
     return _exec_exit_code(identical, result.metrics)
 
 

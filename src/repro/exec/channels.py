@@ -67,7 +67,6 @@ item.
 from __future__ import annotations
 
 import copy
-import logging
 import multiprocessing
 import time
 from collections import deque
@@ -75,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from repro.obs.events import CHANNEL_IDS, ChaosCode, EventKind
+from repro.exec.faults import announce
 from repro.exec import transport as _transport
 from repro.exec.transport import (
     FrameTooLarge,
@@ -82,12 +82,6 @@ from repro.exec.transport import (
     TransportFull,
     make_transport,
 )
-
-logger = logging.getLogger(__name__)
-
-_CHAOS_LATENCY = int(ChaosCode.CHANNEL_LATENCY)
-_CHAOS_DUPLICATE = int(ChaosCode.CHANNEL_DUPLICATE)
-_CHAOS_DROP = int(ChaosCode.CHANNEL_DROP)
 
 #: Sentinel that survives pickling with identity-free equality: workers
 #: compare by value, so the producer's copy and the worker's copy agree.
@@ -356,11 +350,6 @@ class ProcessChannel:
                 kind, t0_ns, t1_ns, detail=CHANNEL_IDS.get(self.name, 255)
             )
 
-    def _trace_chaos(self, kind: int, index: int, code: int) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(kind, arg=index, detail=code)
-
     # -- produce side -----------------------------------------------------------
 
     def _append(self, item: Any) -> None:
@@ -371,27 +360,18 @@ class ProcessChannel:
         copies = 1
         chaos = self.chaos
         if chaos is not None:
+            where = f"channel {self.name!r}"
             if index in chaos.drop_indices:
-                logger.info(
-                    "chaos: dropping item at put-index %d on channel %r",
-                    index, self.name,
-                )
-                self._trace_chaos(EventKind.CHAOS, index, _CHAOS_DROP)
+                announce(ChaosCode.CHANNEL_DROP, index, where, self.tracer)
                 return
             delay = chaos.latency_by_index.get(index)
             if delay:
-                logger.info(
-                    "chaos: delaying item at put-index %d on channel %r "
-                    "by %.3fs", index, self.name, delay,
-                )
-                self._trace_chaos(EventKind.CHAOS, index, _CHAOS_LATENCY)
+                announce(ChaosCode.CHANNEL_LATENCY, index, where, self.tracer)
                 time.sleep(delay)
             if index in chaos.duplicate_indices:
-                logger.info(
-                    "chaos: duplicating item at put-index %d on channel %r",
-                    index, self.name,
+                announce(
+                    ChaosCode.CHANNEL_DUPLICATE, index, where, self.tracer
                 )
-                self._trace_chaos(EventKind.CHAOS, index, _CHAOS_DUPLICATE)
                 copies = 2
         for _ in range(copies):
             self._send_buffer.append(item)

@@ -6,16 +6,26 @@ treats every such event as a *misspeculation of the scheduling kind* — the
 lost task is re-executed serially by the committer and committed exactly
 once, in order.
 
-:class:`FaultPlan` describes deliberate failures for testing and the
-``--inject-faults`` CLI path; :class:`RobustnessPolicy` bounds how patient
-and how forgiving the engine is (per-task timeout, respawn budget, and the
-stall deadline after which it degrades to sequential execution).
+:class:`FaultPlan` describes deliberate failures.  Seeded plans all come
+from one sampler, :func:`repro.resilience.chaos.chaos_plan`: ``exec
+--chaos``, ``exec --inject-faults`` (one crash, one soft fault) and the
+service's ``params.chaos`` differ only in the counts of the
+:class:`~repro.resilience.chaos.ChaosConfig` they hand it.  Every stage
+that fires an injection says so through :func:`announce`.
+:class:`RobustnessPolicy` bounds how patient and how forgiving the engine
+is (per-task timeout, respawn budget, and the stall deadline after which
+it degrades to sequential execution).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional
+
+from repro.obs.events import ChaosCode, EventKind
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -75,35 +85,6 @@ class FaultPlan:
         ):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
-    @classmethod
-    def default_for(cls, iterations: int) -> "FaultPlan":
-        """The CLI's ``--inject-faults`` plan: one crash, one soft error."""
-        crash = {iterations // 3} if iterations else frozenset()
-        error = {(2 * iterations) // 3} if iterations > 1 else frozenset()
-        return cls(crash_iterations=crash, error_iterations=error - crash)
-
-    @classmethod
-    def seeded(cls, iterations: int, seed: int) -> "FaultPlan":
-        """A small reproducible plan for ``--inject-faults --seed N``.
-
-        One crash and one soft error like :meth:`default_for`, but at
-        seed-chosen iterations, so every injected run is replayable from its
-        printed seed.
-        """
-        import random
-
-        if iterations <= 0:
-            return cls()
-        rng = random.Random(seed)
-        picks = rng.sample(range(iterations), min(2, iterations))
-        crash = {picks[0]}
-        error = {picks[1]} if len(picks) > 1 else set()
-        return cls(crash_iterations=crash, error_iterations=error)
-
-    @property
-    def any_faults(self) -> bool:
-        return self.injected_fault_count > 0
-
     @property
     def injected_fault_count(self) -> int:
         """Total distinct injections this plan will attempt."""
@@ -130,6 +111,33 @@ class FaultPlan:
         if self.hang_seconds <= ceiling:
             return self
         return replace(self, hang_seconds=ceiling)
+
+
+def announce(
+    code: ChaosCode,
+    i: int,
+    where: str,
+    tracer=None,
+    *,
+    worker: int = 0,
+    registry=None,
+    writer: int = 0,
+    flush: bool = False,
+) -> None:
+    """Say that injection ``code`` fired at ``i`` (an iteration, or a
+    put index for the channel codes) in ``where``: one log line, the
+    ``chaos_injections`` counter when a live ``registry`` is given, and
+    one :attr:`EventKind.CHAOS` instant (``arg2`` = ``worker``) on the
+    stage's spool.  ``flush`` pushes the spool to disk at once — for an
+    injection the process may not survive (a crash, a hang that ends in
+    a kill)."""
+    logger.info("injected %s at %d in %s", code.name.lower(), i, where)
+    if registry is not None:
+        registry.add(writer, "chaos_injections")
+    if tracer is not None:
+        tracer.instant(EventKind.CHAOS, arg=i, arg2=worker, detail=int(code))
+        if flush:
+            tracer.flush()
 
 
 class InjectedFault(RuntimeError):

@@ -71,19 +71,17 @@ commits that would open the window.
 from __future__ import annotations
 
 import copy
-import logging
 import os
 import time
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.exec.channels import ChannelTimeout, ProcessChannel, STOP, Wakeup
-from repro.exec.faults import FaultPlan, InjectedFault
+from repro.exec.faults import FaultPlan, InjectedFault, announce
 from repro.exec.rollback import Snapshot, WriteBuffer
 from repro.obs.clock import now_ns
 from repro.obs.events import ChaosCode, EventKind, TraceConfig
 from repro.obs.spool import open_tracer
-
-logger = logging.getLogger(__name__)
 
 #: How often an idle stage re-checks the shutdown event (seconds) — the
 #: safety net for runs that end without an end-of-stream token.
@@ -263,17 +261,13 @@ def producer_main(
             ):
                 # Crash *before dispatching* iteration i: everything produced
                 # so far must still reach the workers.
-                logger.info("injected producer crash before iteration %d", i)
                 _drain_flush(work, shutdown)
                 work.flush_and_close()
                 count_staged()
-                if registry is not None:
-                    registry.add(writer, "chaos_injections")
-                if tracer is not None:
-                    tracer.instant(
-                        EventKind.CHAOS, arg=i, detail=int(ChaosCode.CRASH)
-                    )
-                    tracer.flush()
+                announce(
+                    ChaosCode.CRASH, i, "producer", tracer,
+                    registry=registry, writer=writer, flush=True,
+                )
                 hard_exit(3)
             # One clock pair serves both the metrics (a_seconds) and the
             # trace span — tracing adds zero clock calls on this path.
@@ -361,6 +355,10 @@ def _worker_loop(
     hard_exit: Callable[[int], None] = os._exit,
 ) -> None:
     results: list = []  # finished, not yet handed to the done channel
+    chaos = partial(
+        announce, where=f"worker {worker_id}", tracer=tracer,
+        worker=worker_id, registry=registry, writer=writer,
+    )
     #: when the oldest result or fault not yet sent was ready
     unsent_since_ns: Optional[int] = None
     flush_interval_ns = int(done.flush_interval * 1e9)
@@ -440,19 +438,20 @@ def _worker_loop(
                         arg=i, arg2=worker_id,
                     )
 
-            # Begin marker *before* the injection checks: a task this
-            # process never finishes (crash, hang-then-kill) leaves an
-            # unmatched begin that the merger recovers as an aborted span.
-            # Written only under an active fault plan — the one regime where
-            # a process deliberately dies mid-task *and flushes first*, so
-            # the marker can actually reach disk.  A real crash loses the
-            # write buffer regardless, and unconditional begins would double
-            # the worker's record volume for insurance the buffer cannot
-            # honor.
-            if tracer is not None and fault_plan is not None:
-                tracer.instant(EventKind.TASK_B_BEGIN, arg=i, arg2=worker_id)
-
             if fault_plan is not None:
+                # Begin marker *before* the injection checks: a task this
+                # process never finishes (crash, hang-then-kill) leaves an
+                # unmatched begin that the merger recovers as an aborted
+                # span.  Written only under an active fault plan — the one
+                # regime where a process deliberately dies mid-task *and
+                # flushes first*, so the marker can actually reach disk.  A
+                # real crash loses the write buffer regardless, and
+                # unconditional begins would double the worker's record
+                # volume for insurance the buffer cannot honor.
+                if tracer is not None:
+                    tracer.instant(
+                        EventKind.TASK_B_BEGIN, arg=i, arg2=worker_id
+                    )
                 if i in fault_plan.crash_iterations:
                     # A hard crash: no exception, no goodbye — only the exit
                     # code.  Hand the chunk-mates this process never reached
@@ -460,12 +459,6 @@ def _worker_loop(
                     # per-iteration injections) picks them up; their claims
                     # are already on the wire, so the committer's serial
                     # retry still covers them if the hand-back is lost.
-                    logger.info(
-                        "injected crash in worker %d at iteration %d",
-                        worker_id, i,
-                    )
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
                     rest = [item for item in items if item[0] > i]
                     if rest:
                         work.chaos = None  # injections already applied
@@ -477,28 +470,12 @@ def _worker_loop(
                             pass
                     stage_results()
                     done.flush_and_close()
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.CRASH),
-                        )
-                        tracer.flush()
+                    chaos(ChaosCode.CRASH, i, flush=True)
                     hard_exit(1)
                 if i in fault_plan.hang_iterations:
-                    logger.info(
-                        "injected hang in worker %d at iteration %d "
-                        "(%.3fs)", worker_id, i, fault_plan.hang_seconds,
-                    )
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.HANG),
-                        )
-                        # A hung worker is killed, not asked: flush now so
-                        # the injection survives the SIGTERM.
-                        tracer.flush()
+                    # A hung worker is killed, not asked: flush now so the
+                    # injection survives the SIGTERM.
+                    chaos(ChaosCode.HANG, i, flush=True)
                     time.sleep(fault_plan.hang_seconds)
 
             t0_ns = now_ns()
@@ -510,17 +487,7 @@ def _worker_loop(
                     # Forced conflicts degenerate to soft faults when there
                     # is no read set to poison: the serial-retry path still
                     # runs.
-                    logger.info(
-                        "injected soft fault in worker %d at iteration %d",
-                        worker_id, i,
-                    )
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.SOFT_FAULT),
-                        )
+                    chaos(ChaosCode.SOFT_FAULT, i)
                     raise InjectedFault(f"injected fault at iteration {i}")
                 if speculative:
                     buffer = WriteBuffer(snapshot)
@@ -559,53 +526,20 @@ def _worker_loop(
                     # Forced misspeculation: report a read of a version that
                     # can never validate, so the committer must roll back
                     # and re-execute serially.
-                    logger.info(
-                        "injected forced conflict in worker %d at "
-                        "iteration %d", worker_id, i,
-                    )
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.FORCED_CONFLICT),
-                        )
-                    reads = dict(reads)
-                    reads[("__chaos__", i)] = 0
+                    chaos(ChaosCode.FORCED_CONFLICT, i)
+                    reads = {**reads, ("__chaos__", i): 0}
                 if i in fault_plan.latency_iterations:
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.RESULT_LATENCY),
-                        )
+                    chaos(ChaosCode.RESULT_LATENCY, i)
                     time.sleep(fault_plan.latency_seconds)
                 if i in fault_plan.drop_result_iterations:
-                    logger.info(
-                        "injected result drop in worker %d at iteration %d",
-                        worker_id, i,
-                    )
-                    if registry is not None:
-                        registry.add(writer, "chaos_injections")
-                    if tracer is not None:
-                        tracer.instant(
-                            EventKind.CHAOS, arg=i, arg2=worker_id,
-                            detail=int(ChaosCode.RESULT_DROP),
-                        )
+                    chaos(ChaosCode.RESULT_DROP, i)
                     continue  # the result message is lost on the wire
             results.append((i, result, reads, writes, elapsed))
             if (
                 fault_plan is not None
                 and i in fault_plan.duplicate_result_iterations
             ):
-                if registry is not None:
-                    registry.add(writer, "chaos_injections")
-                if tracer is not None:
-                    tracer.instant(
-                        EventKind.CHAOS, arg=i, arg2=worker_id,
-                        detail=int(ChaosCode.RESULT_DUPLICATE),
-                    )
+                chaos(ChaosCode.RESULT_DUPLICATE, i)
                 results.append(results[-1])
             # The clock read that closed the task also times the report:
             # a result waits for its chunk-mates at most flush_interval.

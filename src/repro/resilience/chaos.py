@@ -1,12 +1,14 @@
 """The seeded chaos harness: randomized, reproducible fault schedules.
 
-``FaultPlan.default_for`` hand-picks two iterations; real speculative
-runtimes must survive *arbitrary* fault timing.  :func:`chaos_plan`
-generalizes the plan into a randomized schedule drawn from one integer
-seed — worker crashes, hangs, soft faults, forced conflicts, result-latency
-spikes, duplicated results, dropped results, and (optionally) work-channel
-latency/duplicate/drop injection — every run replayable bit-for-bit from
-its printed seed.
+Real speculative runtimes must survive *arbitrary* fault timing.
+:func:`chaos_plan` draws a randomized :class:`FaultPlan` from one integer
+seed and a :class:`ChaosConfig` of counts — worker crashes, hangs, soft
+faults, forced conflicts, result-latency spikes, duplicated results,
+dropped results — and :func:`chaos_channel_plan` the work-channel
+latency/duplicate/drop schedule for the same seed; every run is replayable
+bit-for-bit from its printed seed.  It is the only sampler: ``exec
+--inject-faults`` (:data:`INJECT_FAULTS`) and the service's
+``params.chaos`` are configs handed to it.
 
 :func:`run_chaos` is the harness proper: it times the sequential oracle,
 runs the engine under the seeded schedule (with checkpointing and adaptive
@@ -46,6 +48,15 @@ CHAOS_POLICY = RobustnessPolicy(
 )
 
 
+#: :class:`ChaosConfig`'s injection counts: worker-side (in the order
+#: :func:`chaos_plan` draws them), then work-channel side.
+_WORKER_COUNTS = (
+    "crashes", "hangs", "soft_faults", "conflicts", "latencies",
+    "duplicates", "drops",
+)
+_CHANNEL_COUNTS = ("channel_latencies", "channel_duplicates", "channel_drops")
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """How much of each misbehaviour one chaos run injects.
@@ -73,24 +84,21 @@ class ChaosConfig:
 
     @property
     def worker_total(self) -> int:
-        return (
-            self.crashes
-            + self.hangs
-            + self.soft_faults
-            + self.conflicts
-            + self.latencies
-            + self.duplicates
-            + self.drops
-        )
+        return sum(getattr(self, name) for name in _WORKER_COUNTS)
 
     @property
     def total(self) -> int:
         return (
             self.worker_total
-            + self.channel_latencies
-            + self.channel_duplicates
-            + self.channel_drops
+            + sum(getattr(self, name) for name in _CHANNEL_COUNTS)
             + (1 if self.producer_crash else 0)
+        )
+
+    @classmethod
+    def only(cls, **counts: int) -> "ChaosConfig":
+        """A mix of just ``counts``: every injection not named is off."""
+        return cls(
+            **{**dict.fromkeys(_WORKER_COUNTS + _CHANNEL_COUNTS, 0), **counts}
         )
 
     @classmethod
@@ -100,17 +108,7 @@ class ChaosConfig:
         factor = total / base.total
         scaled = {
             name: max(0, round(getattr(base, name) * factor))
-            for name in (
-                "crashes",
-                "hangs",
-                "soft_faults",
-                "conflicts",
-                "latencies",
-                "duplicates",
-                "drops",
-                "channel_latencies",
-                "channel_duplicates",
-            )
+            for name in _WORKER_COUNTS + _CHANNEL_COUNTS
         }
         if sum(scaled.values()) == 0:
             scaled["soft_faults"] = max(1, total)
@@ -128,27 +126,27 @@ class ChaosConfig:
             return self
         scale = budget / self.worker_total
         scaled = {
-            name: int(getattr(self, name) * scale)
-            for name in (
-                "crashes",
-                "hangs",
-                "soft_faults",
-                "conflicts",
-                "latencies",
-                "duplicates",
-                "drops",
-            )
+            name: int(getattr(self, name) * scale) for name in _WORKER_COUNTS
         }
         if sum(scaled.values()) == 0:
             scaled["soft_faults"] = 1
         return replace(self, **scaled)
 
 
+#: ``exec --inject-faults``: one worker crash and one soft fault.
+INJECT_FAULTS = ChaosConfig.only(crashes=1, soft_faults=1)
+
+
 def chaos_plan(
     iterations: int, seed: int, config: Optional[ChaosConfig] = None
 ) -> FaultPlan:
-    """A reproducible randomized :class:`FaultPlan` for one run."""
-    config = (config or ChaosConfig()).fitted(iterations)
+    """A reproducible randomized :class:`FaultPlan` for one run.
+
+    With no ``config`` the default mix, :meth:`ChaosConfig.fitted` to the
+    run; an explicit ``config`` is drawn as given (counts past
+    ``iterations`` truncated, in draw order: crashes first).
+    """
+    config = config or ChaosConfig().fitted(iterations)
     rng = random.Random(seed)
     picks = rng.sample(
         range(iterations), min(iterations, config.worker_total)
@@ -239,8 +237,9 @@ def server_kill_plan(
 def chaos_channel_plan(
     iterations: int, seed: int, config: Optional[ChaosConfig] = None
 ) -> Optional[ChannelChaos]:
-    """Work-channel chaos for the same seed (distinct stream offset)."""
-    config = (config or ChaosConfig()).fitted(iterations)
+    """Work-channel chaos for the same seed (distinct stream offset); a
+    ``config`` is taken as in :func:`chaos_plan`."""
+    config = config or ChaosConfig().fitted(iterations)
     total = (
         config.channel_latencies
         + config.channel_duplicates

@@ -11,7 +11,7 @@ done | failed | cancelled``.  Two workload families are accepted:
   tests and smoke scripts.
 
 ``params.chaos`` (``{"conflicts": k, "errors": m, "crashes": c, "seed": s}``)
-compiles to a seeded :class:`~repro.exec.faults.FaultPlan`.  Storm seeding
+is drawn by :func:`~repro.resilience.chaos.chaos_plan`.  Storm seeding
 is the point: forced conflicts/errors drive the serial-re-execution rate up
 until the tenant's watchdog flags a misspeculation storm and its persistent
 throttle clamps the window — all without changing the job's *output*, which
@@ -31,6 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.engine import PipelineSpec
 from repro.exec.faults import FaultPlan
+from repro.resilience.chaos import ChaosConfig, chaos_plan
 from repro.workloads.suite import SUITE, exec_names
 
 #: The non-benchmark workload: parameterized deterministic spin work.
@@ -132,11 +133,10 @@ def known_workloads() -> list:
 def compile_chaos(
     chaos: Optional[Dict[str, Any]], iterations: int
 ) -> Optional[FaultPlan]:
-    """A seeded fault plan from request parameters (None = clean run).
-
-    Iteration targets are sampled without replacement per fault kind from
-    one seeded stream, so a given ``(chaos, iterations)`` pair always
-    injects the same schedule — reproducible storms.
+    """A seeded fault plan from request parameters (None = clean run),
+    drawn by :func:`~repro.resilience.chaos.chaos_plan` — disjoint
+    iterations from one seeded stream, so a given ``(chaos, iterations)``
+    pair always injects the same schedule: reproducible storms.
     """
     if not chaos:
         return None
@@ -157,27 +157,10 @@ def compile_chaos(
         raise ValueError("more chaos injections than iterations")
     if conflicts + errors + crashes == 0:
         return None
-    rng = random.Random(seed)
-    population = list(range(iterations))
-    rng.shuffle(population)
-    cursor = 0
-
-    def take(count: int) -> frozenset:
-        nonlocal cursor
-        chosen = frozenset(population[cursor:cursor + count])
-        cursor += count
-        return chosen
-
-    conflict_set = take(conflicts)
-    error_set = take(errors)
-    crash_set = frozenset(
-        population[cursor + k] for k in range(min(crashes, iterations - cursor))
+    config = ChaosConfig.only(
+        crashes=crashes, soft_faults=errors, conflicts=conflicts
     )
-    return FaultPlan(
-        conflict_iterations=conflict_set,
-        error_iterations=error_set,
-        crash_iterations=crash_set,
-    )
+    return chaos_plan(iterations, seed, config)
 
 
 def resolve_retry(params: Dict[str, Any]) -> Tuple[int, float]:

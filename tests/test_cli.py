@@ -86,6 +86,34 @@ class TestExecCommand:
         assert data["commits"] == data["iterations"] > 0
         assert data["measured_speedup"] is not None
 
+    def test_exec_compare_prints_the_measured_timeline(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--calibrate --compare --trace``: one simulation of the analog
+        serves both tables, and the traced run is drawn beside it."""
+        from repro.core.framework import ParallelizationFramework
+
+        evaluate = ParallelizationFramework.evaluate
+        calls = []
+
+        def counting_evaluate(framework, workload):
+            calls.append(workload.name)
+            return evaluate(framework, workload)
+
+        monkeypatch.setattr(
+            ParallelizationFramework, "evaluate", counting_evaluate
+        )
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["exec", "256.bzip2", "--workers", "2", "--calibrate",
+             "--compare", "--trace", str(trace), "--no-history"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "-- measured timeline --" in output
+        assert "=== predicted vs measured: 256.bzip2 ===" in output
+        assert trace.exists()
+        assert calls == ["256.bzip2"]
+
     def test_exec_rejects_workload_without_spec(self):
         # 186.crafty has no exec spec; argparse rejects it up front.
         with pytest.raises(SystemExit):

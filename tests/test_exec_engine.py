@@ -231,7 +231,8 @@ class TestFaultTolerance:
         engine = ExecutionEngine(
             workers=2,
             capacity=4,
-            fault_plan=FaultPlan.default_for(spec.iterations),
+            # one crash and one soft error among the 5 blocks
+            fault_plan=FaultPlan(crash_iterations={1}, error_iterations={3}),
             policy=FAST_POLICY,
         )
         result = engine.run(spec)

@@ -174,3 +174,58 @@ def test_there_is_one_of_each_helper():
                 guards.append(cls.name)
     assert thread_handles == ["ThreadStage"]
     assert guards == ["ShutdownGuard"]
+
+
+def _enclosing_functions(tree):
+    """``{id(node): name of the innermost function around it}``."""
+    owner = {}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) else function
+            owner[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_every_injection_is_announced_in_one_place():
+    """The ``chaos_injections`` counter and the ``CHAOS`` trace instant are
+    written by ``faults.announce`` alone, so a stage that injects a fault
+    cannot count it one way and trace it another."""
+    writers = set()
+    for path in (SRC / "exec").glob("*.py"):
+        tree = _tree(path)
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and node.value == "chaos_injections"
+            ) or (
+                isinstance(node, ast.Attribute)
+                and ast.unparse(node) == "EventKind.CHAOS"
+            ):
+                writers.add((path.name, owner[id(node)]))
+    assert writers == {("faults.py", "announce")}
+
+
+def test_every_seeded_schedule_comes_from_one_sampler():
+    """``exec --chaos``, ``exec --inject-faults`` and the service's
+    ``params.chaos`` all draw through ``chaos_plan``; nothing else under
+    ``src/`` builds a fault schedule."""
+    builders = set()
+    for path in SRC.rglob("*.py"):
+        tree = _tree(path)
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "FaultPlan", "ChannelChaos"
+            ):
+                builders.add((ast.unparse(node.func), owner[id(node)]))
+    assert builders == {
+        ("FaultPlan", "chaos_plan"),
+        ("ChannelChaos", "chaos_channel_plan"),
+    }

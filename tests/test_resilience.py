@@ -11,6 +11,8 @@ counters.  Chaos seeds honour ``CHAOS_SEED`` so CI can sweep a seed matrix.
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exec import (
     ChannelChaos,
@@ -32,12 +34,14 @@ from repro.resilience import (
     InvariantKind,
     SpeculationThrottle,
     ThrottleConfig,
+    chaos_channel_plan,
     chaos_plan,
     check_checkpoints,
     check_run,
     run_chaos,
     spec_fingerprint,
 )
+from repro.resilience.chaos import INJECT_FAULTS
 from tests.test_exec_committer import RunningTotal
 
 #: CI's chaos job sweeps this through a fixed seed matrix.
@@ -460,6 +464,113 @@ class TestChaosHarness:
         ).run(speculative_spec(20))
         assert result.output == expected_spec
         assert result.metrics.commits == 20
+
+
+# -- one sampler: replay with --seed is pinned -------------------------------------
+
+#: ``FaultPlan`` fields in the order the golden rows list them.
+PLAN_FIELDS = (
+    "crash_iterations",
+    "hang_iterations",
+    "error_iterations",
+    "conflict_iterations",
+    "latency_iterations",
+    "duplicate_result_iterations",
+    "drop_result_iterations",
+)
+
+#: ``(seed, iterations) -> (worker-side sets, (channel latency indices,
+#: channel duplicates, channel drops))``, captured from the sampler before
+#: ``--inject-faults`` and ``params.chaos`` were folded into it: the
+#: schedules every recorded ``--seed`` replays.
+GOLDEN_DEFAULT_MIX = {
+    (1337, 10): (((), (), (9,), (8,), (), (), ()), ((5, 9), (0,), ())),
+    (1337, 80): (((68, 79), (46,), (21, 42, 49, 73, 74), (26, 39, 50, 71, 77), (8, 13, 51, 54), (32, 44, 76), (22,)), ((42, 74), (2,), ())),
+    (1337, 200): (((136, 158), (181,), (42, 93, 146, 149, 187), (85, 92, 98, 162, 198), (52, 78, 100, 178), (27, 168, 194), (108,)), ((85, 148), (5,), ())),
+    (20071209, 10): (((), (), (7,), (2,), (), (), ()), ((3, 4), (2,), ())),
+    (20071209, 80): (((20, 59), (23,), (51, 62, 64, 66, 79), (0, 15, 42, 53, 67), (32, 33, 48, 58), (43, 57, 70), (22,)), ((27, 34), (76,), ())),
+    (20071209, 200): (((40, 119), (46,), (102, 124, 129, 132, 168), (85, 106, 157, 184, 198), (0, 31, 135, 196), (177, 178, 199), (67,)), ((55, 69), (153,), ())),
+    (424242, 10): (((), (), (8,), (3,), (), (), ()), ((3, 6), (2,), ())),
+    (424242, 80): (((29, 64), (40,), (5, 25, 34, 43, 67), (17, 44, 48, 51, 70), (19, 58, 61, 72), (42, 46, 66), (79,)), ((25, 51), (16,), ())),
+    (424242, 200): (((58, 129), (81,), (11, 69, 87, 134, 179), (35, 51, 88, 97, 141), (39, 103, 116, 139), (122, 169, 186), (78,)), ((51, 166), (102,), ())),
+}
+#: The same, for ``exec --chaos 20``: ``ChaosConfig.sized(20)`` fitted to
+#: the run as :func:`run_chaos` fits it.
+GOLDEN_SIZED_20 = {
+    (1337, 10): (((), (), (9,), (8,), (), (), ()), ((5, 9), (0,), ())),
+    (1337, 80): (((68, 79), (46,), (21, 42, 73, 74), (39, 49, 50, 77), (13, 26, 71), (51, 54), (8,)), ((42, 74), (2,), ())),
+    (20071209, 10): (((), (), (7,), (2,), (), (), ()), ((3, 4), (2,), ())),
+    (20071209, 80): (((20, 59), (23,), (51, 62, 64, 66), (42, 53, 67, 79), (0, 15, 33), (32, 48), (58,)), ((27, 34), (76,), ())),
+    (424242, 10): (((), (), (8,), (3,), (), (), ()), ((3, 6), (2,), ())),
+    (424242, 80): (((29, 64), (40,), (5, 34, 43, 67), (17, 25, 48, 70), (44, 51, 58), (19, 72), (61,)), ((25, 51), (16,), ())),
+}
+
+
+def _schedule(plan, channel):
+    return (
+        tuple(tuple(sorted(getattr(plan, name))) for name in PLAN_FIELDS),
+        (
+            tuple(sorted(channel.latency_by_index)),
+            tuple(sorted(channel.duplicate_indices)),
+            tuple(sorted(channel.drop_indices)),
+        ),
+    )
+
+
+def frozen_seeded(iterations, seed):
+    """``FaultPlan.seeded`` as it was when it was the ``--inject-faults``
+    sampler: the reference its replacement must keep matching."""
+    import random
+
+    if iterations <= 0:
+        return FaultPlan()
+    rng = random.Random(seed)
+    picks = rng.sample(range(iterations), min(2, iterations))
+    crash = {picks[0]}
+    error = {picks[1]} if len(picks) > 1 else set()
+    return FaultPlan(crash_iterations=crash, error_iterations=error)
+
+
+class TestOneSampler:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DEFAULT_MIX))
+    def test_default_mix_replays_its_recorded_schedule(self, key):
+        seed, iterations = key
+        assert _schedule(
+            chaos_plan(iterations, seed), chaos_channel_plan(iterations, seed)
+        ) == GOLDEN_DEFAULT_MIX[key]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SIZED_20))
+    def test_sized_mix_replays_its_recorded_schedule(self, key):
+        seed, iterations = key
+        config = ChaosConfig.sized(20).fitted(iterations)
+        assert _schedule(
+            chaos_plan(iterations, seed, config),
+            chaos_channel_plan(iterations, seed, config),
+        ) == GOLDEN_SIZED_20[key]
+
+    @settings(max_examples=300)
+    @given(
+        iterations=st.integers(min_value=0, max_value=500),
+        seed=st.integers(),
+    )
+    # the runs too short for the default mix's fit to leave both in place
+    @example(iterations=1, seed=CHAOS_SEED)
+    @example(iterations=2, seed=CHAOS_SEED)
+    @example(iterations=3, seed=CHAOS_SEED)
+    def test_inject_faults_draws_what_seeded_drew(self, iterations, seed):
+        plan = chaos_plan(iterations, seed, INJECT_FAULTS)
+        reference = frozen_seeded(iterations, seed)
+        assert plan.crash_iterations == reference.crash_iterations
+        assert plan.error_iterations == reference.error_iterations
+        assert plan.injected_fault_count == reference.injected_fault_count
+
+    def test_an_explicit_config_is_drawn_in_full(self):
+        config = ChaosConfig(
+            crashes=1, hangs=0, soft_faults=1, conflicts=1, latencies=0,
+            duplicates=0, drops=0,
+        )
+        # the default fit would keep one injection of three at 3 iterations
+        assert chaos_plan(3, CHAOS_SEED, config).injected_fault_count == 3
 
 
 class TestChannelChaos:
