@@ -120,7 +120,7 @@ def launch(extra_args=()):
 def kill_and_recover(artifact_dir: str) -> None:
     """Phase 7: SIGKILL a durable server mid-job, restart, lose nothing."""
     from repro.exec.engine import run_sequential
-    from repro.resilience import server_kill_plan
+    from repro.resilience import Checkpoint, CheckpointError, server_kill_plan
     from repro.service.jobs import build_spec
 
     seed = int(os.environ.get("SMOKE_KILL_SEED", "0")) or int.from_bytes(
@@ -135,10 +135,11 @@ def kill_and_recover(artifact_dir: str) -> None:
     # A stale journal from a previous smoke run would replay its jobs (and
     # claim this phase's idempotency key) — this phase assumes fresh state.
     shutil.rmtree(state_dir, ignore_errors=True)
-    serve_args = ("--state-dir", state_dir, "--checkpoint-interval", "4",
-                  "--retry-max", "1")
+    interval = 4
+    serve_args = ("--state-dir", state_dir,
+                  "--checkpoint-interval", str(interval), "--retry-max", "1")
 
-    # -- incarnation 1: submit, wait for a durable checkpoint, SIGKILL ---
+    # -- incarnation 1: submit, wait for an appended checkpoint, SIGKILL -
     proc, base = launch(serve_args)
     try:
         status, body = request(
@@ -151,14 +152,22 @@ def kill_and_recover(artifact_dir: str) -> None:
         checkpoint = os.path.join(
             state_dir, "artifacts", job_id, "checkpoint.pkl"
         )
-        while not os.path.exists(checkpoint):
+        # The first cut is an atomic rename; wait for one appended after
+        # it, so the kill lands on a log the append path wrote.
+        covered = 0
+        while covered < 2 * interval:
             assert proc.poll() is None, "server died before the kill"
             remaining()
             time.sleep(0.02)
+            try:
+                covered = Checkpoint.load(checkpoint).next_commit
+            except CheckpointError:
+                pass
         time.sleep(min(plan.delays[0], 0.5))
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=remaining())
-        print(f"SIGKILLed server mid-job ({job_id} had a checkpoint)")
+        print(f"SIGKILLed server mid-job ({job_id} had a checkpoint "
+              f"covering {covered} iterations)")
     finally:
         if proc.poll() is None:
             proc.kill()

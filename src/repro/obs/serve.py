@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import selectors
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Tuple
@@ -225,10 +227,12 @@ Response = Tuple[int, str, bytes, Iterable[Tuple[str, str]]]
 def json_response(
     status: int, payload, extra_headers: Iterable[Tuple[str, str]] = ()
 ) -> Response:
-    """A JSON answer, encoded the way the job API always has."""
+    """A compact JSON answer.  No ``indent``: an indented ``json.dumps``
+    runs the pure-Python encoder, the compact one the C encoder."""
     return (
         status, "application/json",
-        json.dumps(payload, indent=2, default=str).encode(), extra_headers,
+        json.dumps(payload, separators=(",", ":"), default=str).encode(),
+        extra_headers,
     )
 
 
@@ -315,7 +319,9 @@ class HttpServer:
     ``port=0`` binds an ephemeral port (tests, and parallel runs on one
     box); the bound port is available as :attr:`port` after
     :meth:`start`.  The serving thread and the per-connection threads are
-    daemons; :meth:`stop` also shuts them down explicitly.
+    daemons; :meth:`stop` also shuts them down explicitly.  The accept
+    loop sleeps until a connection or :meth:`stop`'s wake byte arrives, so
+    a stop never waits out a poll interval.
     """
 
     def __init__(
@@ -331,6 +337,7 @@ class HttpServer:
         self.name = name
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
+        self._wake: Optional[Tuple[int, int]] = None  # (read fd, write fd)
 
     @property
     def port(self) -> int:
@@ -344,21 +351,38 @@ class HttpServer:
         )
         self._server.handle = self.handle
         self._server.daemon_threads = True
+        self._wake = os.pipe()
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name=self.name, daemon=True,
+            target=self._serve, args=(self._server, self._wake[0]),
+            name=self.name, daemon=True,
         )
         self._thread.start()
         logger.info("%s on http://%s:%d", self.name, self.host, self.port)
         return self
 
+    @staticmethod
+    def _serve(server: ThreadingHTTPServer, wake_fd: int) -> None:
+        """``serve_forever`` without its 0.5 s shutdown poll: accept until
+        the wake pipe turns readable."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(server, selectors.EVENT_READ)
+            selector.register(wake_fd, selectors.EVENT_READ)
+            while not any(key.fd == wake_fd for key, _ in selector.select()):
+                server._handle_request_noblock()
+
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        if self._wake is not None:
+            os.write(self._wake[1], b"\0")
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        if self._server is not None:
+            self._server.server_close()
+            self._server = None
+        if self._wake is not None:
+            for fd in self._wake:
+                os.close(fd)
+            self._wake = None
 
 
 # -- the engine run's face ----------------------------------------------------------

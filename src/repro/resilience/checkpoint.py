@@ -5,7 +5,16 @@ is final — the committed :class:`~repro.exec.rollback.CommittedStore` state,
 the user accumulator, and the run counters.  A :class:`Checkpoint` freezes
 exactly that prefix; :class:`CheckpointManager` takes one every
 ``interval`` commits (in the committer, never in a worker) and optionally
-persists it to disk with an atomic write.
+persists it to disk.
+
+On disk a run's checkpoints form one append-only record log: each record is
+a header (magic, body length, crc32 of the body) followed by the pickled
+:class:`Checkpoint`.  A run's first cut replaces the file atomically (temp
+file + rename), so the file's existence still means "at least one complete
+checkpoint"; each later cut is one append, until the log holds
+:data:`LOG_RECORDS` records and the next cut starts it over with only
+itself.  :meth:`Checkpoint.load` returns the newest record whose length and
+crc check out, so a tail torn by a crash mid-append costs only that record.
 
 Resume (:meth:`repro.exec.engine.ExecutionEngine.run` with ``resume_from=``)
 rebuilds the store and accumulator from the checkpoint and starts committing
@@ -25,13 +34,23 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import struct
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # runtime import would be circular: engine imports us
     from repro.exec.metrics import EngineMetrics
     from repro.exec.rollback import CommittedStore, Location
+
+
+#: Record header: magic, body length, crc32 of the body.
+_HEADER = struct.Struct("<4sII")
+_MAGIC = b"RCK1"
+#: A log holding this many records is rewritten with only the next one, so
+#: the file never grows past this many records.
+LOG_RECORDS = 8
 
 
 class CheckpointError(RuntimeError):
@@ -73,15 +92,21 @@ class Checkpoint:
         # the same checkpoint must support repeated resume attempts.
         return copy.deepcopy(self.accumulator)
 
+    def _record(self) -> bytes:
+        """This checkpoint as one log record: header, then pickled body."""
+        body = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        return _HEADER.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+
     def save(self, path: str) -> None:
-        """Atomic persist: write to a temp file, then rename into place."""
+        """Atomic persist: write a one-record log to a temp file, then
+        rename it into place."""
         directory = os.path.dirname(os.path.abspath(path)) or "."
         handle, temp_path = tempfile.mkstemp(
             dir=directory, prefix=".checkpoint-", suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "wb") as stream:
-                pickle.dump(self, stream, protocol=pickle.HIGHEST_PROTOCOL)
+                stream.write(self._record())
             os.replace(temp_path, path)
         except BaseException:
             try:
@@ -90,12 +115,44 @@ class Checkpoint:
                 pass
             raise
 
+    def append(self, path: str) -> None:
+        """Append one record to the log at ``path`` (no rename)."""
+        with open(path, "ab") as stream:
+            stream.write(self._record())
+
     @staticmethod
     def load(path: str) -> "Checkpoint":
+        """The newest complete record of the log at ``path``.
+
+        Records are scanned from the front; one whose crc fails is skipped,
+        and the scan stops at a bad magic or a length that runs past the
+        end of the file (a torn tail).
+        """
         try:
             with open(path, "rb") as stream:
-                checkpoint = pickle.load(stream)
-        except (OSError, pickle.UnpicklingError, EOFError) as error:
+                raw = stream.read()
+        except OSError as error:
+            raise CheckpointError(
+                f"cannot load checkpoint from {path!r}: {error}"
+            ) from error
+        newest = None
+        offset = 0
+        while offset + _HEADER.size <= len(raw):
+            magic, length, crc = _HEADER.unpack_from(raw, offset)
+            start = offset + _HEADER.size
+            offset = start + length
+            if magic != _MAGIC or offset > len(raw):
+                break
+            body = raw[start:offset]
+            if zlib.crc32(body) == crc:
+                newest = body
+        if newest is None:
+            raise CheckpointError(
+                f"{path!r} holds no complete checkpoint record"
+            )
+        try:
+            checkpoint = pickle.loads(newest)
+        except Exception as error:
             raise CheckpointError(
                 f"cannot load checkpoint from {path!r}: {error}"
             ) from error
@@ -112,8 +169,9 @@ class CheckpointConfig:
     """How often to checkpoint and where.
 
     ``interval`` — commits between checkpoints;
-    ``path``     — optional file the latest checkpoint is persisted to
-    (atomically; the file always holds one complete checkpoint);
+    ``path``     — optional record log the run's checkpoints are persisted
+    to (once it exists it holds at least one complete checkpoint, and at
+    most :data:`LOG_RECORDS` of them);
     ``keep``     — how many checkpoints stay resident in memory.
     """
 
@@ -144,6 +202,8 @@ class CheckpointManager:
     indices: List[int] = field(default_factory=list)
     taken: int = 0
     _last_marked_commit: int = 0
+    #: records this run has written to the log at ``config.path``
+    _logged: int = 0
 
     @property
     def latest(self) -> Optional[Checkpoint]:
@@ -186,5 +246,13 @@ class CheckpointManager:
         if len(self.checkpoints) > self.config.keep:
             del self.checkpoints[: -self.config.keep]
         if self.config.path:
-            checkpoint.save(self.config.path)
+            # Reset first: a write that fails part-way leaves a log the
+            # next cut must start over rather than append to.
+            logged, self._logged = self._logged, 0
+            if 0 < logged < LOG_RECORDS:
+                checkpoint.append(self.config.path)
+            else:
+                checkpoint.save(self.config.path)
+                logged = 0
+            self._logged = logged + 1
         return checkpoint

@@ -19,14 +19,15 @@ commit-is-truth rule to the service layer:
   202 leaves the server, so a SIGKILL one instruction later loses nothing.
 
 - :class:`ArtifactStore` — per-job on-disk artifacts
-  (``artifacts/<job>/output.pkl``, ``metrics.json``, ``checkpoint.pkl``)
-  written atomically (temp file + rename, the
-  :meth:`repro.resilience.checkpoint.Checkpoint.save` idiom).  Job outputs
-  spill here the moment they are produced, and the server drops its
-  in-memory copy — results survive restarts and the resident set no longer
-  grows with job history.  The engine's periodic committed-prefix
-  checkpoint for a running job lands here too, which is what lets a
-  restarted server resume an interrupted job instead of re-running it.
+  (``artifacts/<job>/output.pkl``, ``metrics.json``, ``checkpoint.pkl``).
+  Outputs and metrics are written atomically (fsynced temp file + rename,
+  then one fsync of the job directory so the renames survive power loss).
+  Job outputs spill here the moment they are produced, and the server
+  drops its in-memory copy — results survive restarts and the resident set
+  no longer grows with job history.  The engine's committed-prefix
+  checkpoints for a running job land here too, as one append-only record
+  log (:mod:`repro.resilience.checkpoint`), which is what lets a restarted
+  server resume an interrupted job instead of re-running it.
 
 - :func:`fold_records` — replay: fold the journal into one
   :class:`ReplayedJob` per job (last state wins, payload from the
@@ -70,6 +71,16 @@ TERMINAL_EVENTS = frozenset(
 #: Everything the journal will accept; anything else is a programming
 #: error, caught at append time rather than at the next recovery.
 KNOWN_EVENTS = QUEUED_EVENTS | RUNNING_EVENTS | TERMINAL_EVENTS
+
+
+def fsync_directory(path: str) -> None:
+    """Make the renames inside ``path`` durable: ``os.replace`` changes the
+    directory, and only an fsync of the directory itself persists that."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class JournalError(RuntimeError):
@@ -281,6 +292,7 @@ class JobJournal:
             if was_open:
                 self._handle.close()
             os.replace(temp_path, self.path)
+            fsync_directory(directory)
         except BaseException:
             try:
                 os.unlink(temp_path)
@@ -302,9 +314,11 @@ class ArtifactStore:
 
     Outputs are pickled (full Python-object fidelity — the result endpoint
     serves exactly what the engine produced), metrics are JSON (small,
-    greppable, loaded alone during recovery), and the engine's periodic
-    committed-prefix checkpoint shares the directory.  All writes are
-    atomic; a crash mid-write leaves the previous version or nothing.
+    greppable, loaded alone during recovery), and the engine's
+    committed-prefix checkpoint log shares the directory.  Every artifact
+    write is atomic, so a crash mid-write leaves the previous version or
+    nothing; the checkpoint log is appended to, and its reader skips a
+    torn tail.
     """
 
     OUTPUT = "output.pkl"
@@ -365,6 +379,9 @@ class ArtifactStore:
             os.path.join(directory, self.METRICS),
             json.dumps(metrics, default=str).encode(),
         )
+        # Both renames reach the disk before the caller journals
+        # ``completed`` (the WAL rule).
+        fsync_directory(directory)
 
     def has_result(self, job_id: str) -> bool:
         return os.path.exists(

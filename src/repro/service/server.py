@@ -977,6 +977,7 @@ class PipelineService:
         finally:
             self.pool.release(lease)
         spilled = False
+        metrics_json = result.metrics.to_json() if error is None else None
         if (
             error is None
             and self.artifacts is not None
@@ -987,9 +988,7 @@ class PipelineService:
             # result that is not on disk.
             persist_t0 = now_ns()
             try:
-                self.artifacts.put_result(
-                    job.id, result.output, result.metrics.to_json()
-                )
+                self.artifacts.put_result(job.id, result.output, metrics_json)
                 spilled = True
             except Exception:
                 logger.exception("job %s: artifact write failed", job.id)
@@ -1008,7 +1007,7 @@ class PipelineService:
                 self._finish_failed(job, tenant, error)
             else:
                 metrics = result.metrics
-                job.metrics = metrics.to_json()
+                job.metrics = metrics_json
                 job.resumed_from = getattr(metrics, "resumed_from", 0) or 0
                 if metrics.cancelled or job.cancel_requested:
                     job.state = JobState.CANCELLED

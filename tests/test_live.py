@@ -68,8 +68,10 @@ from repro.obs.registry import (
     writers_for,
 )
 from repro.obs.serve import (
+    HttpServer,
     _Handler,
     escape_label_value,
+    json_response,
     prometheus_exposition,
     send_whole,
 )
@@ -509,6 +511,28 @@ def test_response_is_one_socket_write():
         "retry_after_s": 3.4,
     }
     assert not closed  # HTTP/1.1 keep-alive
+
+
+def test_http_server_stop_is_prompt():
+    """A stop wakes the accept loop instead of waiting out a poll
+    interval (socketserver's default is 0.5 s); served requests still get
+    their answer first."""
+    server = HttpServer(lambda request: json_response(200, {"ok": True}))
+    started = time.perf_counter()
+    server.start()
+    server.stop()
+    assert time.perf_counter() - started < 0.25
+
+    server = HttpServer(lambda request: json_response(200, [1, {"a": 2}]))
+    server.start()
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{server.port}/x", timeout=5
+    ) as response:
+        body = response.read()
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.25
+    assert body == b'[1,{"a":2}]'  # compact, parses to the same object
 
 
 # -- the live engine run: scrapes, health transition, consistency -------------------

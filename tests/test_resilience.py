@@ -254,6 +254,101 @@ class TestCheckpointing:
             CheckpointConfig(keep=0)
 
 
+# -- the on-disk checkpoint log ----------------------------------------------------
+
+
+def take_cuts(path, cuts, first=1):
+    """``cuts`` checkpoints of one run into the log at ``path``; returns
+    the file size after each cut."""
+    from repro.exec import CommittedStore, EngineMetrics
+
+    manager = CheckpointManager(CheckpointConfig(interval=1, path=path), "fp")
+    store = CommittedStore()
+    sizes = []
+    for next_commit in range(first, first + cuts):
+        manager.take(next_commit, store, list(range(next_commit)),
+                     EngineMetrics())
+        sizes.append(os.path.getsize(path))
+    return sizes
+
+
+class TestCheckpointLog:
+    def test_truncation_at_every_byte_keeps_the_newest_complete_record(
+        self, tmp_path
+    ):
+        """A kill mid-append leaves a prefix of the log; every prefix loads
+        the newest record it holds whole, never a partial one."""
+        path = str(tmp_path / "run.ckpt")
+        ends = take_cuts(path, 3)
+        raw = open(path, "rb").read()
+        assert ends[-1] == len(raw)
+        cut_path = tmp_path / "cut.ckpt"
+        for cut in range(len(raw) + 1):
+            cut_path.write_bytes(raw[:cut])
+            whole = sum(end <= cut for end in ends)
+            if whole == 0:
+                with pytest.raises(CheckpointError):
+                    Checkpoint.load(str(cut_path))
+                continue
+            checkpoint = Checkpoint.load(str(cut_path))
+            assert checkpoint.next_commit == whole
+            assert checkpoint.accumulator == list(range(whole))
+
+    def test_flipped_byte_in_last_body_falls_back(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        ends = take_cuts(path, 3)
+        raw = open(path, "rb").read()
+        body_start = ends[1] + 12  # the header is magic, length, crc32
+        flipped = tmp_path / "flipped.ckpt"
+        for offset in range(body_start, len(raw)):
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0xFF
+            flipped.write_bytes(bytes(damaged))
+            assert Checkpoint.load(str(flipped)).next_commit == 2
+
+    def test_raw_pickle_file_is_rejected(self, tmp_path):
+        import pickle
+
+        path = str(tmp_path / "run.ckpt")
+        take_cuts(path, 1)
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(pickle.dumps(Checkpoint.load(path)))
+        with pytest.raises(CheckpointError, match="no complete"):
+            Checkpoint.load(str(old))
+
+    def test_first_cut_renames_later_cuts_append_and_size_is_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience.checkpoint import LOG_RECORDS
+
+        path = str(tmp_path / "run.ckpt")
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        cuts = 2 * LOG_RECORDS + 1
+        sizes = take_cuts(path, cuts)
+        # cuts 1, LOG_RECORDS + 1, 2 * LOG_RECORDS + 1 start the log over
+        assert replaced == [path] * 3
+        assert sizes[LOG_RECORDS] < sizes[LOG_RECORDS - 1]
+        # records grow with the accumulator: the last one is the largest
+        assert max(sizes) <= LOG_RECORDS * sizes[-1]
+        assert Checkpoint.load(path).next_commit == cuts
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]
+
+    def test_a_new_run_starts_the_log_over(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        take_cuts(path, 3)
+        (size,) = take_cuts(path, 1, first=7)
+        assert take_cuts(str(tmp_path / "fresh.ckpt"), 1, first=7) == [size]
+        assert Checkpoint.load(path).next_commit == 7
+
+
 # -- adaptive speculation throttling -----------------------------------------------
 
 

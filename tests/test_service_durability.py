@@ -17,6 +17,7 @@ Three layers:
 import json
 import os
 import re
+import stat
 import signal
 import subprocess
 import sys
@@ -55,6 +56,20 @@ def wait_terminal(jobs, timeout=90.0):
         time.sleep(0.05)
     states = {j.id: j.state.value for j in jobs}
     raise AssertionError(f"jobs never finished: {states}")
+
+
+def count_directory_fsyncs(monkeypatch):
+    """Patch ``os.fsync`` to count calls on directory descriptors."""
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
 
 
 def durable_service(state_dir, **overrides):
@@ -125,6 +140,48 @@ class TestJobJournal:
         assert journal2.stats.seq_gaps == 1
         journal2.close()
 
+    def test_truncation_at_every_byte_replays_the_complete_prefix(
+        self, tmp_path
+    ):
+        """A kill at any byte of an append: replay keeps exactly the
+        records that were whole, truncates the file to them, and the next
+        append replays cleanly after them."""
+        source = str(tmp_path / "source.jsonl")
+        journal, _ = JobJournal.open(source)
+        events = ["submitted", "queued", "leased", "running", "completed"]
+        ends = []
+        for event in events:
+            journal.append(event, "j1", {"attempt": 1})
+            ends.append(os.path.getsize(source))
+        journal.close()
+        raw = open(source, "rb").read()
+        path = tmp_path / "journal.jsonl"
+        for cut in range(len(raw) + 1):
+            path.write_bytes(raw[:cut])
+            whole = sum(end <= cut for end in ends)
+            durable = ends[whole - 1] if whole else 0
+            journal, records = JobJournal.open(str(path))
+            assert [r["event"] for r in records] == events[:whole]
+            assert journal.stats.torn_tail == int(cut > durable)
+            assert journal.stats.corrupt_records == 0
+            assert os.path.getsize(path) == durable
+            assert journal.append("submitted", "j2") == whole
+            journal.close()
+            journal, records = JobJournal.open(str(path))
+            assert [r["seq"] for r in records] == list(range(whole + 1))
+            assert records[-1]["job"] == "j2"
+            assert journal.stats.torn_tail == 0
+            assert journal.stats.seq_gaps == 0
+            journal.close()
+
+    def test_compaction_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        journal, _ = JobJournal.open(str(tmp_path / "journal.jsonl"))
+        journal.append("submitted", "j1", {"tenant": "t"})
+        directory_fsyncs = count_directory_fsyncs(monkeypatch)
+        journal.compact([("submitted", "j1", {"tenant": "t"})])
+        assert len(directory_fsyncs) == 1
+        journal.close()
+
     def test_unknown_event_rejected(self, tmp_path):
         journal, _ = JobJournal.open(str(tmp_path / "j.jsonl"))
         with pytest.raises(JournalError):
@@ -164,6 +221,15 @@ class TestArtifactStore:
         assert store.load_metrics("j1") == {"committed": 3}
         assert not store.has_result("j2")
         assert store.load_metrics("j2") is None
+
+    def test_put_result_fsyncs_the_directory_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Both renames are durable before ``completed`` is journaled."""
+        store = ArtifactStore(str(tmp_path / "artifacts"))
+        directory_fsyncs = count_directory_fsyncs(monkeypatch)
+        store.put_result("j1", {"sum": 1}, {"committed": 1})
+        assert len(directory_fsyncs) == 1
 
     def test_checkpoint_lifecycle(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "artifacts"))
@@ -440,6 +506,38 @@ class TestDurableRestart:
             assert replayed(svc3) == (expected_states, expected_keys)
         finally:
             svc3.drain_and_stop()
+
+
+class TestCheckpointLogRatchet:
+    def test_a_job_renames_its_checkpoint_once_per_log(
+        self, tmp_path, monkeypatch
+    ):
+        """A running job's later checkpoints append to its log: a rename
+        only starts the log, at most once per ``LOG_RECORDS`` cuts."""
+        from repro.resilience.checkpoint import LOG_RECORDS
+
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        svc = durable_service(tmp_path / "state", checkpoint_interval=8)
+        try:
+            job, decision = svc.submit(
+                "acme", "synthetic", {"iterations": 64, "spin": 100}
+            )
+            assert decision.status == 202
+            wait_terminal(job)
+        finally:
+            svc.drain_and_stop()
+        assert job.state is JobState.DONE
+        cuts = job.metrics["checkpoints_taken"]
+        assert cuts >= 2
+        renames = replaced.count(ArtifactStore.CHECKPOINT)
+        assert 1 <= renames <= 1 + cuts // LOG_RECORDS
 
 
 class TestHistoryRecords:
