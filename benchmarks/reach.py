@@ -508,6 +508,12 @@ def render(functions, inputs, unmeasured, lost):
         f"  - `{command}` (from {', '.join(sorted(labels))})"
         for command, labels in sorted(by_command.items())
     ] or ["  - none"]
+    if any(label.startswith("bench/") for label, _ in unmeasured):
+        out += [
+            "",
+            "  `bench/workloads.py` keeps the `PYTHONPATH` it sets: `bench/` is",
+            "  the benchmark's own tree and changes only with the benchmark.",
+        ]
     out += [
         "- processes that started but ended before writing their record",
         "  (killed by a signal, or a hard crash): "

@@ -96,7 +96,11 @@ def pool_pids(base):
 def launch(extra_args=()):
     """Start ``python -m repro serve`` and parse the banner for the base
     URL (skipping any recovery summary a durable restart prints first)."""
-    env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
+    # src goes first; what PYTHONPATH already holds (a sitecustomize, say)
+    # stays after it
+    inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", *inherited]),
+               PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--workers", "2", "--slots", "2", "--drain-timeout", "30",

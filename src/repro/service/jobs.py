@@ -4,7 +4,7 @@ A job is one pipeline run requested over the API: a workload name plus
 parameters, owned by a tenant, moving through ``queued -> running ->
 done | failed | cancelled``.  Two workload families are accepted:
 
-- any suite benchmark with a real ``exec_spec`` (``164.gzip``,
+- any suite benchmark that declares its loop as a ``spec`` (``164.gzip``,
   ``197.parser``, ``256.bzip2``, ...) — the paper's analogs on the engine;
 - ``synthetic`` — a deterministic spin-work pipeline whose ``iterations``
   and ``spin`` parameters make it the natural load/chaos generator for
@@ -390,15 +390,14 @@ def resolve_iterations(workload: str, params: Dict[str, Any]) -> int:
         if unknown:
             raise ValueError(f"unknown params: {sorted(unknown)}")
         return iterations
-    factory = SUITE.get(workload)
-    if factory is None or not factory.has_exec_spec:
+    if workload not in exec_names():
         raise ValueError(
             f"unknown workload {workload!r}; known: {known_workloads()}"
         )
     unknown = set(params) - common
     if unknown:
         raise ValueError(f"unknown params: {sorted(unknown)}")
-    return factory().exec_spec().iterations
+    return SUITE[workload]().exec_spec().iterations
 
 
 def build_spec(

@@ -8,6 +8,13 @@ baseline, bit-exact original semantics) and once under parallel policies
 (Y-branches may fire on their intervals) — then simulates the second trace
 on 1-32 cores.
 
+An analog whose phase B is pure declares its loop once, as
+``spec(rec) -> PipelineSpec``: the stages make their trace-only calls
+(``work`` / ``load`` / ``store``) on ``rec``.  :meth:`Workload.run` drives
+that spec under the tracer's phases, and :meth:`Workload.exec_spec` hands
+the same spec, with :data:`NULL_RECORDER`, to the real engine — the
+simulated analog and the measured engine run the same code.
+
 Workloads also carry the Table 1 metadata (loop location, execution-time
 share, lines changed, techniques) so the benchmark harness can regenerate
 that table.
@@ -15,7 +22,6 @@ that table.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence, Tuple
 
@@ -68,13 +74,32 @@ class OutputComparison:
     note: str = ""
 
 
-class Workload(ABC):
+class _NullRecorder:
+    """What the engine's stages record into: every trace-only call is a
+    no-op."""
+
+    def work(self, units: int = 1) -> None:
+        pass
+
+    def load(self, obj: str, key: Hashable = None) -> None:
+        pass
+
+    def store(self, obj: str, key: Hashable = None, value: Hashable = None) -> None:
+        pass
+
+
+NULL_RECORDER = _NullRecorder()
+
+
+class Workload:
     """One benchmark analog.
 
-    Subclasses implement :meth:`run` to execute the real algorithm under the
-    tracer, and :meth:`compare_outputs` to judge output acceptability.  All
-    randomness must come from seeds fixed in ``__init__`` so runs are
-    deterministic.
+    A subclass declares ``spec(rec)`` — its loop as a
+    :class:`repro.exec.PipelineSpec` whose stages record into ``rec`` — or,
+    when its loop is not a pipeline of pure phase-B tasks, implements
+    :meth:`run` itself.  :meth:`compare_outputs` judges output
+    acceptability.  All randomness must come from seeds fixed in
+    ``__init__`` so runs are deterministic.
     """
 
     info: WorkloadInfo
@@ -83,28 +108,39 @@ class Workload(ABC):
     def name(self) -> str:
         return self.info.name
 
-    @abstractmethod
     def run(self, tracer: Tracer) -> Any:
-        """Execute the workload under ``tracer``; return the program output."""
+        """Execute the workload under ``tracer``; return the program output.
+
+        Derived from ``spec(tracer)``: ``init``, then per iteration
+        ``produce`` as task A, ``work`` as task B and ``commit`` as task C,
+        then ``finalize``.
+        """
+        spec = self.spec(tracer)
+        accumulator = spec.init()
+        for i in range(spec.iterations):
+            with tracer.task("A", i):
+                value = spec.produce(i)
+            with tracer.task("B", i):
+                result = spec.work(i, value)
+            with tracer.task("C", i):
+                spec.commit(i, result, accumulator)
+        return spec.finalize(accumulator)
 
     # -- real execution (repro.exec) -------------------------------------------------
 
-    #: True when :meth:`exec_spec` is implemented — the workload's A/B/C
-    #: decomposition can run for real on the multiprocess engine, not just
-    #: under the tracer/simulator.
-    has_exec_spec = False
-
     def exec_spec(self):
-        """A :class:`repro.exec.PipelineSpec` executing this workload for real.
+        """The :class:`repro.exec.PipelineSpec` the engine runs: ``spec``
+        with every trace-only call a no-op.
 
-        The spec's sequential reference must produce the *same output dict*
-        as :meth:`run` — the engine's outputs are asserted bit-identical to
-        it across worker counts.  ``produce`` and ``work`` cross process
-        boundaries and must be picklable.
+        Where :meth:`run` is derived from the same spec, the spec's
+        sequential reference is bit-identical to it by construction.  A
+        workload that keeps its own :meth:`run` (164.gzip) holds its spec to
+        it through :meth:`compare_outputs` instead.  ``produce`` and
+        ``work`` cross process boundaries and must be picklable; bind only
+        the recorder to ``work`` (the service pool pickles it at every
+        lease), never the input.
         """
-        raise NotImplementedError(
-            f"{self.name} does not define a real-execution pipeline spec"
-        )
+        return self.spec(NULL_RECORDER)
 
     # -- parallelization hints (the case studies' manual choices) -------------------
 

@@ -25,8 +25,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Tuple
 
-from repro.profiling.tracer import Tracer
-from repro.workloads.base import OutputComparison, Workload, WorkloadInfo
+from repro.workloads.base import Workload, WorkloadInfo
 from repro.workloads.generators import generate_text
 
 
@@ -51,50 +50,8 @@ class Bzip2Workload(Workload):
         self.block_size = block_size
         self.text = generate_text(seed, block_size * blocks)
 
-    def run(self, tracer: Tracer):
-        data = self.text
-        total_bits = 0
-        checksum = 0
-        iteration = 0
-        position = 0
-
-        while position < len(data):
-            with tracer.task("A", iteration):
-                block = data[position:position + self.block_size]
-                # The block variable is privatized by the TLS memory
-                # subsystem (Section 4.1.1) — each iteration's copy is its
-                # own; only the read cost appears here.
-                tracer.store("block", iteration, value=position)
-                tracer.work(max(1, len(block) // 512))
-
-            with tracer.task("B", iteration):
-                tracer.load("block", iteration)
-                bits, block_checksum, work = self._compress_block(block)
-                tracer.store("outbuf", iteration, value=bits)
-                tracer.work(work)
-
-            with tracer.task("C", iteration):
-                # Writes land in the output stream once positions are known.
-                tracer.load("outbuf", iteration)
-                total_bits += bits
-                checksum = (checksum * 37 + block_checksum) % (1 << 32)
-                tracer.work(max(1, bits // 8192))
-
-            position += self.block_size
-            iteration += 1
-
-        return {
-            "compressed_bits": total_bits,
-            "checksum": checksum,
-            "blocks": iteration,
-        }
-
-    # -- real execution on the multiprocess engine ----------------------------------
-
-    has_exec_spec = True
-
-    def exec_spec(self):
-        """Run the block loop for real: A slices, B compresses, C commits.
+    def spec(self, rec):
+        """The block loop: A slices, B compresses, C commits.
 
         No cross-block state exists, so phase B is pure — the first genuine
         wall-clock-parallel target, exactly as Section 4.1.1 predicts.
@@ -104,17 +61,11 @@ class Bzip2Workload(Workload):
         iterations = (len(self.text) + self.block_size - 1) // self.block_size
         return PipelineSpec(
             iterations=iterations,
-            produce=partial(_exec_produce, self.text, self.block_size),
-            work=_exec_work,
-            init=_exec_init,
-            commit=_exec_commit,
+            produce=partial(_read_block, rec, self.text, self.block_size),
+            work=partial(_compress, rec),
+            init=_empty_stream,
+            commit=partial(_write_block, rec),
         )
-
-    # -- the algorithm chain --------------------------------------------------------
-
-    def _compress_block(self, block: bytes) -> Tuple[int, int, int]:
-        """(output bits, checksum, work units) for one block."""
-        return compress_block(block)
 
 
 def compress_block(block: bytes) -> Tuple[int, int, int]:
@@ -129,27 +80,39 @@ def compress_block(block: bytes) -> Tuple[int, int, int]:
     return bits, checksum, work
 
 
-# -- picklable pipeline stages for repro.exec --------------------------------------
+# -- the pipeline stages (picklable: they cross process boundaries) ----------------
 
 
-def _exec_produce(text: bytes, block_size: int, i: int) -> bytes:
-    return text[i * block_size:(i + 1) * block_size]
+def _read_block(rec, text: bytes, block_size: int, i: int) -> bytes:
+    block = text[i * block_size:(i + 1) * block_size]
+    # The block variable is privatized by the TLS memory subsystem (Section
+    # 4.1.1) — each iteration's copy is its own; only the read cost appears
+    # here.
+    rec.store("block", i, value=i * block_size)
+    rec.work(max(1, len(block) // 512))
+    return block
 
 
-def _exec_work(i: int, block: bytes) -> Tuple[int, int]:
-    bits, checksum, _work = compress_block(block)
+def _compress(rec, i: int, block: bytes) -> Tuple[int, int]:
+    rec.load("block", i)
+    bits, checksum, work = compress_block(block)
+    rec.store("outbuf", i, value=bits)
+    rec.work(work)
     return bits, checksum
 
 
-def _exec_init() -> dict:
+def _empty_stream() -> dict:
     return {"compressed_bits": 0, "checksum": 0, "blocks": 0}
 
 
-def _exec_commit(i: int, result: Tuple[int, int], acc: dict) -> None:
+def _write_block(rec, i: int, result: Tuple[int, int], acc: dict) -> None:
+    # Writes land in the output stream once positions are known.
+    rec.load("outbuf", i)
     bits, block_checksum = result
     acc["compressed_bits"] += bits
     acc["checksum"] = (acc["checksum"] * 37 + block_checksum) % (1 << 32)
     acc["blocks"] += 1
+    rec.work(max(1, bits // 8192))
 
 
 def burrows_wheeler_transform(block: bytes) -> Tuple[List[int], int]:

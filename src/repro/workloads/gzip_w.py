@@ -85,12 +85,10 @@ class GzipWorkload(Workload):
     def uses_ybranch(self) -> bool:
         return True
 
-    has_exec_spec = True
-
-    def exec_spec(self):
-        """Run fixed-boundary deflate for real on the engine: A slices the
-        input at ``block_interval`` boundaries, B compresses a block with a
-        fresh dictionary, C accumulates bits and the rolling checksum.
+    def spec(self, rec):
+        """Fixed-boundary deflate: A slices the input at ``block_interval``
+        boundaries, B compresses a block with a fresh dictionary, C
+        accumulates bits and the rolling checksum.
 
         This is the interval policy made concrete — exactly the pigz
         transformation Section 4.4.1 describes: forcing predictable block
@@ -98,7 +96,9 @@ class GzipWorkload(Workload):
         parallel with no speculation.  The Y-branch's staleness heuristic is
         *not* consulted (its rare firings are what the simulator-side run
         speculates on); the cost is the same slightly smaller dictionaries
-        ``compare_outputs`` bounds at 1%.
+        ``compare_outputs`` bounds at 1%.  ``rec`` records nothing: the
+        traced program is :meth:`run`, whose next block start depends on the
+        previous phase B — not a pipeline of pure phase-B tasks.
         """
         from repro.exec.engine import PipelineSpec
 

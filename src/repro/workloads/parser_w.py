@@ -20,21 +20,17 @@ length, and the longest sentence caps the speedup exactly as the paper notes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Set, Tuple
 
 from repro.annotations.commutative import commutative
 from repro.profiling.context import current_tracer
-from repro.profiling.tracer import Tracer
 from repro.workloads.base import Workload, WorkloadInfo
 from repro.workloads.generators import Xorshift, generate_sentences
 
 # -- the Commutative arena allocator (the paper's 60MB pool) ---------------------------
 
 _ARENA_TOP = [0]
-
-
-def _reset_arena() -> None:
-    _ARENA_TOP[0] = 0
 
 
 def xfree_all() -> None:
@@ -112,12 +108,8 @@ class ParserWorkload(Workload):
         # dependence the paper synchronizes rather than speculates.
         return [("parser", "echo_mode")]
 
-    # -- real execution on the multiprocess engine ----------------------------------
-
-    has_exec_spec = True
-
-    def exec_spec(self):
-        """Run batch_process for real: per-sentence parallel CYK parses.
+    def spec(self, rec):
+        """batch_process: per-sentence CYK parses in phase B.
 
         Commands (and the echo-mode flag they toggle) stay in the stateful
         phase-A producer, exactly where Section 4.3.2 puts them, so phase B
@@ -127,61 +119,21 @@ class ParserWorkload(Workload):
 
         return PipelineSpec(
             iterations=len(self.sentences),
-            produce=_ExecProduce(self.sentences, self.command_every),
-            work=_exec_work,
-            init=_exec_init,
-            commit=_exec_commit,
+            produce=_ReadSentence(rec, self.sentences, self.command_every),
+            work=partial(_parse, rec),
+            init=_start_batch,
+            commit=partial(_tally, rec, self.sentences),
         )
 
-    def run(self, tracer: Tracer):
-        _reset_arena()
-        echo_mode = False
-        results: List[bool] = []
-        echoed = 0
 
-        for iteration, words in enumerate(self.sentences):
-            is_command = (
-                self.command_every and iteration % self.command_every == self.command_every - 1
-            )
-            with tracer.task("A", iteration):
-                # Tokenize; commands are handled here, in the sequential
-                # phase, per Section 4.3.2.
-                tracer.work(len(words))
-                if is_command:
-                    echo_mode = not echo_mode
-                    tracer.store("parser", "echo_mode", value=echo_mode)
-
-            with tracer.task("B", iteration):
-                if is_command:
-                    tracer.work(1)
-                    grammatical = True
-                else:
-                    tracer.load("parser", "echo_mode")
-                    grammatical, work = cyk_parse(words)
-                    tracer.work(work)
-                    if echo_mode:
-                        echoed += 1
-                tracer.store("parse.result", iteration, value=grammatical)
-
-            with tracer.task("C", iteration):
-                tracer.load("parse.result", iteration)
-                results.append(grammatical)
-                tracer.work(1 + len(words) // 8)
-
-        return {
-            "accepted": sum(results),
-            "rejected": len(results) - sum(results),
-            "echoed": echoed,
-        }
+# -- the pipeline stages (picklable: they cross process boundaries) ----------------
 
 
-# -- picklable pipeline stages for repro.exec --------------------------------------
-
-
-class _ExecProduce:
+class _ReadSentence:
     """Stateful phase A: tokenize, handle commands, track echo mode."""
 
-    def __init__(self, sentences: List[List[str]], command_every: int) -> None:
+    def __init__(self, rec, sentences: List[List[str]], command_every: int) -> None:
+        self.rec = rec
         self.sentences = sentences
         self.command_every = command_every
         self.echo_mode = False
@@ -191,30 +143,44 @@ class _ExecProduce:
         is_command = bool(
             self.command_every and i % self.command_every == self.command_every - 1
         )
+        # Tokenize; commands are handled here, in the sequential phase, per
+        # Section 4.3.2.
+        self.rec.work(len(words))
         if is_command:
             self.echo_mode = not self.echo_mode
+            self.rec.store("parser", "echo_mode", value=self.echo_mode)
         return words, is_command, self.echo_mode
 
 
-def _exec_work(i: int, payload: Tuple[List[str], bool, bool]) -> Tuple[bool, int]:
+def _parse(rec, i: int, payload: Tuple[List[str], bool, bool]) -> Tuple[bool, int]:
     words, is_command, echo_mode = payload
     if is_command:
-        return True, 0
-    grammatical, _work = cyk_parse(words)
-    return grammatical, 1 if echo_mode else 0
+        rec.work(1)
+        grammatical, echoed = True, 0
+    else:
+        rec.load("parser", "echo_mode")
+        grammatical, work = cyk_parse(words)
+        rec.work(work)
+        echoed = 1 if echo_mode else 0
+    rec.store("parse.result", i, value=grammatical)
+    return grammatical, echoed
 
 
-def _exec_init() -> dict:
+def _start_batch() -> dict:
+    xfree_all()
     return {"accepted": 0, "rejected": 0, "echoed": 0}
 
 
-def _exec_commit(i: int, result: Tuple[bool, int], acc: dict) -> None:
+def _tally(rec, sentences: List[List[str]], i: int, result: Tuple[bool, int],
+           acc: dict) -> None:
+    rec.load("parse.result", i)
     grammatical, echoed = result
     if grammatical:
         acc["accepted"] += 1
     else:
         acc["rejected"] += 1
     acc["echoed"] += echoed
+    rec.work(1 + len(sentences[i]) // 8)
 
 
 def cyk_parse(words: List[str]) -> Tuple[bool, int]:

@@ -67,8 +67,9 @@ def suite_names() -> List[str]:
 
 
 def exec_names() -> List[str]:
-    """Benchmarks that can run for real on the multiprocess engine."""
-    return [name for name, factory in SUITE.items() if factory.has_exec_spec]
+    """Benchmarks that can run for real on the multiprocess engine: those
+    that declare their loop as a ``spec``."""
+    return [name for name, factory in SUITE.items() if hasattr(factory, "spec")]
 
 
 def make_workload(name: str) -> Workload:

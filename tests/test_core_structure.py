@@ -10,6 +10,11 @@ The executable pipeline is written once too: :mod:`repro.exec` (its
 ``thread`` transport included).  The threaded prototype it replaced
 (``repro.dswp.runtime`` on ``repro.hw.queues``) and the event kernel no
 simulator used (``repro.hw.events``) must not come back.
+
+Each analog writes its A/B/C loop once: a workload that declares
+``spec(rec)`` gets its traced ``run`` and its ``exec_spec`` from
+``workloads/base.py``, so no second copy of the loop (an inline ``run``, an
+``exec_spec`` of its own, a ``has_exec_spec`` flag) comes back.
 """
 
 import ast
@@ -96,4 +101,33 @@ def test_one_executable_pipeline_under_src():
                 or getattr(node, "attr", None)
             if name in PROTOTYPE_NAMES:
                 found.append(f"{module}:{node.lineno}: {name}")
+    assert not found
+
+
+WORKLOADS = SRC / "workloads"
+
+#: Classes that declare ``spec`` and keep a ``run`` of their own, with why.
+OWN_RUN = {
+    "GzipWorkload": "its traced program is the Y-branch heuristic, whose next "
+                    "block start depends on the previous phase B: not a pipeline",
+}
+
+
+def test_each_analog_declares_its_loop_once():
+    found = []
+    for path in WORKLOADS.rglob("*.py"):
+        where = path.relative_to(SRC)
+        for node in ast.walk(_tree(path)):
+            name = getattr(node, "name", None) or getattr(node, "id", None) \
+                or getattr(node, "attr", None)
+            if name == "has_exec_spec":
+                found.append(f"{where}:{node.lineno}: has_exec_spec")
+            if isinstance(node, ast.FunctionDef) and node.name == "exec_spec" \
+                    and path.name != "base.py":
+                found.append(f"{where}:{node.lineno}: exec_spec")
+            if isinstance(node, ast.ClassDef):
+                methods = {item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef)}
+                if {"spec", "run"} <= methods and node.name not in OWN_RUN:
+                    found.append(f"{where}:{node.lineno}: {node.name} has spec and run")
     assert not found

@@ -27,13 +27,19 @@ from repro.exec import (
 )
 from repro.profiling.tracer import Tracer
 from repro.service.pool import LeaseRuntime, WorkerPool
+from repro.workloads.base import Workload
 from repro.workloads.bzip2_w import Bzip2Workload
 from repro.workloads.parser_w import ParserWorkload
+from repro.workloads.suite import SUITE, exec_names
 
 # Small analog instances keep each engine run well under a second while
 # still spanning multiple blocks/sentences.
 BZIP2_ARGS = dict(block_size=1024, blocks=5)
 PARSER_ARGS = dict(sentence_count=60, command_every=20)
+SMALL_ARGS = {"256.bzip2": BZIP2_ARGS, "197.parser": PARSER_ARGS}
+
+#: Analogs whose traced run is ``Workload.run`` driving their own spec.
+DERIVED_RUNS = [name for name in exec_names() if SUITE[name].run is Workload.run]
 
 #: A fast-failing policy so fault tests never wait on production defaults.
 FAST_POLICY = RobustnessPolicy(
@@ -115,9 +121,11 @@ class TestBitIdenticalOutputs:
         assert result.output == parser_reference
         assert result.metrics.commits == result.metrics.iterations
 
-    def test_sequential_reference_matches_traced_run(self, bzip2_reference):
-        output, seconds = run_sequential(Bzip2Workload(**BZIP2_ARGS).exec_spec())
-        assert output == bzip2_reference
+    @pytest.mark.parametrize("name", DERIVED_RUNS)
+    def test_sequential_reference_matches_traced_run(self, name):
+        analog = SUITE[name](**SMALL_ARGS.get(name, {}))
+        output, seconds = run_sequential(analog.exec_spec())
+        assert output == analog.run(Tracer())
         assert seconds > 0
 
     def test_commit_order_despite_reordering(self):

@@ -222,7 +222,7 @@ def analog_view(name):
             trace, output = framework.profile_workload(workload, parallel_policy)
             view.append((output, [(task.index, task.phase, task.iteration, task.cost)
                                   for task in trace.tasks]))
-    if workload.has_exec_spec:
+    if hasattr(workload, "spec"):
         view.append(run_sequential(workload.exec_spec())[0])
     return view
 

@@ -707,9 +707,11 @@ class TestKillAndRecover:
         expected, _ = run_sequential(build_spec("synthetic", KILL_PARAMS))
         state_dir = tmp_path / "state"
         src = os.path.join(os.path.dirname(__file__), "..", "src")
+        inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
         env = dict(
             os.environ,
-            PYTHONPATH=os.path.abspath(src), PYTHONUNBUFFERED="1",
+            PYTHONPATH=os.pathsep.join([os.path.abspath(src), *inherited]),
+            PYTHONUNBUFFERED="1",
         )
         plan = server_kill_plan(1234, kills=1)
 
