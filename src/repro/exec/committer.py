@@ -442,7 +442,7 @@ class Committer:
 
     def _checkpoint(self, i: int) -> None:
         manager, metrics = self.manager, self.metrics
-        self.fold_samples()  # the checkpoint carries metrics.to_json()
+        self.fold_samples()  # the cut's counters carry each sample count
         manager.take(i, self.store, self.accumulator, metrics)
         metrics.checkpoints_taken = manager.taken
         if self.registry is not None:

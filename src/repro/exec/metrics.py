@@ -136,7 +136,7 @@ class EngineMetrics:
         Trace-based when a caller that recorded a trace assigned one;
         otherwise the coarse metrics-only estimate, computed the first
         time it is read after the run (``wall_seconds`` known) — never on
-        the run's own wall, and not by a checkpoint taken mid-run."""
+        the run's own wall (a checkpoint cut records :meth:`counters`)."""
         if self._bottleneck is False:
             self.to_json()
         return self._bottleneck or None
@@ -186,7 +186,40 @@ class EngineMetrics:
             }
         return overhead
 
+    def counters(self) -> dict:
+        """The run's integer counters and each latency series' sample
+        count: what a checkpoint cut records.  Costs O(workers + series),
+        never O(commits) — no histogram is summarized, no verdict resolved."""
+        return {
+            "commits": self.commits,
+            "in_order_commits": self.in_order_commits,
+            "out_of_order_completions": self.out_of_order_completions,
+            "duplicates_dropped": self.duplicates_dropped,
+            "worker_iterations": {
+                str(worker): count
+                for worker, count in sorted(self.worker_iterations.items())
+            },
+            "conflicts": self.conflicts,
+            "serial_reexecutions": self.serial_reexecutions,
+            "worker_crashes": self.worker_crashes,
+            "worker_timeouts": self.worker_timeouts,
+            "soft_faults": self.soft_faults,
+            "respawns": self.respawns,
+            "retries": self.retries,
+            "checkpoints_taken": self.checkpoints_taken,
+            "resumed_from": self.resumed_from,
+            "throttle_shrinks": self.throttle_shrinks,
+            "throttle_grows": self.throttle_grows,
+            "latency_counts": {
+                name: histogram.count
+                for name, histogram in sorted(self.latency.items())
+                if histogram.count
+            },
+        }
+
     def to_json(self) -> dict:
+        counters = self.counters()
+        del counters["latency_counts"]  # each histogram summary has its count
         data = {
             "workers": self.workers,
             "capacity": self.capacity,
@@ -210,29 +243,11 @@ class EngineMetrics:
                 stage: round(seconds, 6)
                 for stage, seconds in self.stage_seconds.items()
             },
-            "commits": self.commits,
-            "in_order_commits": self.in_order_commits,
-            "out_of_order_completions": self.out_of_order_completions,
-            "duplicates_dropped": self.duplicates_dropped,
-            "worker_iterations": {
-                str(worker): count
-                for worker, count in sorted(self.worker_iterations.items())
-            },
-            "conflicts": self.conflicts,
+            **counters,
             "misspeculation_rate": round(self.misspeculation_rate, 4),
-            "serial_reexecutions": self.serial_reexecutions,
-            "worker_crashes": self.worker_crashes,
-            "worker_timeouts": self.worker_timeouts,
-            "soft_faults": self.soft_faults,
-            "respawns": self.respawns,
-            "retries": self.retries,
             "producer_crashed": self.producer_crashed,
             "degraded_to_sequential": self.degraded_to_sequential,
             "cancelled": self.cancelled,
-            "checkpoints_taken": self.checkpoints_taken,
-            "resumed_from": self.resumed_from,
-            "throttle_shrinks": self.throttle_shrinks,
-            "throttle_grows": self.throttle_grows,
             "min_window": self.min_window,
             "final_window": self.final_window,
             "channels": self.channel_stats,

@@ -77,6 +77,7 @@ class Checkpoint:
     store_versions: Dict[Location, int]
     store_commit_counter: int
     accumulator: Any
+    #: :meth:`~repro.exec.metrics.EngineMetrics.counters` at the cut
     metrics: dict
     fingerprint: str
 
@@ -235,7 +236,7 @@ class CheckpointManager:
             store_versions=dict(versions),
             store_commit_counter=counter,
             accumulator=copy.deepcopy(accumulator),
-            metrics=metrics.to_json(),
+            metrics=metrics.counters(),
             fingerprint=self.fingerprint,
         )
         self.next_index += 1

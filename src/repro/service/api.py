@@ -14,7 +14,9 @@ Routes::
     GET    /jobs/<id>/result     output of a finished job (409 until done)
     GET    /jobs/<id>/trace      merged Chrome trace JSON (409 until done)
     GET    /jobs/<id>/timeline   compact per-stage timeline (409 until done)
-    GET    /jobs/<id>/bottleneck critical-path bottleneck analysis (409 until done)
+    GET    /jobs/<id>/bottleneck the job's bottleneck verdict (409 until done):
+                                 trace-based when traced, else estimated
+                                 from its metrics, which carry ``null``
     GET    /jobs/<id>/postmortem post-mortem bundle, if one was snapshotted
     POST   /jobs/<id>/cancel     cancel queued or running
     DELETE /jobs/<id>            alias for cancel
@@ -145,9 +147,11 @@ def _job_result(service, job_id: str) -> Response:
 
 def _job_trace(service, job_id: str, kind: str) -> Response:
     """Trace artifacts: the merged Chrome trace, the compact timeline,
-    the bottleneck analysis, or the post-mortem bundle.  404 for an
-    untraced job, 409 while the trace is still being recorded (it
-    merges at the terminal state)."""
+    the bottleneck verdict, or the post-mortem bundle.  409 while the
+    trace is still being recorded (it merges at the terminal state).  An
+    untraced job has no trace or timeline (404); its verdict is the
+    metrics-only estimate, 409 until the job is terminal and 404 if it
+    ended without metrics (failed)."""
     job = service.get_job(job_id)
     if job is None:
         return json_error(404, f"unknown job {job_id!r}")
@@ -163,10 +167,21 @@ def _job_trace(service, job_id: str, kind: str) -> Response:
             409, f"job {job_id} is {job.state.value}; "
             "trace merges when it finishes",
         )
+    if kind == "bottleneck":
+        if job.state not in TERMINAL_STATES:
+            return json_error(
+                409, f"job {job_id} is {job.state.value}; "
+                "its verdict is ready when it finishes",
+            )
+        verdict = service.job_bottleneck_json(job)
+        if verdict is None:
+            return json_error(
+                404, f"no bottleneck for job {job_id} "
+                f"(it ended {job.state.value} without metrics)",
+            )
+        return json_response(200, verdict)
     if kind == "trace":
         payload = service.job_trace_json(job)
-    elif kind == "bottleneck":
-        payload = service.job_bottleneck_json(job)
     else:
         payload = service.job_timeline_json(job)
     if payload is None:

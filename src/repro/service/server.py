@@ -54,7 +54,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.exec.engine import ExecutionEngine
 from repro.exec.faults import RobustnessPolicy
-from repro.obs.analyze import analyze_trace
+from repro.obs.analyze import analyze_trace, estimate_bottleneck
 from repro.obs.clock import now_ns
 from repro.obs.events import EventKind
 from repro.obs.export import to_chrome_trace
@@ -646,13 +646,26 @@ class PipelineService:
         return None
 
     def job_bottleneck_json(self, job: Job) -> Optional[dict]:
-        """The job's critical-path bottleneck analysis (None until a
-        traced job finalizes; survives restarts via the artifact store)."""
+        """The job's bottleneck verdict: a traced job's critical-path
+        analysis (persisted beside its trace, so it survives restarts);
+        for any other job the metrics-only estimate over its durable
+        metrics, computed on first request and cached.  None while the
+        job has no metrics (not finished, or failed)."""
         if job.bottleneck_data is not None:
             return job.bottleneck_data
         if self.artifacts is not None:
-            return self.artifacts.load_bottleneck(job.id)
-        return None
+            analysis = self.artifacts.load_bottleneck(job.id)
+            if analysis is not None:
+                return analysis
+        # A recovered job's metrics are its durable metrics.json.
+        if not job.metrics or not job.metrics.get("wall_seconds"):
+            return None
+        try:
+            job.bottleneck_data = estimate_bottleneck(job.metrics)
+        except Exception:
+            # Diagnosis must never turn a finished job into a 500.
+            logger.exception("job %s: bottleneck estimate failed", job.id)
+        return job.bottleneck_data
 
     def job_postmortem_json(self, job: Job) -> Optional[dict]:
         """The job's post-mortem bundle, if one was snapshotted."""
@@ -977,7 +990,12 @@ class PipelineService:
         finally:
             self.pool.release(lease)
         spilled = False
-        metrics_json = result.metrics.to_json() if error is None else None
+        metrics_json = None
+        if error is None:
+            # The verdict is served per job by ``job_bottleneck_json``, off
+            # the completion path: the metrics document carries ``null``.
+            result.metrics.bottleneck = None
+            metrics_json = result.metrics.to_json()
         if (
             error is None
             and self.artifacts is not None
@@ -1173,6 +1191,9 @@ class PipelineService:
 
     def _append_history(self, job: Job, result) -> None:
         try:
+            # The record keeps its compact verdict; resolved here, after
+            # the job is terminal, rather than on the completion path.
+            result.metrics.bottleneck = self.job_bottleneck_json(job)
             record = make_record(
                 name=f"service:{job.workload}",
                 metrics=result.metrics,

@@ -331,7 +331,7 @@ def committer_view(batch_size):
     }
     counted["checkpoints"] = [
         (c.next_commit, c.metrics["commits"], c.metrics["conflicts"],
-         c.metrics["latency_histograms"]["task_c"]["count"])
+         c.metrics["latency_counts"]["task_c"])
         for c in result.checkpoints
     ]
     return result.output, counted, data["channels"]["done"]["flushes"]

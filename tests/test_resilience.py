@@ -349,6 +349,58 @@ class TestCheckpointLog:
         assert Checkpoint.load(path).next_commit == 7
 
 
+def checksum_commit(i, result, acc):
+    """A constant-size accumulator: one byte-sized checksum."""
+    acc["checksum"] = (acc.get("checksum", 0) * 31 + result) % 251
+
+
+class TestCutCost:
+    def test_a_cut_does_no_work_that_grows_with_commits(
+        self, tmp_path, monkeypatch
+    ):
+        """A cut records counters: no histogram is summarized and no
+        verdict estimated while the run is on, and every record the log
+        is written is the size of the first."""
+        import repro.obs.analyze as analyze
+        from repro.obs.hist import LatencyHistogram
+
+        calls = {"summary": 0, "estimate_bottleneck": 0}
+        real_summary = LatencyHistogram.summary
+        real_estimate = analyze.estimate_bottleneck
+
+        def counting_summary(self):
+            calls["summary"] += 1
+            return real_summary(self)
+
+        def counting_estimate(metrics):
+            calls["estimate_bottleneck"] += 1
+            return real_estimate(metrics)
+
+        record_sizes = []
+        real_record = Checkpoint._record
+
+        def sizing_record(self):
+            record = real_record(self)
+            record_sizes.append(len(record))
+            return record
+
+        monkeypatch.setattr(LatencyHistogram, "summary", counting_summary)
+        monkeypatch.setattr(analyze, "estimate_bottleneck", counting_estimate)
+        monkeypatch.setattr(Checkpoint, "_record", sizing_record)
+        path = str(tmp_path / "run.ckpt")
+        spec = arithmetic_spec(2000, commit=checksum_commit)
+        result = ExecutionEngine(
+            workers=1, policy=FAST_POLICY,
+            checkpoints=CheckpointConfig(interval=8, path=path),
+        ).run(spec)
+        assert calls == {"summary": 0, "estimate_bottleneck": 0}
+        assert result.output == run_sequential(spec)[0]
+        assert len(record_sizes) == result.metrics.checkpoints_taken == 250
+        # Counters that pass 255 pickle one byte wider; nothing else grows.
+        assert max(record_sizes) - record_sizes[0] <= 12
+        assert Checkpoint.load(path).next_commit == 2000
+
+
 # -- adaptive speculation throttling -----------------------------------------------
 
 

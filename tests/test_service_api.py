@@ -142,6 +142,45 @@ class TestApi:
         status, body, _ = request("GET", f"{base}/jobs/{job['id']}/result")
         assert status == 410
 
+    def test_bottleneck_verdict_of_an_untraced_job(self, base):
+        """The verdict is served per job, not embedded in its metrics: 409
+        until the job is terminal, then the metrics-only estimate; 404 for
+        an unknown job or one that ended without metrics."""
+        from repro.obs.analyze import estimate_bottleneck, validate_bottleneck
+
+        _, slow, _ = submit(
+            base, "slow", params={"iterations": 50_000, "spin": 2000}
+        )
+        status, _, _ = request("GET", f"{base}/jobs/{slow['id']}/bottleneck")
+        assert status == 409
+        request("POST", f"{base}/jobs/{slow['id']}/cancel")
+        wait_terminal(base, slow["id"])
+
+        _, job, _ = submit(base, "acme")
+        final = wait_terminal(base, job["id"])
+        assert final["state"] == "done"
+        assert final["metrics"]["bottleneck"] is None
+        status, verdict, _ = request(
+            "GET", f"{base}/jobs/{job['id']}/bottleneck"
+        )
+        assert status == 200
+        assert validate_bottleneck(verdict) == []
+        assert verdict["source"] == "metrics"
+        assert verdict == json.loads(
+            json.dumps(estimate_bottleneck(final["metrics"]))
+        )
+
+        status, _, _ = request("GET", f"{base}/jobs/nope/bottleneck")
+        assert status == 404
+        _, poisoned, _ = submit(
+            base, "acme", params={"iterations": 8, "spin": 10, "fail_at": 3}
+        )
+        assert wait_terminal(base, poisoned["id"])["state"] == "failed"
+        status, _, _ = request(
+            "GET", f"{base}/jobs/{poisoned['id']}/bottleneck"
+        )
+        assert status == 404
+
     def test_cancel_queued_job(self, base):
         # fill both slots with long jobs from two tenants, then queue one
         blockers = []

@@ -366,12 +366,16 @@ class TestDurableRestart:
         finally:
             svc2.drain_and_stop()
 
-    def test_bottleneck_verdict_survives_restart(self, tmp_path):
+    @pytest.mark.parametrize("traced", [True, False],
+                             ids=["traced", "untraced"])
+    def test_bottleneck_verdict_survives_restart(self, tmp_path, traced):
         """A traced job's critical-path analysis is persisted beside its
-        trace artifacts and stays retrievable after a restart."""
-        from repro.obs.analyze import validate_bottleneck
+        trace artifacts; an untraced job's metrics carry no verdict and its
+        metrics-only estimate is served from its durable metrics.  Both
+        stay retrievable after a restart."""
+        from repro.obs.analyze import estimate_bottleneck, validate_bottleneck
 
-        svc = durable_service(tmp_path / "state", trace_jobs=True)
+        svc = durable_service(tmp_path / "state", trace_jobs=traced)
         try:
             job, _ = svc.submit(
                 "acme", "synthetic", {"iterations": 24, "spin": 200}
@@ -386,10 +390,14 @@ class TestDurableRestart:
             original = svc.job_bottleneck_json(job)
             assert original is not None
             assert validate_bottleneck(original) == []
+            if not traced:
+                assert job.metrics["bottleneck"] is None
+                assert original["source"] == "metrics"
+                assert original == estimate_bottleneck(job.metrics)
         finally:
             svc.drain_and_stop()
 
-        svc2 = durable_service(tmp_path / "state", trace_jobs=True)
+        svc2 = durable_service(tmp_path / "state", trace_jobs=traced)
         try:
             reloaded = svc2.get_job(job.id)
             assert reloaded is not None
@@ -401,6 +409,10 @@ class TestDurableRestart:
             assert validate_bottleneck(recovered) == []
             assert recovered["top"] == original["top"]
             assert recovered["iterations"] == 24
+            if not traced:
+                assert reloaded.metrics["bottleneck"] is None
+                assert recovered == original
+                assert recovered == estimate_bottleneck(reloaded.metrics)
         finally:
             svc2.drain_and_stop()
 
@@ -569,6 +581,28 @@ class TestHistoryRecords:
             (job.id, "service:synthetic", True, 8, job.tenant, "done")
             for job in sorted(jobs, key=lambda j: j.id)
         ]
+
+    def test_history_record_keeps_the_compact_verdict(self, tmp_path):
+        """A job's metrics carry no verdict; its history record still does,
+        resolved after the job is terminal."""
+        from repro.obs.history import load_history
+
+        path = tmp_path / "history.jsonl"
+        svc = PipelineService(ServiceConfig(
+            pool_workers=1, slots=1, capacity=8, batch_size=4,
+            policy=FAST_POLICY, history_path=str(path),
+        )).start(serve_http=False)
+        try:
+            job, _ = svc.submit("acme", "synthetic", {"iterations": 8})
+            wait_terminal(job)
+        finally:
+            svc.drain_and_stop()
+        assert job.state is JobState.DONE
+        assert job.metrics["bottleneck"] is None
+        (record,) = load_history(str(path))
+        verdict = svc.job_bottleneck_json(job)
+        assert record["bottleneck"]["top"] == verdict["top"]
+        assert record["bottleneck"]["source"] == "metrics"
 
 
 class TestRetryDeadlineDeadLetter:
