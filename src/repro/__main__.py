@@ -47,9 +47,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.framework import FrameworkConfig, ParallelizationFramework
 from repro.core.report import SuiteReport, format_speedup_curve
@@ -70,6 +71,13 @@ _FIGURES = {4: FIGURE4, 5: FIGURE5, 6: FIGURE6, 7: FIGURE7}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.exec.engine import ExecutionEngine
+    from repro.service import ServiceConfig
+
+    # Flags that set a constructor argument default to that constructor's
+    # own default, so each value is written once.
+    engine = inspect.signature(ExecutionEngine).parameters
+    service = ServiceConfig()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Revisiting the Sequential Programming "
@@ -106,21 +114,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="phase-B worker processes (default 2)",
     )
     exec_parser.add_argument(
-        "--capacity", type=int, default=8,
-        help="inter-process channel capacity (default 8)",
+        "--capacity", type=int, default=engine["capacity"].default,
+        help="inter-process channel capacity, in items (default "
+             "%(default)s)",
     )
     exec_parser.add_argument(
-        "--batch-size", type=int, default=16,
+        "--batch-size", type=int, default=engine["batch_size"].default,
         help="transport batch size: items carried per channel frame "
-             "(default 16; 1 = classic unbatched wire format)",
+             "(default %(default)s; 1 = classic unbatched wire format)",
     )
     exec_parser.add_argument(
-        "--flush-interval", type=float, default=0.005,
+        "--flush-interval", type=float,
+        default=engine["flush_interval"].default,
         help="latency bound in seconds before a partial frame is flushed "
-             "(default 0.005)",
+             "(default %(default)s)",
     )
     exec_parser.add_argument(
-        "--transport", default="pipe", choices=("pipe", "shm", "thread"),
+        "--transport", default=engine["transport"].default,
+        choices=("pipe", "shm", "thread"),
         help="channel wire backend: 'pipe' (an OS pipe, the default), 'shm' "
              "(shared-memory ring buffer — the zero-copy fast path), or "
              "'thread' (in-process workers, no pickling; for debugging "
@@ -236,56 +247,58 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant pipeline-as-a-service job server",
     )
     serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)",
+        "--host", default=service.host,
+        help="bind address (default %(default)s)",
     )
     serve_parser.add_argument(
-        "--port", type=int, default=0,
-        help="API port (default 0 = ephemeral; the bound port is printed)",
+        "--port", type=int, default=service.port,
+        help="API port (default %(default)s = ephemeral; the bound port is "
+             "printed)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=int, default=service.pool_workers,
         help="long-lived pool worker processes shared across jobs "
-             "(default 2)",
+             "(default %(default)s)",
     )
     serve_parser.add_argument(
-        "--slots", type=int, default=2,
+        "--slots", type=int, default=service.slots,
         help="concurrent job slots — leases that can be out at once "
-             "(default 2)",
+             "(default %(default)s)",
     )
     serve_parser.add_argument(
-        "--capacity", type=int, default=16,
-        help="per-slot channel capacity (default 16)",
+        "--capacity", type=int, default=service.capacity,
+        help="per-slot channel capacity (default %(default)s)",
     )
     serve_parser.add_argument(
-        "--batch-size", type=int, default=8,
-        help="per-slot transport batch size (default 8)",
+        "--batch-size", type=int, default=service.batch_size,
+        help="per-slot transport batch size (default %(default)s)",
     )
     serve_parser.add_argument(
-        "--transport", default="pipe", choices=("pipe", "shm"),
-        help="per-slot channel wire backend (default pipe; 'thread' is "
-             "not available — pool workers are processes)",
+        "--transport", default=service.transport, choices=("pipe", "shm"),
+        help="per-slot channel wire backend (default %(default)s; 'thread' "
+             "is not available — pool workers are processes)",
     )
     serve_parser.add_argument(
-        "--max-queued", type=int, default=16,
+        "--max-queued", type=int, default=service.max_queued,
         help="global queued-job bound; past it submissions get 429 "
-             "(default 16)",
+             "(default %(default)s)",
     )
     serve_parser.add_argument(
-        "--tenant-quota", type=int, default=8,
-        help="queued jobs allowed per tenant (default 8)",
+        "--tenant-quota", type=int, default=service.tenant_queued_quota,
+        help="queued jobs allowed per tenant (default %(default)s)",
     )
     serve_parser.add_argument(
-        "--tenant-running", type=int, default=1,
-        help="running jobs allowed per tenant (default 1)",
+        "--tenant-running", type=int, default=service.tenant_running_quota,
+        help="running jobs allowed per tenant (default %(default)s)",
     )
     serve_parser.add_argument(
         "--weight", action="append", default=[], metavar="TENANT=N",
         help="fair-scheduler weight for a tenant (repeatable; default 1)",
     )
     serve_parser.add_argument(
-        "--drain-timeout", type=float, default=10.0,
+        "--drain-timeout", type=float, default=service.drain_timeout,
         help="seconds running jobs get to finish after SIGTERM/SIGINT "
-             "before cooperative cancellation (default 10)",
+             "before cooperative cancellation (default %(default)s)",
     )
     serve_parser.add_argument(
         "--history", metavar="PATH", default=None, dest="history_path",
@@ -299,16 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
              "idempotency keys across the crash (default: in-memory only)",
     )
     serve_parser.add_argument(
-        "--checkpoint-interval", type=int, default=8, metavar="K",
+        "--checkpoint-interval", type=int,
+        default=service.checkpoint_interval, metavar="K",
         help="commits between engine checkpoints for durable jobs — the "
              "resumable committed prefix is at most K commits stale "
-             "(default 8; needs --state-dir)",
+             "(default %(default)s; needs --state-dir)",
     )
     serve_parser.add_argument(
-        "--retry-max", type=int, default=1, metavar="N",
+        "--retry-max", type=int, default=service.default_max_attempts,
+        metavar="N",
         help="default max attempts for jobs that do not set params.retry "
-             "(default 1 = a failure is terminal; jobs whose bounded "
-             "retries exhaust are dead-lettered)",
+             "(default %(default)s = a failure is terminal; jobs whose "
+             "bounded retries exhaust are dead-lettered)",
     )
     serve_parser.add_argument(
         "--trace-jobs", action="store_true",
@@ -318,10 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "jobs can opt in with params.trace without this flag",
     )
     serve_parser.add_argument(
-        "--postmortem-keep", type=int, default=8, metavar="N",
+        "--postmortem-keep", type=int, default=service.postmortem_keep,
+        metavar="N",
         help="post-mortem bundles retained per tenant, LRU by mtime "
-             "(default 8; bundles are written on failure, dead-letter, "
-             "and tenant degradation)",
+             "(default %(default)s; bundles are written on failure, "
+             "dead-letter, and tenant degradation)",
     )
 
     obs_parser = sub.add_parser(
@@ -768,23 +784,11 @@ def _exec_exit_code(identical: bool, metrics) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
-    """``serve``: the job server, until SIGTERM/SIGINT starts a drain."""
-    import signal
-    import threading
+def _service_config(args, weights: Dict[str, int]):
+    """The :class:`ServiceConfig` ``serve``'s flags ask for."""
+    from repro.service import ServiceConfig
 
-    from repro.service import PipelineService, ServiceConfig
-
-    weights = {}
-    for item in args.weight:
-        name, sep, value = item.partition("=")
-        if not sep or not name or not value.isdigit() or int(value) < 1:
-            print(f"bad --weight {item!r}: expected TENANT=N with N >= 1",
-                  file=sys.stderr)
-            return 2
-        weights[name] = int(value)
-
-    config = ServiceConfig(
+    return ServiceConfig(
         host=args.host,
         port=args.port,
         pool_workers=args.workers,
@@ -804,7 +808,25 @@ def _run_serve(args) -> int:
         trace_jobs=args.trace_jobs,
         postmortem_keep=args.postmortem_keep,
     )
-    service = PipelineService(config).start()
+
+
+def _run_serve(args) -> int:
+    """``serve``: the job server, until SIGTERM/SIGINT starts a drain."""
+    import signal
+    import threading
+
+    from repro.service import PipelineService
+
+    weights = {}
+    for item in args.weight:
+        name, sep, value = item.partition("=")
+        if not sep or not name or not value.isdigit() or int(value) < 1:
+            print(f"bad --weight {item!r}: expected TENANT=N with N >= 1",
+                  file=sys.stderr)
+            return 2
+        weights[name] = int(value)
+
+    service = PipelineService(_service_config(args, weights)).start()
     if service.durable and service.recovery.recovered:
         print(f"recovered from {args.state_dir}: "
               f"{service.recovery.to_json()}", flush=True)

@@ -80,9 +80,10 @@ class Committer:
 
     State, all keyed by iteration: ``claims`` holds, per claimed and
     uncommitted iteration, ``[claimant, claim clock (hung-task timeout),
-    first arrival (ns)]``.  ``pending`` is the reorder buffer: result
-    entries as the workers sent them, ``(i, result, reads, writes,
-    b_seconds)``.  ``serial_needed`` are the tasks owed a serial retry.
+    first arrival (ns)]``; the claimant is None while a crashed worker's
+    hand-back waits on the ``work`` channel for its next claim.
+    ``pending`` is the reorder buffer: result entries as the workers sent
+    them, ``(i, result, reads, writes, b_seconds)``.  ``serial_needed`` are the tasks owed a serial retry.
     ``next_commit`` is the frontier.  ``replay`` is where a re-executed
     task's phase-A value comes from (:class:`PhaseAReplay`): the claims
     name iterations, they carry no values.
@@ -215,6 +216,15 @@ class Committer:
             if i >= self.next_commit and i not in pending:
                 serial_needed.add(i)
                 metrics.retries += 1
+        elif tag == "released":
+            # Handed back to the work channel by a crashing claimant: no
+            # one owns them until the next claim, so losing ``wid`` owes
+            # them no serial retry.  A claim already re-made is kept.
+            _, wid, items = message
+            for i in items:
+                claim = self.claims.get(i)
+                if claim is not None and claim[0] == wid:
+                    claim[0] = None
         # ("stopped", wid): a clean exit; the health check sees exitcode 0
 
     def lose_worker(self, wid: int) -> None:
@@ -227,6 +237,34 @@ class Committer:
             ):
                 self.serial_needed.add(i)
                 self.metrics.retries += 1
+
+    def strand_check(self, alive: Collection[int]) -> None:
+        """Send hand-backs no live worker can take to serial retry.
+
+        A crashed worker's hand-back waits at the tail of the ``work``
+        channel.  When every worker in ``alive`` holds a claim the
+        speculative window keeps it waiting on, none of them reads that
+        channel, and the window cannot open before the hand-back commits.
+        A worker with nothing unresolved is still reading: no retry then."""
+        next_commit, window = self.next_commit, self._window.value
+        pending, serial_needed = self.pending, self.serial_needed
+        oldest_claim: Dict[int, int] = {}
+        unowned = []
+        for i, claim in self.claims.items():
+            if i < next_commit or i in pending or i in serial_needed:
+                continue
+            wid = claim[0]
+            if wid is None:
+                unowned.append(i)
+            elif i < oldest_claim.get(wid, i + 1):
+                oldest_claim[wid] = i
+        if not unowned or any(
+            oldest_claim.get(wid, next_commit) - next_commit < window
+            for wid in alive
+        ):
+            return
+        serial_needed.update(unowned)
+        self.metrics.retries += len(unowned)
 
     def overdue(
         self, now: float, timeout: float, alive: Collection[int]

@@ -162,12 +162,16 @@ class ExecutionEngine:
     so a misconfigured hang injection can never stall a run past the
     timeout it is meant to exercise.
 
-    ``batch_size`` (default 16, clamped to ``capacity``) is the fast path:
+    ``batch_size`` (default 64, clamped to ``capacity``) is the fast path:
     the producer dispatches chunks of up to this many iterations per frame
     (fewer while the pipeline fills and as it drains), workers answer with
     one claims and one results message per chunk, and both channels run
     the framed transport — one pickle and one pipe round-trip per frame
-    instead of per item.  ``batch_size=1``
+    instead of per item.  A frame costs wake-ups on both ends whatever it
+    carries, so the defaults are sized for OS pipes and semaphores, not
+    for the paper's 32-entry hardware queues: ``capacity`` (default 128,
+    item credit) is two frames, so the producer fills one while a worker
+    drains the other.  ``batch_size=1``
     restores the classic unbatched wire format.  ``flush_interval`` bounds
     how long a partial batch may wait before it is flushed anyway.
 
@@ -214,7 +218,7 @@ class ExecutionEngine:
     def __init__(
         self,
         workers: int = 4,
-        capacity: int = 32,
+        capacity: int = 128,
         policy: Optional[RobustnessPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         plan: Optional[ExecutionPlan] = None,
@@ -222,7 +226,7 @@ class ExecutionEngine:
         throttle: Optional[ThrottleConfig] = None,
         checkpoints: Optional[CheckpointConfig] = None,
         channel_chaos: Optional[ChannelChaos] = None,
-        batch_size: int = 16,
+        batch_size: int = 64,
         flush_interval: float = 0.005,
         transport: str = "pipe",
         trace: Optional[TraceConfig] = None,
@@ -561,7 +565,11 @@ class ExecutionEngine:
             rt.reap(wid)
             self._lose_worker(rt, committer, wid, "hang timeout")
             lost = True
-        # Crashed workers: exited nonzero (clean stop exits 0).
+        # Crashed workers: exited nonzero (clean stop exits 0).  A worker
+        # writes its last reports before it exits, so once one is seen dead
+        # they are all on the wire: read them before taking its claims back.
+        if not all(proc.is_alive() for proc in rt.processes.values()):
+            self._drain_reports(rt.done, committer)
         for wid, proc in list(rt.processes.items()):
             if proc.is_alive():
                 continue
@@ -582,6 +590,9 @@ class ExecutionEngine:
                     rt, committer, wid, f"crash (exit {proc.exitcode})"
                 )
                 lost = True
+        committer.strand_check(
+            [wid for wid, proc in rt.processes.items() if proc.is_alive()]
+        )
         # Producer death before dispatching everything.
         producer = rt.producer
         if (
@@ -599,6 +610,18 @@ class ExecutionEngine:
                     EventKind.PRODUCER_CRASH, arg2=producer.exitcode or 0
                 )
         return lost
+
+    @staticmethod
+    def _drain_reports(done, committer: Committer) -> None:
+        """Hand ``committer`` every report already on ``done``."""
+        while True:
+            try:
+                frame = done.get_many(done.batch_size, timeout=0)
+            except ChannelTimeout:
+                return
+            now, arrived_ns = time.monotonic(), now_ns()
+            for message in frame:
+                committer.report(message, now, arrived_ns)
 
     def _lose_worker(
         self, rt: Runtime, committer: Committer, wid: int, reason: str

@@ -29,6 +29,16 @@ costs two messages, whatever its size:
 ``("fault", wid, i, message)``
     A soft fault: the task raised; the worker survives and the committer
     re-executes the claimed task serially.
+``("released", wid, [i, ...])``
+    A worker about to die from an injected crash handed these claimed
+    chunk-mates back to the ``work`` channel: whoever claims them next
+    owns them.  Sent before the exit, so the committer reads it before it
+    sees the worker dead (:meth:`ExecutionEngine._check_health` drains
+    ``done`` first) and does not retry them serially behind the next
+    claimant's back — a replayed fault seed takes one path every time.
+    Only when every live worker is parked on the throttle gate, so none
+    will read the hand-back, are they retried serially
+    (:meth:`repro.exec.committer.Committer.strand_check`).
 ``("stopped", wid)``
     Clean worker exit.
 
@@ -456,9 +466,11 @@ def _worker_loop(
                     # A hard crash: no exception, no goodbye — only the exit
                     # code.  Hand the chunk-mates this process never reached
                     # back to the work channel so a live worker (with its
-                    # per-iteration injections) picks them up; their claims
-                    # are already on the wire, so the committer's serial
-                    # retry still covers them if the hand-back is lost.
+                    # per-iteration injections) picks them up, and tell the
+                    # committer which ones went, so it waits for their next
+                    # claimant instead of racing it with a serial retry.
+                    # Those the hand-back could not send stay claimed here:
+                    # the crash sends them to serial retry.
                     rest = [item for item in items if item[0] > i]
                     if rest:
                         work.chaos = None  # injections already applied
@@ -468,6 +480,12 @@ def _worker_loop(
                             work.put_many(rest, timeout=0.5)
                         except ChannelTimeout:
                             pass
+                        sent = len(rest) - work.pending_items
+                        if sent:
+                            done.put_buffered((
+                                "released", worker_id,
+                                [item[0] for item in rest[:sent]],
+                            ))
                     stage_results()
                     done.flush_and_close()
                     chaos(ChaosCode.CRASH, i, flush=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -12,6 +15,37 @@ settings.load_profile("repro")
 from repro.ir.builder import ProgramBuilder
 from repro.ir.loops import find_loops
 from repro.ir.types import IntType
+
+#: Per-test deadline, seconds: far above the slowest test (about 13 s on
+#: 2 vCPUs), so only a hang reaches it.
+TEST_DEADLINE_S = 180
+
+#: A descriptor of the terminal's stderr, taken while output capture is
+#: suspended: during a test, descriptor 2 is pytest's capture file, and
+#: what is written there is lost when the run exits.
+_terminal_stderr: list = []
+
+
+def pytest_configure(config):
+    _terminal_stderr.append(os.dup(2))
+
+
+def pytest_unconfigure(config):
+    while _terminal_stderr:
+        os.close(_terminal_stderr.pop())
+
+
+@pytest.fixture(autouse=True)
+def _hang_deadline():
+    """A test still running after ``TEST_DEADLINE_S`` is a hang: dump
+    every thread's stack to the terminal and end the run with exit status
+    1, instead of waiting silently for an outer timeout that shows
+    nothing."""
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=_terminal_stderr[0]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, _service_config, main
+from repro.exec import ExecutionEngine
 from repro.exec.metrics import EngineMetrics
 from repro.obs.history import (
     HISTORY_SCHEMA,
@@ -12,6 +14,23 @@ from repro.obs.history import (
     load_history,
     make_record,
 )
+from repro.service import ServiceConfig
+
+
+class TestFlagDefaults:
+    """A flag that sets a constructor argument defaults to that
+    constructor's own default, so each default is written once."""
+
+    def test_exec_defaults_are_the_engines(self):
+        args = _build_parser().parse_args(["exec", "256.bzip2"])
+        engine = inspect.signature(ExecutionEngine).parameters
+        for name in ("capacity", "batch_size", "flush_interval", "transport"):
+            assert getattr(args, name) == engine[name].default, name
+
+    def test_serve_defaults_are_the_service_configs(self):
+        args = _build_parser().parse_args(["serve"])
+        assert args.weight == []
+        assert _service_config(args, {}) == ServiceConfig()
 
 
 def test_list(capsys):

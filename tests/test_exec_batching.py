@@ -346,6 +346,22 @@ class TestEngineBatching:
         assert work["mean_frame_items"] > 1.0
 
 
+class TestDefaultFrames:
+    """The frames a default-constructed engine sends.  A frame costs
+    wake-ups on both ends whatever it carries, so on a spec whose stages
+    are nearly free the frame size *is* the throughput: this holds the
+    defaults to frames of at least 32 items (16-item frames averaged
+    14.6 here)."""
+
+    @pytest.mark.parametrize("transport", ("pipe", "shm"))
+    def test_default_work_frames_carry_at_least_32_items(self, transport):
+        expected, _ = run_sequential(batch_spec(4000))
+        result = ExecutionEngine(transport=transport).run(batch_spec(4000))
+        assert result.output == expected
+        work = result.metrics.channel_stats["work"]
+        assert work["mean_frame_items"] >= 32, work
+
+
 # -- the chaos seed matrix, batching on --------------------------------------------
 
 

@@ -206,6 +206,22 @@ def reclaim_after_the_loss_was_noticed_cancels_the_retry(bench):
     bench.results(1, [2, 3])
 
 
+def released_hand_back_waits_for_its_next_claimant(bench):
+    """Worker 0 crashes at task 1 and says it handed 2, 3 back: losing it
+    owes only 1 a serial retry, and 2 waits for its next claimant, whose
+    soft fault is retried as a fault."""
+    bench.claims(0, range(4))
+    bench.results(0, [0])
+    bench.committer.report(("released", 0, [2, 3]), 0.0, 0)
+    bench.committer.lose_worker(0)
+    assert bench.committer.serial_needed == {1}
+    bench.committer.advance()
+    assert bench.committer.next_commit == 2
+    bench.claims(1, [2, 3])
+    bench.fault(1, 2)
+    bench.results(1, [3])
+
+
 def lost_worker_with_half_its_chunk_reported(bench):
     bench.claims(0, range(4))
     bench.results(0, [0, 1])
@@ -231,6 +247,8 @@ SCENARIOS = [
      dict(retries=1, serial_reexecutions=1, out_of_order_completions=1)),
     (reclaim_after_the_loss_was_noticed_cancels_the_retry, arithmetic(4),
      dict(retries=3, serial_reexecutions=1)),
+    (released_hand_back_waits_for_its_next_claimant, arithmetic(4),
+     dict(retries=2, serial_reexecutions=2, soft_faults=1)),
     (lost_worker_with_half_its_chunk_reported, arithmetic(4),
      dict(retries=2, serial_reexecutions=2)),
     (results_may_overtake_their_claims, arithmetic(3), {}),
@@ -244,6 +262,25 @@ def test_scenario_commits_the_sequential_output(scenario, spec, counters):
     bench = Bench(spec)
     scenario(bench)
     bench.assert_done(**counters)
+
+
+def test_hand_back_is_retried_serially_once_every_live_worker_is_parked():
+    """A hand-back waits at the tail of ``work``; a worker parked on the
+    throttle gate will not read it, so when every live worker is parked
+    it is retried serially."""
+    bench = Bench(arithmetic(4), window=1)
+    committer = bench.committer
+    bench.claims(0, range(3))
+    committer.report(("released", 0, [1, 2]), 0.0, 0)
+    committer.lose_worker(0)  # crashed at task 0
+    bench.claims(1, [3])  # outside the window of one: parked
+    committer.strand_check([1, 2])  # worker 2 holds nothing: still reading
+    assert committer.serial_needed == {0}
+    committer.strand_check([1])
+    assert committer.serial_needed == {0, 1, 2}
+    committer.advance()
+    bench.results(1, [3])
+    bench.assert_done(retries=3, serial_reexecutions=3)
 
 
 # -- checkpoints --------------------------------------------------------------------

@@ -26,6 +26,8 @@ from repro.exec import (
     spec_from_task_graph,
 )
 from repro.profiling.tracer import Tracer
+from repro.resilience import chaos_plan
+from repro.resilience.chaos import INJECT_FAULTS
 from repro.service.pool import LeaseRuntime, WorkerPool
 from repro.workloads.base import Workload
 from repro.workloads.bzip2_w import Bzip2Workload
@@ -232,6 +234,31 @@ class TestFaultTolerance:
         assert result.metrics.worker_crashes >= 2
         assert result.metrics.respawns == 1
         assert result.metrics.commits == 16
+
+    @pytest.mark.parametrize("transport", ("pipe", "shm", "thread"))
+    def test_crash_and_fault_in_one_chunk_replay_identically(self, transport):
+        """``exec --inject-faults --seed 1686196946`` draws a crash at
+        iteration 1 and a soft fault at 2, and both ride in one chunk.  The
+        crashing worker hands 2 back to the work channel and says so
+        before it exits, so the committer waits for 2's next claimant
+        (who raises the fault) instead of racing it with a serial retry:
+        every replay gives the same counts."""
+        plan = chaos_plan(7, 1686196946, INJECT_FAULTS)
+        assert (plan.crash_iterations, plan.error_iterations) == ({1}, {2})
+        expected, _ = run_sequential(arithmetic_spec(7))
+        counts = set()
+        for _ in range(20):
+            result = ExecutionEngine(
+                workers=2, fault_plan=plan, transport=transport,
+            ).run(arithmetic_spec(7))
+            assert result.output == expected
+            metrics = result.metrics
+            counts.add((
+                metrics.worker_crashes, metrics.soft_faults,
+                metrics.respawns, metrics.retries,
+                metrics.serial_reexecutions,
+            ))
+        assert counts == {(1, 1, 1, 2, 2)}
 
     def test_fault_injected_run_still_bit_identical_on_real_workload(self):
         reference = Bzip2Workload(**BZIP2_ARGS).run(Tracer())

@@ -144,6 +144,7 @@ class TestRegistry:
         hist = registry.histogram_snapshot("task_b_seconds")
         assert hist.count == 5
         assert hist.total == pytest.approx(0.115)
+        assert hist.to_json()["mean"] == pytest.approx(0.023)
         p50 = hist.percentile(50)
         # The estimate interpolates inside the landing bucket: it must be
         # within the bucket that holds the true median (0.004).
