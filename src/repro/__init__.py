@@ -27,29 +27,43 @@ stays cheap and subpackages can be used in isolation.
 
 __version__ = "1.0.0"
 
-_EXPORTS = {
-    "FrameworkConfig": ("repro.core.framework", "FrameworkConfig"),
-    "ParallelizationFramework": ("repro.core.framework", "ParallelizationFramework"),
-    "SpeedupReport": ("repro.core.report", "SpeedupReport"),
-    "moores_law_speedup": ("repro.core.report", "moores_law_speedup"),
-    "Phase": ("repro.core.tasks", "Phase"),
-    "Task": ("repro.core.tasks", "Task"),
-    "TaskGraph": ("repro.core.tasks", "TaskGraph"),
-    "commutative": ("repro.annotations.commutative", "commutative"),
-    "ybranch": ("repro.annotations.ybranch", "ybranch"),
-}
 
-__all__ = sorted(_EXPORTS) + ["__version__"]
+def _lazy_exports(package, exports):
+    """PEP 562 hooks that re-export a package's public names lazily.
 
-
-def __getattr__(name):
-    try:
-        module_name, attribute = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    ``exports`` maps a module to the names it defines; a name is imported
+    from its module on first access and cached in the package, so
+    importing a package compiles only the modules its caller touches.
+    Returns ``(__all__, __getattr__, __dir__)``.
+    """
     import importlib
+    import sys
 
-    module = importlib.import_module(module_name)
-    value = getattr(module, attribute)
-    globals()[name] = value
-    return value
+    owner = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        try:
+            module = owner[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(owner))
+
+    return sorted(owner), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.framework": ("FrameworkConfig", "ParallelizationFramework"),
+    "repro.core.report": ("SpeedupReport", "moores_law_speedup"),
+    "repro.core.tasks": ("Phase", "Task", "TaskGraph"),
+    "repro.annotations.commutative": ("commutative",),
+    "repro.annotations.ybranch": ("ybranch",),
+})
+__all__ += ["__version__"]

@@ -52,8 +52,6 @@ import logging
 import sys
 from typing import Dict, List, Optional
 
-from repro.core.framework import FrameworkConfig, ParallelizationFramework
-from repro.core.report import SuiteReport, format_speedup_curve
 from repro.obs.history import DEFAULT_HISTORY_PATH
 from repro.workloads.suite import (
     FIGURE4,
@@ -61,7 +59,6 @@ from repro.workloads.suite import (
     FIGURE6,
     FIGURE7,
     PAPER_TABLE2,
-    SUITE,
     exec_names,
     make_workload,
     suite_names,
@@ -472,7 +469,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config(args) -> FrameworkConfig:
+def _config(args) -> "FrameworkConfig":
+    from repro.core.framework import FrameworkConfig
+
     config = FrameworkConfig()
     overrides = {}
     if args.threads:
@@ -486,7 +485,11 @@ def _config(args) -> FrameworkConfig:
     return config.with_(**overrides) if overrides else config
 
 
-def _evaluate_and_print(name: str, framework: ParallelizationFramework) -> "SpeedupReport":
+def _evaluate_and_print(
+    name: str, framework: "ParallelizationFramework"
+) -> "SpeedupReport":
+    from repro.core.report import format_speedup_curve
+
     evaluation = framework.evaluate(make_workload(name))
     print(format_speedup_curve(evaluation.report))
     if evaluation.plan.decisions:
@@ -631,6 +634,7 @@ def _checkpoint_config(args):
 def _print_models(args, metrics, merged) -> None:
     """``--calibrate`` / ``--compare``: simulate the workload's analog once,
     at the run's thread count, and set it beside the measured run."""
+    from repro.core.framework import FrameworkConfig, ParallelizationFramework
     from repro.core.report import CalibrationRow, format_calibration_table
 
     threads = args.workers + 2  # + phase-A core + phase-C core
@@ -827,20 +831,20 @@ def _run_serve(args) -> int:
         weights[name] = int(value)
 
     service = PipelineService(_service_config(args, weights)).start()
-    if service.durable and service.recovery.recovered:
-        print(f"recovered from {args.state_dir}: "
-              f"{service.recovery.to_json()}", flush=True)
-    # The smoke harness parses this exact line for the bound port.
-    print(f"serving on http://{args.host}:{service.port}", flush=True)
-
     stop = threading.Event()
 
     def _graceful(signum, frame):
         service.request_drain()  # new submissions now get 503
         stop.set()
 
+    # Before the banner: a harness may send SIGTERM the moment it reads it.
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
+    if service.durable and service.recovery.recovered:
+        print(f"recovered from {args.state_dir}: "
+              f"{service.recovery.to_json()}", flush=True)
+    # The smoke harness parses this exact line for the bound port.
+    print(f"serving on http://{args.host}:{service.port}", flush=True)
     while not stop.is_set():
         stop.wait(0.2)
     clean = service.drain_and_stop(args.drain_timeout)
@@ -986,6 +990,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             threads, speedup = PAPER_TABLE2[name]
             print(f"{name:<12} paper: {speedup:6.2f}x @ {threads} threads")
         return 0
+
+    # The simulator commands: only these compile the framework.
+    from repro.core.framework import ParallelizationFramework
+    from repro.core.report import SuiteReport
 
     framework = ParallelizationFramework(_config(args))
 

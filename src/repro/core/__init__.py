@@ -13,30 +13,17 @@
   comparison, and suite-level aggregation.
 """
 
-from repro.core.framework import (
-    FrameworkConfig,
-    ParallelizationFramework,
-    WorkloadEvaluation,
-)
-from repro.core.gantt import render_gantt
-from repro.core.plan import ExecutionPlan
-from repro.core.report import SpeedupReport, SuiteReport, moores_law_speedup
-from repro.core.simulator import PipelineSimulator, SimulationResult
-from repro.core.tasks import Phase, SerializationEdge, Task, TaskGraph
+from repro import _lazy_exports
 
-__all__ = [
-    "ExecutionPlan",
-    "FrameworkConfig",
-    "ParallelizationFramework",
-    "Phase",
-    "PipelineSimulator",
-    "SerializationEdge",
-    "SimulationResult",
-    "SpeedupReport",
-    "SuiteReport",
-    "Task",
-    "TaskGraph",
-    "WorkloadEvaluation",
-    "moores_law_speedup",
-    "render_gantt",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.framework": (
+        "FrameworkConfig", "ParallelizationFramework", "WorkloadEvaluation",
+    ),
+    "repro.core.gantt": ("render_gantt",),
+    "repro.core.plan": ("ExecutionPlan",),
+    "repro.core.report": (
+        "SpeedupReport", "SuiteReport", "moores_law_speedup",
+    ),
+    "repro.core.simulator": ("PipelineSimulator", "SimulationResult"),
+    "repro.core.tasks": ("Phase", "SerializationEdge", "Task", "TaskGraph"),
+})

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
-from repro.profiling.memory_profile import MemoryProfile
-from repro.profiling.tracer import TraceResult
-from repro.speculation.manager import SpeculationPlan
+if TYPE_CHECKING:  # the profiling and speculation stacks load on their own
+    from repro.profiling.memory_profile import MemoryProfile
+    from repro.profiling.tracer import TraceResult
+    from repro.speculation.manager import SpeculationPlan
 
 Location = Tuple[str, Hashable]
 

@@ -21,44 +21,20 @@ calibrate the simulator against measured wall clock.
 - :mod:`repro.exec.metrics`  — the observability record of one run.
 """
 
-from repro.exec.channels import (
-    ChannelChaos,
-    ChannelTimeout,
-    ProcessChannel,
-    decode_frame,
-    encode_frame,
-)
-from repro.exec.committer import Committer
-from repro.exec.engine import (
-    EngineResult,
-    ExecutionEngine,
-    PipelineSpec,
-    run_sequential,
-    spec_from_task_graph,
-)
-from repro.exec.faults import FaultPlan, InjectedFault, RobustnessPolicy
-from repro.exec.metrics import EngineMetrics
-from repro.exec.rollback import CommittedStore, WriteBuffer
-from repro.exec.runtime import LocalRuntime, Runtime
+from repro import _lazy_exports
 
-__all__ = [
-    "ChannelChaos",
-    "ChannelTimeout",
-    "CommittedStore",
-    "Committer",
-    "decode_frame",
-    "encode_frame",
-    "EngineMetrics",
-    "EngineResult",
-    "ExecutionEngine",
-    "FaultPlan",
-    "InjectedFault",
-    "LocalRuntime",
-    "PipelineSpec",
-    "ProcessChannel",
-    "RobustnessPolicy",
-    "Runtime",
-    "WriteBuffer",
-    "run_sequential",
-    "spec_from_task_graph",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.exec.channels": (
+        "ChannelChaos", "ChannelTimeout", "ProcessChannel", "decode_frame",
+        "encode_frame",
+    ),
+    "repro.exec.committer": ("Committer",),
+    "repro.exec.engine": (
+        "EngineResult", "ExecutionEngine", "PipelineSpec", "run_sequential",
+        "spec_from_task_graph",
+    ),
+    "repro.exec.faults": ("FaultPlan", "InjectedFault", "RobustnessPolicy"),
+    "repro.exec.metrics": ("EngineMetrics",),
+    "repro.exec.rollback": ("CommittedStore", "WriteBuffer"),
+    "repro.exec.runtime": ("LocalRuntime", "Runtime"),
+})

@@ -324,6 +324,11 @@ class ProcessChannel:
         #: ``_consumes`` (:meth:`_recv_frame`, :meth:`drain`).
         self._credit = Wakeup(ctx)
         self._flushes = ctx.Value("L", 0)
+        #: ``STOP`` tokens put (guarded by ``_flushes``' lock) and taken
+        #: (by ``_consumes``'): they hold credit like any item, but the
+        #: stats report payload only.
+        self._stops_put = ctx.Value("L", 0, lock=False)
+        self._stops_taken = ctx.Value("L", 0, lock=False)
         self._serialize_seconds = ctx.Value("d", 0.0)
         self._deserialize_seconds = ctx.Value("d", 0.0)
         self._serialize_local = 0.0
@@ -398,6 +403,8 @@ class ProcessChannel:
         if item == STOP:
             self.flush(timeout=timeout)
             self._send_frame([STOP], self._deadline(timeout), framed=False)
+            with self._flushes.get_lock():
+                self._stops_put.value += 1
             return
         self._append(item)
         if len(self._send_buffer) >= self.batch_size:
@@ -590,10 +597,19 @@ class ProcessChannel:
         if deserialize_seconds:
             with self._deserialize_seconds.get_lock():
                 self._deserialize_seconds.value += deserialize_seconds
-        with self._consumes.get_lock():
-            self._consumes.value += 1 if items is None else len(items)
-        self._credit.wake()
+        self._consumed(items, single)
         return items, single
+
+    def _consumed(self, items: Optional[list], single: Any) -> None:
+        """Count one transport read as consumed and free its credit."""
+        with self._consumes.get_lock():
+            if items is not None:
+                self._consumes.value += len(items)
+            else:
+                self._consumes.value += 1
+                if single == STOP:
+                    self._stops_taken.value += 1
+        self._credit.wake()
 
     def get(self, timeout: Optional[float] = None) -> Any:
         """Consume the oldest item; block while empty (raise on timeout).
@@ -673,19 +689,22 @@ class ProcessChannel:
             if self.occupancy_samples
             else 0.0
         )
-        flushes = self._flushes.value
+        # Payload only: each end-of-stream STOP is a one-item frame.
+        stops = self._stops_put.value
+        produces = self.produces - stops
+        flushes = self._flushes.value - stops
         return {
             "capacity": self.capacity,
             "batch_size": self.batch_size,
             "transport": self.transport_kind,
-            "produces": self.produces,
-            "consumes": self.consumes,
+            "produces": produces,
+            "consumes": self.consumes - self._stops_taken.value,
             "max_occupancy": self.max_occupancy_seen,
             "mean_occupancy": round(mean, 3),
             "samples": self.occupancy_samples,
             "flushes": flushes,
             "mean_frame_items": (
-                round(self.produces / flushes, 3) if flushes else 0.0
+                round(produces / flushes, 3) if flushes else 0.0
             ),
             "serialize_seconds": round(self._serialize_seconds.value, 6),
             "deserialize_seconds": round(
@@ -709,9 +728,7 @@ class ProcessChannel:
                 return items
             except (EOFError, OSError):
                 return items
-            with self._consumes.get_lock():
-                self._consumes.value += 1 if decoded is None else len(decoded)
-            self._credit.wake()
+            self._consumed(decoded, single)
             if decoded is None:
                 items.append(single)
             else:
@@ -767,6 +784,8 @@ class ProcessChannel:
                 value.value = 0.0
             finally:
                 lock.release()
+        self._stops_put.value = 0
+        self._stops_taken.value = 0
         self._credit.reset()
         self._serialize_local = 0.0
         self._put_index = 0

@@ -44,10 +44,10 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union,
+)
 
-from repro.core.plan import ExecutionPlan
-from repro.core.tasks import Phase, TaskGraph
 from repro.exec.channels import ChannelChaos, ChannelTimeout
 from repro.exec.committer import Committer
 from repro.exec.faults import FaultPlan, RobustnessPolicy
@@ -59,7 +59,6 @@ from repro.obs.clock import now_ns
 from repro.obs.events import EventKind, TraceConfig
 from repro.obs.live import LiveConfig, LiveMonitor
 from repro.obs.registry import WRITER_COMMITTER
-from repro.obs.serve import HttpServer, live_endpoints
 from repro.obs.spool import open_tracer
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -69,6 +68,11 @@ from repro.resilience.checkpoint import (
     spec_fingerprint,
 )
 from repro.resilience.throttle import ThrottleConfig
+
+if TYPE_CHECKING:
+    from repro.core.plan import ExecutionPlan
+    from repro.core.tasks import TaskGraph
+    from repro.obs.serve import HttpServer
 
 logger = logging.getLogger(__name__)
 
@@ -662,6 +666,9 @@ class ExecutionEngine:
         monitor.start()
         self.live_monitor = monitor
         if live_cfg.serve is not None:
+            # http.server loads only for a run that serves its telemetry.
+            from repro.obs.serve import HttpServer, live_endpoints
+
             self._live_server = HttpServer(
                 functools.partial(live_endpoints, monitor),
                 port=live_cfg.serve, name="repro-obs-serve",
@@ -717,6 +724,8 @@ def spec_from_task_graph(
     so the engine's measured wall clock can be put next to the simulator's
     predicted makespan for the same graph — the calibration bridge.
     """
+    from repro.core.tasks import Phase
+
     iterations = graph.iterations()
     a_costs = [0.0] * iterations
     b_costs = [0.0] * iterations

@@ -15,18 +15,11 @@ subsystem, allowing for privatization of data and memory alias speculation.
   forwarding, silent-store suppression, in-order commit and rollback.
 """
 
-from repro.hw.machine import MachineConfig
-from repro.hw.versioned_memory import (
-    ConflictError,
-    Epoch,
-    EpochState,
-    VersionedMemory,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ConflictError",
-    "Epoch",
-    "EpochState",
-    "MachineConfig",
-    "VersionedMemory",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.hw.machine": ("MachineConfig",),
+    "repro.hw.versioned_memory": (
+        "ConflictError", "Epoch", "EpochState", "VersionedMemory",
+    ),
+})

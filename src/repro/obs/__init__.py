@@ -29,147 +29,48 @@ API and ``/metrics`` use too), and a cross-run JSONL history store with a
 CI regression gate (:mod:`repro.obs.history`).
 """
 
-from repro.obs.analyze import (
-    BOTTLENECK_SCHEMA,
-    BottleneckReport,
-    ItemChain,
-    PathSegment,
-    analyze_trace,
-    compute_critical_path,
-    crosscheck_with_graph,
-    estimate_bottleneck,
-    extract_chains,
-    merged_from_chrome_trace,
-    run_analyze,
-    validate_bottleneck,
-)
-from repro.obs.clock import ClockAnchor, now_ns
-from repro.obs.compare import (
-    PhaseComparison,
-    compare_phases,
-    format_report,
-    render_measured_timeline,
-)
-from repro.obs.events import (
-    ChaosCode,
-    EventKind,
-    Instant,
-    SERVICE_KINDS,
-    Span,
-    TraceConfig,
-)
-from repro.obs.export import (
-    load_and_validate,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.hist import LatencyHistogram, format_seconds, percentile
-from repro.obs.history import (
-    HISTORY_SCHEMA,
-    HistoryDiff,
-    append_record,
-    diff_records,
-    format_history_diff,
-    load_history,
-    make_record,
-    select_baseline,
-)
-from repro.obs.live import (
-    HealthState,
-    LiveConfig,
-    LiveMonitor,
-    Watchdog,
-    WatchdogConfig,
-)
-from repro.obs.jobtrace import (
-    FlightRecorder,
-    JobTrace,
-    TraceContext,
-    aggregate_report,
-    build_timeline,
-    iter_job_traces,
-    open_job_trace,
-    run_report,
-)
-from repro.obs.merge import MergedTrace, merge_spool_dir, merge_spools
-from repro.obs.registry import (
-    MetricsRegistry,
-    RegistrySnapshot,
-    writers_for,
-)
-from repro.obs.serve import HttpServer, prometheus_exposition
-from repro.obs.spool import (
-    SpoolData,
-    SpoolError,
-    SpoolWriter,
-    open_tracer,
-    read_spool,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BOTTLENECK_SCHEMA",
-    "BottleneckReport",
-    "ChaosCode",
-    "ClockAnchor",
-    "EventKind",
-    "FlightRecorder",
-    "HISTORY_SCHEMA",
-    "HealthState",
-    "HistoryDiff",
-    "Instant",
-    "ItemChain",
-    "JobTrace",
-    "LatencyHistogram",
-    "LiveConfig",
-    "LiveMonitor",
-    "MergedTrace",
-    "MetricsRegistry",
-    "HttpServer",
-    "PathSegment",
-    "PhaseComparison",
-    "RegistrySnapshot",
-    "SERVICE_KINDS",
-    "Span",
-    "SpoolData",
-    "SpoolError",
-    "SpoolWriter",
-    "TraceConfig",
-    "TraceContext",
-    "Watchdog",
-    "WatchdogConfig",
-    "aggregate_report",
-    "analyze_trace",
-    "append_record",
-    "build_timeline",
-    "compare_phases",
-    "compute_critical_path",
-    "crosscheck_with_graph",
-    "diff_records",
-    "estimate_bottleneck",
-    "extract_chains",
-    "format_history_diff",
-    "format_report",
-    "format_seconds",
-    "iter_job_traces",
-    "load_and_validate",
-    "load_history",
-    "make_record",
-    "merge_spool_dir",
-    "merge_spools",
-    "merged_from_chrome_trace",
-    "now_ns",
-    "open_job_trace",
-    "open_tracer",
-    "percentile",
-    "run_analyze",
-    "run_report",
-    "prometheus_exposition",
-    "read_spool",
-    "render_measured_timeline",
-    "select_baseline",
-    "to_chrome_trace",
-    "validate_bottleneck",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.analyze": (
+        "BOTTLENECK_SCHEMA", "BottleneckReport", "ItemChain", "PathSegment",
+        "analyze_trace", "compute_critical_path", "crosscheck_with_graph",
+        "estimate_bottleneck", "extract_chains", "merged_from_chrome_trace",
+        "run_analyze", "validate_bottleneck",
+    ),
+    "repro.obs.clock": ("ClockAnchor", "now_ns"),
+    "repro.obs.compare": (
+        "PhaseComparison", "compare_phases", "format_report",
+        "render_measured_timeline",
+    ),
+    "repro.obs.events": (
+        "ChaosCode", "EventKind", "Instant", "SERVICE_KINDS", "Span",
+        "TraceConfig",
+    ),
+    "repro.obs.export": (
+        "load_and_validate", "to_chrome_trace", "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.hist": ("LatencyHistogram", "format_seconds", "percentile"),
+    "repro.obs.history": (
+        "HISTORY_SCHEMA", "HistoryDiff", "append_record", "diff_records",
+        "format_history_diff", "load_history", "make_record",
+        "select_baseline",
+    ),
+    "repro.obs.live": (
+        "HealthState", "LiveConfig", "LiveMonitor", "Watchdog",
+        "WatchdogConfig",
+    ),
+    "repro.obs.jobtrace": (
+        "FlightRecorder", "JobTrace", "TraceContext", "aggregate_report",
+        "build_timeline", "iter_job_traces", "open_job_trace", "run_report",
+    ),
+    "repro.obs.merge": ("MergedTrace", "merge_spool_dir", "merge_spools"),
+    "repro.obs.registry": (
+        "MetricsRegistry", "RegistrySnapshot", "writers_for",
+    ),
+    "repro.obs.serve": ("HttpServer", "prometheus_exposition"),
+    "repro.obs.spool": (
+        "SpoolData", "SpoolError", "SpoolWriter", "open_tracer", "read_spool",
+    ),
+})

@@ -41,13 +41,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.clock import now_ns
 from repro.obs.events import EventKind, SERVICE_KINDS, TraceConfig
 from repro.obs.hist import LatencyHistogram
-from repro.obs.merge import MergedTrace
 from repro.obs.spool import open_tracer
+
+if TYPE_CHECKING:
+    from repro.obs.merge import MergedTrace
 
 #: The spool role the server writes under (engine roles are ``producer``,
 #: ``worker-N``, ``committer``; the merger treats them all alike).

@@ -22,58 +22,22 @@ PR 1's engine made misspeculation survivable; this package makes it
   violation into a structured, taxonomized error.
 """
 
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointConfig,
-    CheckpointError,
-    CheckpointManager,
-    spec_fingerprint,
-)
-from repro.resilience.chaos import (
-    CHAOS_POLICY,
-    ChaosConfig,
-    ChaosReport,
-    ServerKillPlan,
-    chaos_channel_plan,
-    chaos_plan,
-    run_chaos,
-    server_kill_plan,
-)
-from repro.resilience.invariants import (
-    InvariantError,
-    InvariantKind,
-    InvariantViolation,
-    assert_run,
-    check_checkpoints,
-    check_run,
-)
-from repro.resilience.throttle import (
-    SpeculationThrottle,
-    ThrottleConfig,
-    max_window_for,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CHAOS_POLICY",
-    "ChaosConfig",
-    "ChaosReport",
-    "Checkpoint",
-    "CheckpointConfig",
-    "CheckpointError",
-    "CheckpointManager",
-    "InvariantError",
-    "InvariantKind",
-    "InvariantViolation",
-    "ServerKillPlan",
-    "SpeculationThrottle",
-    "ThrottleConfig",
-    "assert_run",
-    "chaos_channel_plan",
-    "chaos_plan",
-    "check_checkpoints",
-    "check_run",
-    "max_window_for",
-    "run_chaos",
-    "server_kill_plan",
-    "spec_fingerprint",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.resilience.checkpoint": (
+        "Checkpoint", "CheckpointConfig", "CheckpointError",
+        "CheckpointManager", "spec_fingerprint",
+    ),
+    "repro.resilience.chaos": (
+        "CHAOS_POLICY", "ChaosConfig", "ChaosReport", "ServerKillPlan",
+        "chaos_channel_plan", "chaos_plan", "run_chaos", "server_kill_plan",
+    ),
+    "repro.resilience.invariants": (
+        "InvariantError", "InvariantKind", "InvariantViolation", "assert_run",
+        "check_checkpoints", "check_run",
+    ),
+    "repro.resilience.throttle": (
+        "SpeculationThrottle", "ThrottleConfig", "max_window_for",
+    ),
+})

@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.engine import PipelineSpec
 from repro.exec.faults import FaultPlan
-from repro.resilience.chaos import ChaosConfig, chaos_plan
 from repro.workloads.suite import SUITE, exec_names
 
 #: The non-benchmark workload: parameterized deterministic spin work.
@@ -157,6 +156,8 @@ def compile_chaos(
         raise ValueError("more chaos injections than iterations")
     if conflicts + errors + crashes == 0:
         return None
+    from repro.resilience.chaos import ChaosConfig, chaos_plan
+
     config = ChaosConfig.only(
         crashes=crashes, soft_faults=errors, conflicts=conflicts
     )

@@ -63,6 +63,7 @@ from repro.exec.workers import (
 )
 from repro.obs.events import TraceConfig
 from repro.obs.registry import WRITER_PRODUCER, WRITER_WORKER0
+from repro.workloads.suite import LOAD_LOCK
 
 logger = logging.getLogger(__name__)
 
@@ -530,7 +531,10 @@ class WorkerPool:
             name=f"pool-B{wid}",
             daemon=True,
         )
-        process.start()
+        # A worker imports an analog's module when it unpickles that
+        # analog's first lease; never fork one half-imported.
+        with LOAD_LOCK:
+            process.start()
         child_conn.close()
         worker = _PoolWorker(wid, process, parent_conn, row_index, views)
         self._workers[wid] = worker

@@ -54,14 +54,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.exec.engine import ExecutionEngine
 from repro.exec.faults import RobustnessPolicy
-from repro.obs.analyze import analyze_trace, estimate_bottleneck
 from repro.obs.clock import now_ns
 from repro.obs.events import EventKind
-from repro.obs.export import to_chrome_trace
-from repro.obs.history import append_record, make_record
 from repro.obs.jobtrace import FlightRecorder, build_timeline, open_job_trace
 from repro.obs.live import LiveConfig
-from repro.obs.merge import merge_spool_dir
 from repro.obs.serve import Exposition, HttpServer
 from repro.resilience.checkpoint import CheckpointConfig, CheckpointError
 from repro.service.api import handle_api
@@ -92,6 +88,20 @@ from repro.service.scheduler import FairScheduler
 from repro.service.tenants import TenantDirectory, TenantState
 
 logger = logging.getLogger(__name__)
+
+
+def _trace_plane():
+    """The modules that seal a traced job: merger, exporter, analyzer.
+
+    They load on the first traced job rather than at server start, and
+    never under the service lock: :meth:`PipelineService.submit` loads
+    them before taking it, so sealing a trace under the lock (a queued
+    job's cancel) finds them loaded.
+    """
+    from repro.obs import analyze, export, merge
+
+    return analyze, export, merge
+
 
 #: How often the dispatcher re-checks for runnable work when idle.
 _DISPATCH_POLL = 0.05
@@ -511,15 +521,16 @@ class PipelineService:
         JobState.DEAD_LETTER: 3,
     }
 
-    def _trace_requested(self, job: Job) -> bool:
-        return bool(job.params.get("trace", False)) or self.config.trace_jobs
+    def _trace_requested(self, params: dict) -> bool:
+        return bool(params.get("trace", False)) or self.config.trace_jobs
 
     def _maybe_open_trace(self, job: Job) -> None:
         """Open the job's service spool at admission.  Tracing is strictly
         best-effort: any failure logs and leaves the job untraced rather
         than failing the submission."""
-        if not self._trace_requested(job):
+        if not self._trace_requested(job.params):
             return
+        _trace_plane()  # what seals the trace, perhaps under the lock
         try:
             if self.artifacts is not None:
                 spool_dir = self.artifacts.trace_spool_dir(job.id)
@@ -554,15 +565,16 @@ class PipelineService:
                 detail=self._ADMIT_DETAIL.get(job.state, 0),
             )
             trace.close()
-            merged = merge_spool_dir(job.trace_dir)
-            chrome = to_chrome_trace(merged)
+            analyze, export, merge = _trace_plane()
+            merged = merge.merge_spool_dir(job.trace_dir)
+            chrome = export.to_chrome_trace(merged)
             timeline = build_timeline(
                 merged, job_id=job.id, tenant=job.tenant,
                 attempts=job.attempts,
             )
             job.timeline_data = timeline
             try:
-                analysis = analyze_trace(merged, metrics=job.metrics)
+                analysis = analyze.analyze_trace(merged, metrics=job.metrics)
                 job.bottleneck_data = analysis.to_json()
             except Exception:
                 # Diagnosis is best-effort; the trace itself still ships.
@@ -661,6 +673,8 @@ class PipelineService:
         if not job.metrics or not job.metrics.get("wall_seconds"):
             return None
         try:
+            from repro.obs.analyze import estimate_bottleneck
+
             job.bottleneck_data = estimate_bottleneck(job.metrics)
         except Exception:
             # Diagnosis must never turn a finished job into a 500.
@@ -704,6 +718,8 @@ class PipelineService:
             )
         iterations = resolve_iterations(workload, params)
         fault_plan = compile_chaos(params.get("chaos"), iterations)
+        if self._trace_requested(params):
+            _trace_plane()  # loaded here, so never under the lock below
         with self._wake:
             if idempotency_key is not None:
                 existing_id = self._idempotency.get(
@@ -1190,6 +1206,8 @@ class PipelineService:
         return False
 
     def _append_history(self, job: Job, result) -> None:
+        from repro.obs.history import append_record, make_record
+
         try:
             # The record keeps its compact verdict; resolved here, after
             # the job is terminal, rather than on the completion path.

@@ -22,6 +22,8 @@ Use :data:`repro.workloads.suite.SUITE` to get all eleven, or import one:
 - :mod:`repro.workloads.gcc_w` — mini-C compiler over :mod:`repro.ir`
 """
 
-from repro.workloads.base import OutputComparison, Workload, WorkloadInfo
+from repro import _lazy_exports
 
-__all__ = ["OutputComparison", "Workload", "WorkloadInfo"]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.base": ("OutputComparison", "Workload", "WorkloadInfo"),
+})

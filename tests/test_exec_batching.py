@@ -360,6 +360,8 @@ class TestDefaultFrames:
         assert result.output == expected
         work = result.metrics.channel_stats["work"]
         assert work["mean_frame_items"] >= 32, work
+        # payload only: the workers' end-of-stream STOP tokens are not items
+        assert work["produces"] == work["consumes"] == 4000, work
 
 
 # -- the chaos seed matrix, batching on --------------------------------------------
