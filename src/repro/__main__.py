@@ -50,7 +50,7 @@ import argparse
 import inspect
 import logging
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.history import DEFAULT_HISTORY_PATH
 from repro.workloads.suite import (
@@ -67,14 +67,22 @@ from repro.workloads.suite import (
 _FIGURES = {4: FIGURE4, 5: FIGURE5, 6: FIGURE6, 7: FIGURE7}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from repro.exec.engine import ExecutionEngine
-    from repro.service import ServiceConfig
+class _CommandParser(argparse.ArgumentParser):
+    """A sub-command's parser that can take its arguments only once that
+    command is parsed (``add_arguments``, called with the parser): ``exec``
+    and ``serve`` read their defaults off the engine and the job server,
+    which every other command leaves unimported."""
 
-    # Flags that set a constructor argument default to that constructor's
-    # own default, so each value is written once.
-    engine = inspect.signature(ExecutionEngine).parameters
-    service = ServiceConfig()
+    add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_arguments is not None:
+            add, self.add_arguments = self.add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Revisiting the Sequential Programming "
@@ -86,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="logging threshold for the repro.* namespaces (default "
              "warning; chaos/fault injections log at info)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     sub.add_parser("list", help="list available benchmarks")
 
@@ -105,6 +115,129 @@ def _build_parser() -> argparse.ArgumentParser:
         "exec",
         help="run a workload for real on the multiprocess execution engine",
     )
+    exec_parser.add_arguments = _add_exec_arguments
+
+    serve_parser = sub.add_parser(
+        "serve",
+        help="run the multi-tenant pipeline-as-a-service job server",
+    )
+    serve_parser.add_arguments = _add_serve_arguments
+
+    obs_parser = sub.add_parser(
+        "obs",
+        help="offline observability tools over stored service artifacts",
+    )
+    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
+    report_parser = obs_sub.add_parser(
+        "report",
+        help="aggregate per-tenant per-stage latency percentiles across "
+             "every stored job trace artifact",
+    )
+    report_parser.add_argument(
+        "state_dir", metavar="STATE_DIR",
+        help="a serve --state-dir (or its artifacts/ directory)",
+    )
+    report_parser.add_argument(
+        "--tenant", default=None,
+        help="restrict the report to one tenant",
+    )
+    analyze_parser = obs_sub.add_parser(
+        "analyze",
+        help="critical-path analysis and what-if speedup projections over "
+             "a recorded trace (an exported Chrome trace file, or a job's "
+             "stored trace artifact via --state-dir)",
+    )
+    analyze_parser.add_argument(
+        "target", metavar="TRACE_OR_JOB", nargs="?", default=None,
+        help="a Chrome trace file written by --trace, or a JOB_ID when "
+             "--state-dir is given",
+    )
+    analyze_parser.add_argument(
+        "--state-dir", default=None, metavar="DIR",
+        help="a serve --state-dir (or its artifacts/ directory): analyze "
+             "the stored trace.json + metrics.json of job TRACE_OR_JOB",
+    )
+    analyze_parser.add_argument(
+        "--metrics", default=None, metavar="PATH",
+        help="the run's --metrics-out JSON (sharpens serialization blame "
+             "and pipeline geometry for trace-file mode)",
+    )
+    analyze_parser.add_argument(
+        "--workers", type=int, default=None,
+        help="override the worker count when the trace/metrics do not "
+             "record it",
+    )
+    analyze_parser.add_argument(
+        "--capacity", type=int, default=None,
+        help="override the channel capacity used for what-if replay",
+    )
+    analyze_parser.add_argument(
+        "--json", default=None, metavar="PATH", dest="json_out",
+        help="also write the machine-readable bottleneck block to PATH",
+    )
+
+    audit_parser = sub.add_parser(
+        "shm-audit",
+        help="scan /dev/shm for orphaned repro ring segments and exit "
+             "nonzero if any survive the wait window",
+    )
+    audit_parser.add_argument(
+        "--timeout", type=float, default=5.0,
+        help="seconds to wait for lagging resource-tracker reclaims "
+             "before declaring segments orphaned (default 5)",
+    )
+    audit_parser.add_argument(
+        "--unlink", action="store_true",
+        help="unlink whatever the audit finds after reporting it "
+             "(cleanup mode for CI teardown)",
+    )
+
+    history_parser = sub.add_parser(
+        "history",
+        help="diff the latest recorded run against a baseline from the "
+             "history store",
+    )
+    history_parser.add_argument(
+        "--history", metavar="PATH", default=DEFAULT_HISTORY_PATH,
+        help=f"history store to read (default {DEFAULT_HISTORY_PATH})",
+    )
+    history_parser.add_argument(
+        "--baseline", default=None, metavar="LABEL_OR_INDEX",
+        help="baseline record: a --label value or an integer index "
+             "(negative = from the end); default: the most recent earlier "
+             "run with the same workload, workers, and batch size",
+    )
+    history_parser.add_argument(
+        "--tolerance", type=float, default=0.30,
+        help="relative regression tolerance for items/sec and gated p95 "
+             "latencies (default 0.30)",
+    )
+    history_parser.add_argument(
+        "--check", action="store_true",
+        help="CI gate: exit nonzero when any gated metric regresses "
+             "beyond tolerance",
+    )
+    history_parser.add_argument(
+        "--list", action="store_true", dest="list_records",
+        help="list the most recent history records instead of diffing",
+    )
+    history_parser.add_argument(
+        "--limit", type=int, default=10,
+        help="records shown by --list (default 10)",
+    )
+    history_parser.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="also write the diff (or the record list) as JSON to PATH",
+    )
+    return parser
+
+
+def _add_exec_arguments(exec_parser: argparse.ArgumentParser) -> None:
+    from repro.exec.engine import ExecutionEngine
+
+    # Flags that set a constructor argument default to that constructor's
+    # own default, so each value is written once.
+    engine = inspect.signature(ExecutionEngine).parameters
     exec_parser.add_argument("name", choices=exec_names())
     exec_parser.add_argument(
         "--workers", type=int, default=2,
@@ -239,10 +372,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "--baseline LABEL' can diff against)",
     )
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the multi-tenant pipeline-as-a-service job server",
-    )
+
+def _add_serve_arguments(serve_parser: argparse.ArgumentParser) -> None:
+    from repro.service import ServiceConfig
+
+    service = ServiceConfig()  # each default written once, as for exec
     serve_parser.add_argument(
         "--host", default=service.host,
         help="bind address (default %(default)s)",
@@ -336,114 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default %(default)s; bundles are written on failure, "
              "dead-letter, and tenant degradation)",
     )
-
-    obs_parser = sub.add_parser(
-        "obs",
-        help="offline observability tools over stored service artifacts",
-    )
-    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
-    report_parser = obs_sub.add_parser(
-        "report",
-        help="aggregate per-tenant per-stage latency percentiles across "
-             "every stored job trace artifact",
-    )
-    report_parser.add_argument(
-        "state_dir", metavar="STATE_DIR",
-        help="a serve --state-dir (or its artifacts/ directory)",
-    )
-    report_parser.add_argument(
-        "--tenant", default=None,
-        help="restrict the report to one tenant",
-    )
-    analyze_parser = obs_sub.add_parser(
-        "analyze",
-        help="critical-path analysis and what-if speedup projections over "
-             "a recorded trace (an exported Chrome trace file, or a job's "
-             "stored trace artifact via --state-dir)",
-    )
-    analyze_parser.add_argument(
-        "target", metavar="TRACE_OR_JOB", nargs="?", default=None,
-        help="a Chrome trace file written by --trace, or a JOB_ID when "
-             "--state-dir is given",
-    )
-    analyze_parser.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="a serve --state-dir (or its artifacts/ directory): analyze "
-             "the stored trace.json + metrics.json of job TRACE_OR_JOB",
-    )
-    analyze_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="the run's --metrics-out JSON (sharpens serialization blame "
-             "and pipeline geometry for trace-file mode)",
-    )
-    analyze_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="override the worker count when the trace/metrics do not "
-             "record it",
-    )
-    analyze_parser.add_argument(
-        "--capacity", type=int, default=None,
-        help="override the channel capacity used for what-if replay",
-    )
-    analyze_parser.add_argument(
-        "--json", default=None, metavar="PATH", dest="json_out",
-        help="also write the machine-readable bottleneck block to PATH",
-    )
-
-    audit_parser = sub.add_parser(
-        "shm-audit",
-        help="scan /dev/shm for orphaned repro ring segments and exit "
-             "nonzero if any survive the wait window",
-    )
-    audit_parser.add_argument(
-        "--timeout", type=float, default=5.0,
-        help="seconds to wait for lagging resource-tracker reclaims "
-             "before declaring segments orphaned (default 5)",
-    )
-    audit_parser.add_argument(
-        "--unlink", action="store_true",
-        help="unlink whatever the audit finds after reporting it "
-             "(cleanup mode for CI teardown)",
-    )
-
-    history_parser = sub.add_parser(
-        "history",
-        help="diff the latest recorded run against a baseline from the "
-             "history store",
-    )
-    history_parser.add_argument(
-        "--history", metavar="PATH", default=DEFAULT_HISTORY_PATH,
-        help=f"history store to read (default {DEFAULT_HISTORY_PATH})",
-    )
-    history_parser.add_argument(
-        "--baseline", default=None, metavar="LABEL_OR_INDEX",
-        help="baseline record: a --label value or an integer index "
-             "(negative = from the end); default: the most recent earlier "
-             "run with the same workload, workers, and batch size",
-    )
-    history_parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="relative regression tolerance for items/sec and gated p95 "
-             "latencies (default 0.30)",
-    )
-    history_parser.add_argument(
-        "--check", action="store_true",
-        help="CI gate: exit nonzero when any gated metric regresses "
-             "beyond tolerance",
-    )
-    history_parser.add_argument(
-        "--list", action="store_true", dest="list_records",
-        help="list the most recent history records instead of diffing",
-    )
-    history_parser.add_argument(
-        "--limit", type=int, default=10,
-        help="records shown by --list (default 10)",
-    )
-    history_parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the diff (or the record list) as JSON to PATH",
-    )
-    return parser
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -383,13 +383,23 @@ class ProcessChannel:
         if self._send_since is None:
             self._send_since = time.monotonic()
 
-    def put_buffered(self, item: Any) -> None:
+    def put_buffered(self, item: Any) -> int:
         """Accept ``item`` without flushing — the chunk-building primitive.
+        Returns :attr:`pending_items` after it.
 
         Never blocks; the caller decides when to :meth:`flush` (the engine's
         producer grows its chunk adaptively and flushes per chunk).
         """
-        self._append(item)
+        buffer = self._send_buffer
+        if self.chaos is not None:
+            self._append(item)
+            return len(buffer)
+        # _append without its chaos branch: phase A's per-item path
+        self._put_index += 1
+        buffer.append(item)
+        if self._send_since is None:
+            self._send_since = time.monotonic()
+        return len(buffer)
 
     def put(self, item: Any, timeout: Optional[float] = None) -> None:
         """Produce ``item``; block while the channel is full.

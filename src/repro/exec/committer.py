@@ -33,6 +33,9 @@ from repro.obs.registry import WRITER_COMMITTER
 
 logger = logging.getLogger(__name__)
 
+#: A reorder-buffer miss: a task's result may itself be None.
+_MISSING = object()
+
 
 class PhaseAReplay:
     """Phase A run a second time, in the committer, for the values of the
@@ -79,11 +82,17 @@ class Committer:
     place.
 
     State, all keyed by iteration: ``claims`` holds, per claimed and
-    uncommitted iteration, ``[claimant, claim clock (hung-task timeout),
-    first arrival (ns)]``; the claimant is None while a crashed worker's
-    hand-back waits on the ``work`` channel for its next claim.
-    ``pending`` is the reorder buffer: result entries as the workers sent
-    them, ``(i, result, reads, writes, b_seconds)``.  ``serial_needed`` are the tasks owed a serial retry.
+    uncommitted iteration, a record ``[claimant, claim clock (hung-task
+    timeout), first arrival (ns)]``; the claimant is None while a crashed
+    worker's hand-back waits on the ``work`` channel for its next claim.
+    Every item of a claims report shares one record, so a record is never
+    changed in place: a re-claim, a hand-back or a clock refresh gives the
+    item a record of its own (refreshing a queued chunk-mate's clock in
+    the shared record would restart the running item's too).
+    ``pending`` is the reorder buffer: per finished, uncommitted
+    iteration, its result as the worker sent it — with its ``(reads,
+    writes)`` pair, as ``(result, (reads, writes))``, when the spec is
+    speculative.  ``serial_needed`` are the tasks owed a serial retry.
     ``next_commit`` is the frontier.  ``replay`` is where a re-executed
     task's phase-A value comes from (:class:`PhaseAReplay`): the claims
     name iterations, they carry no values.
@@ -115,7 +124,7 @@ class Committer:
         self._window = window
         self.next_commit = start
         self.claims: Dict[int, list] = {}
-        self.pending: Dict[int, tuple] = {}
+        self.pending: Dict[int, Any] = {}
         self.serial_needed: Set[int] = set()
         self.replay = PhaseAReplay(spec.produce)
         # Per-item latency samples collect in plain lists and reach
@@ -139,72 +148,13 @@ class Committer:
         ``now_ns`` axis — one timestamp serves commit-lag accounting and
         the CLAIM trace records of every item in it."""
         tag = message[0]
-        metrics = self.metrics
-        pending = self.pending
-        serial_needed = self.serial_needed
         if tag == "results":
-            _, wid, entries = message
-            claims = self.claims
-            b_samples = self.samples["task_b"].append
-            # Where the frontier will stand once the entries before
-            # this one have committed: what "arrived out of order"
-            # is measured against, as if they came one at a time.
-            frontier = self.next_commit
-            accepted = 0
-            b_seconds = 0.0
-            for entry in entries:
-                i = entry[0]
-                if i < frontier:
-                    metrics.duplicates_dropped += 1
-                    continue
-                if i != frontier:
-                    metrics.out_of_order_completions += 1
-                if i in pending:
-                    metrics.duplicates_dropped += 1
-                    continue
-                pending[i] = entry
-                accepted += 1
-                b_seconds += entry[4]
-                b_samples(entry[4])
-                while frontier in pending or frontier in serial_needed:
-                    frontier += 1
-            metrics.stage_seconds["B"] += b_seconds
-            metrics.worker_iterations[wid] = (
-                metrics.worker_iterations.get(wid, 0) + accepted
-            )
+            self._results(*message[1:])
         elif tag == "claims":
-            _, wid, items = message
-            claims = self.claims
-            tracer = self.tracer
-            next_commit = self.next_commit
-            a_samples = self.samples["task_a"].append
-            a_seconds = 0.0
-            for i, seconds in items:
-                if i < next_commit:
-                    continue  # late duplicate of an already-committed task
-                claim = claims.get(i)
-                if claim is None:
-                    claims[i] = [wid, now, arrived_ns]
-                    if tracer is not None:
-                        tracer.record(
-                            EventKind.CLAIM, arrived_ns, arrived_ns,
-                            arg=i, arg2=wid,
-                        )
-                else:
-                    # Re-claimed after a crash hand-back: the first
-                    # arrival stays, ownership moves.
-                    claim[0], claim[1] = wid, now
-                # A fresh claim transfers ownership: the live claimant will
-                # deliver a result or fault (or fall to the hung-task
-                # timeout), so a previously scheduled serial retry yields.
-                if serial_needed:
-                    serial_needed.discard(i)
-                a_seconds += seconds
-                a_samples(seconds)
-            metrics.stage_seconds["A"] += a_seconds
+            self._claims(message[1], message[2], message[3], now, arrived_ns)
         elif tag == "fault":
             _, wid, i, fault_message = message
-            metrics.soft_faults += 1
+            self.metrics.soft_faults += 1
             if self.registry is not None:
                 self.registry.add(WRITER_COMMITTER, "soft_faults")
             logger.warning(
@@ -213,19 +163,122 @@ class Committer:
             )
             if self.tracer is not None:
                 self.tracer.instant(EventKind.SOFT_FAULT, arg=i, arg2=wid)
-            if i >= self.next_commit and i not in pending:
-                serial_needed.add(i)
-                metrics.retries += 1
+            if i >= self.next_commit and i not in self.pending:
+                self.serial_needed.add(i)
+                self.metrics.retries += 1
         elif tag == "released":
             # Handed back to the work channel by a crashing claimant: no
             # one owns them until the next claim, so losing ``wid`` owes
             # them no serial retry.  A claim already re-made is kept.
             _, wid, items = message
+            claims = self.claims
             for i in items:
-                claim = self.claims.get(i)
+                claim = claims.get(i)
                 if claim is not None and claim[0] == wid:
-                    claim[0] = None
+                    claims[i] = [None, claim[1], claim[2]]
         # ("stopped", wid): a clean exit; the health check sees exitcode 0
+
+    def _claims(
+        self, wid: int, ids, a_seconds, now: float, arrived_ns: int
+    ) -> None:
+        """A chunk claimed by ``wid``: one record for all of it."""
+        next_commit = self.next_commit
+        if min(ids) < next_commit:  # late duplicates of committed tasks
+            kept = [k for k, i in enumerate(ids) if i >= next_commit]
+            ids = [ids[k] for k in kept]
+            a_seconds = [a_seconds[k] for k in kept]
+            if not ids:
+                return
+        claims = self.claims
+        record = [wid, now, arrived_ns]
+        if claims.keys().isdisjoint(ids):
+            for i in ids:
+                claims[i] = record
+        else:
+            for i in ids:
+                claim = claims.get(i)
+                # Re-claimed after a crash hand-back: the first arrival
+                # stays, ownership moves.
+                claims[i] = (
+                    record if claim is None or claim is record
+                    else [wid, now, claim[2]]
+                )
+        if self.tracer is not None:
+            # a CLAIM record per new claim; a duplicated id is one claim
+            for i in dict.fromkeys(ids):
+                if claims[i] is record:
+                    self.tracer.record(
+                        EventKind.CLAIM, arrived_ns, arrived_ns,
+                        arg=i, arg2=wid,
+                    )
+        # A fresh claim transfers ownership: the live claimant will deliver
+        # a result or fault (or fall to the hung-task timeout), so a
+        # previously scheduled serial retry yields.
+        if self.serial_needed:
+            self.serial_needed.difference_update(ids)
+        self.samples["task_a"].extend(a_seconds)
+        self.metrics.stage_seconds["A"] += sum(a_seconds)
+
+    def _results(self, wid: int, ids, values, rw, b_seconds) -> None:
+        """Results from ``wid`` into the reorder buffer, each judged as if
+        it had arrived alone: against where the frontier will stand once
+        the ones before it in the report have committed."""
+        metrics = self.metrics
+        pending = self.pending
+        serial_needed = self.serial_needed
+        entries = values if rw is None else list(zip(values, rw))
+        frontier = self.next_commit
+        if (
+            ids and ids[0] >= frontier and not serial_needed
+            and frontier not in pending
+            and ids == list(range(ids[0], ids[0] + len(ids)))
+            and pending.keys().isdisjoint(ids)
+        ):
+            # The common report, a run of new results: all in order if it
+            # starts at the frontier, else all ahead of it.
+            pending.update(zip(ids, entries))
+            out_of_order = 0 if ids[0] == frontier else len(ids)
+        else:
+            out_of_order, dropped = self._take_one_by_one(ids, entries)
+            if dropped:
+                metrics.duplicates_dropped += len(dropped)
+                b_seconds = [
+                    seconds for k, seconds in enumerate(b_seconds)
+                    if k not in dropped
+                ]
+        metrics.out_of_order_completions += out_of_order
+        metrics.stage_seconds["B"] += sum(b_seconds)
+        self.samples["task_b"].extend(b_seconds)
+        metrics.worker_iterations[wid] = (
+            metrics.worker_iterations.get(wid, 0) + len(b_seconds)
+        )
+
+    def _take_one_by_one(self, ids, entries) -> Tuple[int, List[int]]:
+        """:meth:`_results` for any report — duplicates, gaps, ids behind
+        the frontier: how many came out of order, and the positions of the
+        duplicates it dropped."""
+        pending, serial_needed = self.pending, self.serial_needed
+        frontier = self.next_commit
+        # Until a result is taken, the frontier may still stand on a task
+        # taken by an earlier report that has not been advanced over yet.
+        unsettled = True
+        out_of_order = 0
+        dropped = []
+        for k, i in enumerate(ids):
+            if i < frontier:
+                dropped.append(k)
+                continue
+            if i != frontier:
+                out_of_order += 1
+            if i in pending:
+                dropped.append(k)
+                continue
+            pending[i] = entries[k]
+            if i == frontier or unsettled:
+                unsettled = False
+                while frontier in pending or frontier in serial_needed:
+                    frontier += 1
+        return out_of_order, dropped
 
     def lose_worker(self, wid: int) -> None:
         """Route a dead/hung worker's unresolved claims to serial retry."""
@@ -289,18 +342,17 @@ class Committer:
             wid = claim[0]
             if wid not in oldest_claim or i < oldest_claim[wid]:
                 oldest_claim[wid] = i
+        claims = self.claims
         late = []
         for i, claim in unresolved:
             wid = claim[0]
             if wid not in alive:
                 continue  # the caller's crash handling covers dead workers
-            if i - next_commit >= window:
-                # Throttle-gated, not hung: the worker is deliberately
-                # waiting for the window.  Refresh its claim clock so it
-                # gets a full timeout once it becomes eligible.
-                claim[1] = now
-            elif i != oldest_claim[wid]:
-                claim[1] = now  # queued behind a chunk-mate
+            if i - next_commit >= window or i != oldest_claim[wid]:
+                # Throttle-gated or queued behind a chunk-mate, not hung:
+                # a full timeout from now once it can run.  A record of its
+                # own — the one it shares may time the running chunk-mate.
+                claims[i] = [wid, now, claim[2]]
             elif now - claim[1] > timeout:
                 late.append((wid, i))
         return late
@@ -333,27 +385,27 @@ class Committer:
         tracer = self.tracer
         c_samples = self.samples["task_c"].append
         lag_samples = self.samples["commit_lag"].append
-        clean = 0  # clean commits the throttle has not heard of yet
+        clean_from = i  # the throttle has heard of the commits before this
         c_seconds = 0.0
         while i < iterations:
-            entry = pending.pop(i, None)
-            misspeculated = False
-            if entry is not None:
-                result = entry[1]
-                if speculative:
-                    if store.validate(entry[2]):
-                        misspeculated = True
-                        self.metrics.conflicts += 1
-                        if registry is not None:
-                            registry.add(WRITER_COMMITTER, "conflicts")
-                        if tracer is not None:
-                            tracer.instant(EventKind.CONFLICT, arg=i)
-                    else:
-                        store.apply(entry[3])
-            elif i in serial_needed:
+            result = pending.pop(i, _MISSING)
+            if result is _MISSING:
+                if i not in serial_needed:
+                    break
                 misspeculated = True
+            elif speculative:
+                result, (reads, writes) = result
+                misspeculated = bool(store.validate(reads))
+                if misspeculated:
+                    self.metrics.conflicts += 1
+                    if registry is not None:
+                        registry.add(WRITER_COMMITTER, "conflicts")
+                    if tracer is not None:
+                        tracer.instant(EventKind.CONFLICT, arg=i)
+                else:
+                    store.apply(writes)
             else:
-                break
+                misspeculated = False
             if misspeculated:
                 result = self._reexecute(i)
             if serial_needed:
@@ -382,24 +434,21 @@ class Committer:
                     EventKind.TASK_C, t0_ns, commit_ns, arg=i,
                     arg2=1 if misspeculated else 0,
                 )
+            if misspeculated and throttled:
+                # in commit order: the epochs must see what the
+                # item-at-a-time committer showed them
+                if i > clean_from:
+                    self._tell_throttle(False, i - clean_from)
+                self._tell_throttle(True, 1)
+                clean_from = i + 1
             i += 1
-            if throttled:
-                if misspeculated:
-                    # in commit order: the epochs must see what the
-                    # item-at-a-time committer showed them
-                    if clean:
-                        self._tell_throttle(False, clean)
-                        clean = 0
-                    self._tell_throttle(True, 1)
-                else:
-                    clean += 1
             if manager is not None and manager.due(i):
                 self._settle(i, c_seconds)
                 c_seconds = 0.0
                 self._checkpoint(i)
         self._settle(i, c_seconds)
-        if clean:
-            self._tell_throttle(False, clean)
+        if throttled and i > clean_from:
+            self._tell_throttle(False, i - clean_from)
 
     def finish_serially(self) -> None:
         """Graceful degradation: finish the run sequentially, in-process

@@ -69,6 +69,7 @@ as well.
 from __future__ import annotations
 
 import fcntl
+import functools
 import os
 import pickle
 import select
@@ -255,6 +256,18 @@ def _decode_raw(buf, body: int) -> List[Any]:
     return items
 
 
+@functools.cache
+def _pipe_max_size() -> int:
+    """The largest pipe buffer an unprivileged process may ask for, 0 when
+    the system does not say (not Linux).  Read once per process: a forked
+    stage reuses its parent's reading."""
+    try:
+        with open("/proc/sys/fs/pipe-max-size") as limit:
+            return int(limit.read())
+    except (OSError, ValueError):
+        return 0
+
+
 class PipeTransport:
     """One OS pipe carrying length-prefixed messages, written and read
     directly by the calling thread.
@@ -304,13 +317,12 @@ class PipeTransport:
         self._reader, self._writer = ctx.Pipe(duplex=False)
         for end in (self._reader, self._writer):
             os.set_blocking(end.fileno(), False)
-        try:
-            with open("/proc/sys/fs/pipe-max-size") as limit:
-                fcntl.fcntl(
-                    self._writer.fileno(), fcntl.F_SETPIPE_SZ, int(limit.read())
-                )
-        except (OSError, ValueError, AttributeError):
-            pass  # not Linux, or refused: the default buffer still works
+        size = _pipe_max_size()
+        if size:
+            try:
+                fcntl.fcntl(self._writer.fileno(), fcntl.F_SETPIPE_SZ, size)
+            except (OSError, AttributeError):
+                pass  # refused: the default buffer still works
         self.send_lock = ctx.Lock()
         self.recv_lock = ctx.Lock()
         self._iov_max = os.sysconf("SC_IOV_MAX")

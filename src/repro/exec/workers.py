@@ -11,21 +11,25 @@ worker or one lease of a pool worker
 way.
 
 Message protocol (all on the ``done`` channel, tagged tuples) — a chunk
-costs two messages, whatever its size:
+costs two messages, whatever its size, and each carries its chunk as
+columns, one entry per item, so nothing in it is built, pickled or
+read per item but the items' own numbers and results:
 
-``("claims", wid, [(i, a_seconds), ...])``
+``("claims", wid, ids, a_seconds)``
     A worker announces the chunk it dequeued **before** executing any of
-    it: the iterations it now owns, and no values.  A task lost to a
-    crash, hang, or soft fault is re-executed serially by the committer,
-    which gets the phase-A value back by replaying phase A on its own copy
-    of ``produce`` — in order, each iteration at most once per run, and
-    only on that loss (or conflict) path
+    it: the iterations it now owns and their phase-A times, and no values.
+    A task lost to a crash, hang, or soft fault is re-executed serially by
+    the committer, which gets the phase-A value back by replaying phase A
+    on its own copy of ``produce`` — in order, each iteration at most once
+    per run, and only on that loss (or conflict) path
     (:class:`repro.exec.committer.PhaseAReplay`).  So a chunk's values
     cross the wire once, to the worker, never back.
-``("results", wid, [(i, result, reads, writes, b_seconds), ...])``
+``("results", wid, ids, values, rw, b_seconds)``
     The speculative outcomes of the tasks finished since the worker's last
-    report, in execution order: read-set versions and buffered writes for
-    commit-time validation (empty for non-speculative specs).
+    report, in execution order: each task's result and phase-B time, and
+    for a speculative spec its ``(reads, writes)`` pair — read-set
+    versions and buffered writes for commit-time validation.  ``rw`` is
+    None for a non-speculative spec.
 ``("fault", wid, i, message)``
     A soft fault: the task raised; the worker survives and the committer
     re-executes the claimed task serially.
@@ -255,6 +259,10 @@ def producer_main(
     ramp = 1
     target = chunk_target(ramp, iterations - start, max_chunk, workers)
     staged = 0  # dispatched items not yet counted into the registry
+    # The chunk's latency bound (the channel's flush_interval), checked
+    # against the clock read that closed each item's produce.
+    flush_interval_ns = int(work.flush_interval * 1e9)
+    due_ns = 0
 
     def count_staged() -> None:
         nonlocal staged
@@ -289,9 +297,11 @@ def producer_main(
                 tracer.record(EventKind.TASK_A, t0_ns, t1_ns, arg=i)
             if i < start:
                 continue
-            work.put_buffered((i, value, elapsed))
+            pending = work.put_buffered((i, value, elapsed))
             staged += 1
-            if work.pending_items >= target or work.flush_due():
+            if staged == 1:
+                due_ns = t1_ns + flush_interval_ns
+            if pending >= target or t1_ns >= due_ns:
                 if not _drain_flush(work, shutdown):
                     return
                 count_staged()
@@ -364,7 +374,13 @@ def _worker_loop(
     writer: int = 0,
     hard_exit: Callable[[int], None] = os._exit,
 ) -> None:
-    results: list = []  # finished, not yet handed to the done channel
+    # The tasks finished and not yet handed to the done channel, as the
+    # columns of their ``results`` message (``result_rw`` only when
+    # speculative).  A staged message keeps its lists: new ones replace them.
+    result_ids: list = []
+    result_values: list = []
+    result_rw: Optional[list] = [] if speculative else None
+    result_seconds: list = []
     chaos = partial(
         announce, where=f"worker {worker_id}", tracer=tracer,
         worker=worker_id, registry=registry, writer=writer,
@@ -372,6 +388,10 @@ def _worker_loop(
     #: when the oldest result or fault not yet sent was ready
     unsent_since_ns: Optional[int] = None
     flush_interval_ns = int(done.flush_interval * 1e9)
+    # The throttle gate's two cells, read inline per item.
+    watermark = window = None
+    if gate is not None:
+        watermark, window = gate.watermark, gate.window
 
     def stop() -> None:
         # Buffer (never blocks), then a bounded flush: the committer may
@@ -383,18 +403,24 @@ def _worker_loop(
             pass
 
     def stage_results() -> None:
-        nonlocal results
-        if results:
-            done.put_buffered(("results", worker_id, results))
-            results = []
+        nonlocal result_ids, result_values, result_rw, result_seconds
+        if result_ids:
+            done.put_buffered((
+                "results", worker_id,
+                result_ids, result_values, result_rw, result_seconds,
+            ))
+            result_ids, result_values, result_seconds = [], [], []
+            if result_rw is not None:
+                result_rw = []
 
-    def report(claims: Optional[list] = None) -> bool:
+    def report(claims: Optional[tuple] = None) -> bool:
         """Everything this worker holds goes out — finished results, then
-        ``claims`` (the chunk it is about to start); False on shutdown."""
+        ``claims``, the ``(ids, a_seconds)`` columns of the chunk it is
+        about to start; False on shutdown."""
         nonlocal unsent_since_ns
         stage_results()
         if claims is not None:
-            done.put_buffered(("claims", worker_id, claims))
+            done.put_buffered(("claims", worker_id, *claims))
         unsent_since_ns = None
         return _drain_flush(done, shutdown)
 
@@ -404,7 +430,7 @@ def _worker_loop(
         # alone — nothing may sit here through a blocking read.
         items = None
         try:
-            if results or done.pending_items:
+            if result_ids or done.pending_items:
                 try:
                     items = work.get_many(max_chunk, timeout=0)
                 except ChannelTimeout:
@@ -429,16 +455,22 @@ def _worker_loop(
         # Claim the whole chunk up front and *flush*: once the committer
         # knows whose the items are, any item this process loses to a
         # crash, hang, or soft fault can be re-executed serially.
-        if not report(claims=[(item[0], item[2]) for item in items]):
+        # (The chunk's values stay referenced from ``items`` alone, which
+        # lets them go before the next blocking read: a chunk of large
+        # values held across it costs the next chunk fresh pages.)
+        if not report(claims=(
+            [item[0] for item in items], [item[2] for item in items]
+        )):
             return  # shutdown mid-claim: nothing executed, nothing lost
         if registry is not None:
             registry.add(writer, "claimed", len(items))
 
-        for i, value, a_seconds in items:
+        for i, value, _ in items:
             # Throttle gate: hold execution until iteration i enters the
-            # speculative window.  Report first — finished results feed
-            # the very commits that advance the watermark.
-            if gate is not None and not gate.admits(i):
+            # speculative window (ThrottleGate.admits, inline).  Report
+            # first — finished results feed the very commits that advance
+            # the watermark.
+            if watermark is not None and i - watermark.value >= window.value:
                 gate_t0 = now_ns()
                 report()
                 gate.wait(i, shutdown)
@@ -510,10 +542,8 @@ def _worker_loop(
                 if speculative:
                     buffer = WriteBuffer(snapshot)
                     result = work_fn(i, value, buffer)
-                    reads, writes = buffer.reads, buffer.writes
                 else:
                     result = work_fn(i, value)
-                    reads, writes = {}, {}
             except Exception as error:
                 # The task ran (and raised): record its span so the open
                 # begin marker is matched — aborted spans mean the *process*
@@ -545,20 +575,28 @@ def _worker_loop(
                     # can never validate, so the committer must roll back
                     # and re-execute serially.
                     chaos(ChaosCode.FORCED_CONFLICT, i)
-                    reads = {**reads, ("__chaos__", i): 0}
+                    buffer.reads[("__chaos__", i)] = 0
                 if i in fault_plan.latency_iterations:
                     chaos(ChaosCode.RESULT_LATENCY, i)
                     time.sleep(fault_plan.latency_seconds)
                 if i in fault_plan.drop_result_iterations:
                     chaos(ChaosCode.RESULT_DROP, i)
                     continue  # the result message is lost on the wire
-            results.append((i, result, reads, writes, elapsed))
+            result_ids.append(i)
+            result_values.append(result)
+            result_seconds.append(elapsed)
+            if result_rw is not None:
+                result_rw.append((buffer.reads, buffer.writes))
             if (
                 fault_plan is not None
                 and i in fault_plan.duplicate_result_iterations
             ):
                 chaos(ChaosCode.RESULT_DUPLICATE, i)
-                results.append(results[-1])
+                result_ids.append(i)
+                result_values.append(result)
+                result_seconds.append(elapsed)
+                if result_rw is not None:
+                    result_rw.append(result_rw[-1])
             # The clock read that closed the task also times the report:
             # a result waits for its chunk-mates at most flush_interval.
             if unsent_since_ns is None:

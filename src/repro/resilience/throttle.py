@@ -102,13 +102,25 @@ class SpeculationThrottle:
         if not self.config.enabled:
             return None
         changed = None
+        observation = self.config.observation
         while commits > 0:
-            step = min(commits, self.config.observation - self._epoch_events)
+            if (
+                not misspeculated and not self._epoch_events
+                and self.window == self.max_window
+                and self.config.high_watermark > 0
+            ):
+                # A clean epoch at the ceiling decides nothing (unless a
+                # high watermark of 0 backs off on every epoch): skip the
+                # whole ones, so a clean run costs O(1), not one per epoch.
+                commits %= observation
+                if not commits:
+                    break
+            step = min(commits, observation - self._epoch_events)
             commits -= step
             self._epoch_events += step
             if misspeculated:
                 self._epoch_bad += step
-            if self._epoch_events >= self.config.observation:
+            if self._epoch_events >= observation:
                 changed = self._decide() or changed
         return changed
 

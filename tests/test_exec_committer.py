@@ -41,6 +41,17 @@ def arithmetic(iterations):
     )
 
 
+def nones(iterations):
+    """Every task's result is None: a value, not a missing one."""
+    return PipelineSpec(
+        iterations=iterations,
+        produce=lambda i: i,
+        work=lambda i, value: None,
+        commit=_append,
+        finalize=lambda acc: acc.get("out", []),
+    )
+
+
 def _add_to_sum(i, value, ctx):
     total = ctx.read("sum") + value
     ctx.write("sum", None, total)
@@ -111,23 +122,33 @@ class Bench:
         )
 
     def claims(self, wid, items, now=0.0):
+        ids = list(items)
         self.committer.report(
-            ("claims", wid, [(i, 0.0) for i in items]), now, 0,
+            ("claims", wid, ids, [0.0] * len(ids)), now, 0,
         )
 
     def entry(self, i):
-        """What a worker sends for task ``i``."""
+        """What a worker sends for task ``i``: its result, and its
+        ``(reads, writes)`` pair when the spec is speculative."""
         value = self.values[i]
         if not self.spec.speculative:
-            return (i, self.spec.work(i, value), {}, {}, 0.0)
+            return self.spec.work(i, value), None
         buffer = WriteBuffer(self.snapshot)
         result = self.spec.work(i, value, buffer)
-        return (i, result, buffer.reads, buffer.writes, 0.0)
+        return result, (buffer.reads, buffer.writes)
+
+    def message(self, wid, items, b_seconds=0.0):
+        """The ``results`` report of tasks ``items``, as columns."""
+        ids = list(items)
+        entries = [self.entry(i) for i in ids]
+        rw = [pair for _, pair in entries] if self.spec.speculative else None
+        return (
+            "results", wid, ids, [result for result, _ in entries], rw,
+            [b_seconds] * len(ids),
+        )
 
     def results(self, wid, items):
-        self.committer.report(
-            ("results", wid, [self.entry(i) for i in items]), 0.0, 0
-        )
+        self.committer.report(self.message(wid, items), 0.0, 0)
         self.committer.advance()
 
     def fault(self, wid, i):
@@ -229,6 +250,13 @@ def lost_worker_with_half_its_chunk_reported(bench):
     bench.committer.advance()
 
 
+def none_results_commit_like_any_other(bench):
+    bench.claims(0, range(4))
+    bench.results(0, [1, 2])  # None waits in the reorder buffer
+    assert bench.committer.next_commit == 0
+    bench.results(0, [0, 3])
+
+
 def results_may_overtake_their_claims(bench):
     """Not something one sender's wire does, but nothing breaks."""
     bench.results(0, range(3))
@@ -251,6 +279,8 @@ SCENARIOS = [
      dict(retries=2, serial_reexecutions=2, soft_faults=1)),
     (lost_worker_with_half_its_chunk_reported, arithmetic(4),
      dict(retries=2, serial_reexecutions=2)),
+    (none_results_commit_like_any_other, nones(4),
+     dict(out_of_order_completions=2)),
     (results_may_overtake_their_claims, arithmetic(3), {}),
 ]
 
@@ -325,6 +355,61 @@ def test_overdue_names_only_each_workers_oldest_running_claim():
     bench.results(1, [3])
     committer.lose_worker(0)
     assert committer.overdue(99.0, 5.0, {0, 1}) == [(1, 4)]
+
+
+def test_refreshing_queued_chunk_mates_leaves_the_running_items_clock():
+    """A chunk's items share one claim record; the clock refresh of the
+    queued ones must not restart the running one's."""
+    bench = Bench(arithmetic(8))
+    committer = bench.committer
+    bench.claims(0, range(4), now=0.0)
+    assert committer.overdue(4.0, 5.0, {0}) == []  # 1..3 restart at 4.0
+    assert committer.overdue(6.0, 5.0, {0}) == [(0, 0)]
+    assert [committer.claims[i][1] for i in range(4)] == [0.0, 6.0, 6.0, 6.0]
+    # a hand-back and a re-claim leave the others' records alone too
+    committer.report(("released", 0, [3]), 0.0, 0)
+    bench.claims(1, [2], now=7.0)
+    assert [committer.claims[i][0] for i in range(4)] == [0, 0, 1, None]
+    assert committer.overdue(8.0, 5.0, {0, 1}) == [(0, 0)]
+
+
+# -- a report of many items ---------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 11), min_size=1, max_size=10),
+    committed=st.integers(0, 4),
+    owed=st.sets(st.integers(0, 11), max_size=3),
+    speculative=st.booleans(),
+)
+def test_a_report_leaves_the_state_its_items_leave_one_at_a_time(
+    ids, committed, owed, speculative
+):
+    """Duplicates, gaps (a dropped result) and ids below the frontier, in
+    one ``results`` message, leave the committer exactly where the same
+    items leave it sent one report each, with an advance after each."""
+    def state(deliveries):
+        spec = (running_sum if speculative else arithmetic)(12)
+        bench = Bench(spec)
+        bench.claims(0, range(12))
+        bench.results(0, range(committed))
+        bench.committer.serial_needed.update(
+            i for i in owed if i >= committed
+        )
+        for items in deliveries:
+            bench.committer.report(bench.message(0, items, 0.5), 0.0, 0)
+            bench.committer.advance()
+        committer, metrics = bench.committer, bench.metrics
+        return (
+            bench.output, committer.next_commit, sorted(committer.pending),
+            sorted(committer.serial_needed), sorted(committer.claims),
+            metrics.duplicates_dropped, metrics.out_of_order_completions,
+            metrics.conflicts, metrics.worker_iterations,
+            committer.samples["task_b"],
+        )
+
+    assert state([ids]) == state([[i] for i in ids])
 
 
 # -- throttle epochs ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import multiprocessing
 import pickle
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -54,8 +55,12 @@ def chunk(first, count):
 
 def claimed(first, count):
     """The claims message a worker answers ``chunk(first, count)`` with:
-    iterations and their ``a_seconds``, no values."""
-    return ("claims", WID, [(i, 0.0) for i in range(first, first + count)])
+    the columns of iterations and their ``a_seconds``, no values."""
+    return ("claims", WID, list(range(first, first + count)), [0.0] * count)
+
+
+class _Value:
+    """A phase-A value a weak reference can watch."""
 
 
 class _Worker:
@@ -120,9 +125,11 @@ class _Worker:
 
 
 def results_of(message):
-    tag, wid, entries = message
+    tag, wid, ids, values, rw, b_seconds = message
     assert (tag, wid) == ("results", WID)
-    return [entry[0] for entry in entries]
+    assert rw is None  # a non-speculative spec sends no read/write sets
+    assert len(values) == len(b_seconds) == len(ids)
+    return ids
 
 
 class TestWorkerReports:
@@ -136,7 +143,7 @@ class TestWorkerReports:
         worker.release(0)
         (report,) = worker.frame()
         assert results_of(report) == [0, 1, 2, 3]
-        assert [entry[1] for entry in report[2]] == [0, 4, 8, 12]
+        assert report[3] == [0, 4, 8, 12]
         worker.finish()
         assert worker.frame() == [("stopped", WID)]
 
@@ -167,7 +174,7 @@ class TestWorkerReports:
         # item 2 is still running
         (report,) = worker.frame()
         assert results_of(report) == [0, 1]
-        assert report[2][1][4] == pytest.approx(0.15)  # its b_seconds
+        assert report[5][1] == pytest.approx(0.15)  # its b_seconds
         worker.running(2)
         worker.release(2)
         (report,) = worker.frame()
@@ -213,7 +220,26 @@ class TestWorkerReports:
         assert claims == claimed(0, 16)
         assert len(pickle.dumps(claims, pickle.HIGHEST_PROTOCOL)) < 1024
         (report,) = worker.frame()
-        assert [entry[1] for entry in report[2]] == [64 * 1024] * 16
+        assert report[3] == [64 * 1024] * 16
+        worker.finish()
+
+    def test_a_finished_chunk_lets_its_values_go(self, monkeypatch):
+        """While a worker waits for its next chunk it holds none of the
+        last one's values but the one its loop variable still names: a
+        chunk of large blocks kept alive across the wait would cost the
+        next chunk's decode fresh pages."""
+        worker = _Worker(monkeypatch, task=lambda i, value: i)
+        values = [_Value() for _ in range(4)]
+        watched = [weakref.ref(value) for value in values]
+        worker.dispatch([(i, value, 0.0) for i, value in enumerate(values)])
+        del values
+        assert worker.frame() == [claimed(0, 4)]
+        (report,) = worker.frame()
+        assert results_of(report) == [0, 1, 2, 3]
+        _until(
+            lambda: sum(ref() is not None for ref in watched) <= 1,
+            "the chunk's values to be released",
+        )
         worker.finish()
 
     def test_shutdown_while_idle_says_goodbye(self, monkeypatch):

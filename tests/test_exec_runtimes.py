@@ -51,6 +51,11 @@ def square(i, value):
     return (value * value + i) % 1009
 
 
+def nothing(i, value):
+    """A result that is None: a value the reorder buffer must keep."""
+    return None
+
+
 def own_cell(i, value, ctx):
     """Speculative, but every task has a location of its own: only an
     injected conflict misspeculates."""
@@ -103,6 +108,7 @@ def _seeded_faults():
 #: bumps of the Commutative counter)
 ROWS = {
     "independent": (_spec(square), None, 0, 0, 0, 0),
+    "none-results": (_spec(nothing), None, 0, 0, 0, 0),
     "all-conflict": (
         _spec(running_sum, speculative=True, shared_state={("sum", None): 0}),
         None, ITEMS - 1, ITEMS - 1, 0, 0,
@@ -186,6 +192,13 @@ def test_every_runtime_and_transport_is_the_same_run(
     arrived = sum(metrics.worker_iterations.values())
     assert 0 <= metrics.out_of_order_completions <= arrived
     assert arrived + soft_faults == ITEMS
+    if fault_plan is None and not conflicts:
+        # a clean run: one sample of every per-item series per commit
+        histograms = metrics.to_json()["latency_histograms"]
+        assert {
+            series: histograms[series]["count"]
+            for series in ("task_a", "task_b", "task_c", "commit_lag")
+        } == dict.fromkeys(("task_a", "task_b", "task_c", "commit_lag"), ITEMS)
 
 
 # -- the roster's seats on the wake-ups ----------------------------------------------

@@ -144,6 +144,32 @@ def _send_small_until_refused(pipe, outcome):
 
 
 class TestDirectPipe:
+    def test_pipe_max_size_is_read_once_per_process(self, monkeypatch):
+        """An engine run makes two pipes (``work`` and ``done``); the
+        system's pipe limit is read for the first only, and both get it."""
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(transport_module, "open", counting_open, raising=False)
+        transport_module._pipe_max_size.cache_clear()
+        channels = [
+            ProcessChannel(8, name=name, ctx=CTX, transport="pipe")
+            for name in ("work", "done")
+        ]
+        try:
+            assert opened == ["/proc/sys/fs/pipe-max-size"]
+            size = transport_module._pipe_max_size()
+            if size:
+                for channel in channels:
+                    writer = channel._transport._writer.fileno()
+                    assert fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ) == size
+        finally:
+            for channel in channels:
+                channel.close()
+
     @pytest.mark.parametrize("size", [3000, 200_000])
     def test_writer_killed_mid_run_tears_nothing_and_strands_nobody(
         self, size

@@ -92,6 +92,8 @@ class TestEntryPoints:
         assert _too_heavy(engine) == []
 
     def test_list_loads_no_analog(self):
+        """Nor the engine or the job server: ``exec`` and ``serve`` read
+        their flag defaults off those only when one of them is parsed."""
         loaded = _probe(
             "import json, sys, contextlib, io\n"
             "from repro.__main__ import main\n"
@@ -99,7 +101,10 @@ class TestEntryPoints:
             "    main(['list'])\n"
             "print(json.dumps(sorted(sys.modules)))\n"
         )
+        assert "repro.workloads.suite" in loaded  # the probe ran
         assert _too_heavy(loaded) == []
+        assert "repro.exec.engine" not in loaded
+        assert "repro.service.server" not in loaded
 
 
 class TestPublicNames:

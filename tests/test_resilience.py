@@ -444,6 +444,34 @@ class TestThrottle:
         assert throttle.window == 8
         assert throttle.grows == 6
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 40)), max_size=12
+        ),
+        observation=st.integers(1, 8),
+        high_watermark=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_a_run_of_commits_moves_it_as_one_commit_at_a_time(
+        self, runs, observation, high_watermark
+    ):
+        """Whole clean epochs at the ceiling are skipped, not decided one
+        by one: the window, its history and every return value stay
+        those of one call per commit."""
+        config = ThrottleConfig(
+            observation=observation, high_watermark=high_watermark,
+            low_watermark=min(0.125, high_watermark),
+        )
+        by_run = SpeculationThrottle(config, max_window=6)
+        by_commit = SpeculationThrottle(config, max_window=6)
+        for misspeculated, commits in runs:
+            changes = [by_commit.record(misspeculated) for _ in range(commits)]
+            last = [change for change in changes if change is not None]
+            assert by_run.record(misspeculated, commits) == (
+                last[-1] if last else None
+            )
+            assert vars(by_run) == vars(by_commit)
+
     def test_disabled_controller_never_moves(self):
         throttle = SpeculationThrottle(
             ThrottleConfig(enabled=False, observation=1), max_window=4
