@@ -23,7 +23,9 @@ operator would, as a real subprocess over real HTTP.
    state dir, and must resume the interrupted job from its checkpoint to
    a bit-identical result, honor the idempotency key from before the
    crash, and dead-letter a poison job after bounded retries — the
-   journal and a recovery ``/metrics`` snapshot are saved as CI
+   journal (``journal.log``), its decoded dump (``journal-dump.jsonl``,
+   one JSON object per record, an output shown by its place and byte
+   length) and a recovery ``/metrics`` snapshot are saved as CI
    artifacts.
 
 Usage: ``PYTHONPATH=src python benchmarks/service_smoke.py [artifact_dir]``
@@ -225,10 +227,16 @@ def kill_and_recover(artifact_dir: str) -> None:
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=remaining())
         assert proc.returncode == 0, f"exit {proc.returncode}:\n{out}"
-        shutil.copy(
-            os.path.join(state_dir, "journal.jsonl"),
-            os.path.join(artifact_dir, "journal.jsonl"),
-        )
+        from repro.service.durability import JOURNAL_NAME, JobJournal
+
+        journal = os.path.join(state_dir, JOURNAL_NAME)
+        shutil.copy(journal, os.path.join(artifact_dir, JOURNAL_NAME))
+        records = JobJournal.read(journal)
+        assert any("output" in record for record in records), records
+        with open(os.path.join(artifact_dir, "journal-dump.jsonl"),
+                  "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record, default=str) + "\n")
         print("kill-and-recover ok: checkpoint resume, bit-identical "
               "output, idempotent resubmit, poison dead-lettered")
     finally:

@@ -155,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="a serve --state-dir (or its artifacts/ directory): analyze "
-             "the stored trace.json + metrics.json of job TRACE_OR_JOB",
+             "the stored trace.json of job TRACE_OR_JOB, with the metrics "
+             "its journal holds",
     )
     analyze_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -987,6 +988,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.obs_command == "analyze":
             from repro.obs.analyze import run_analyze
 
+            metrics = None
+            if args.state_dir and args.target:
+                from repro.service.durability import stored_metrics
+
+                metrics = stored_metrics(args.state_dir, args.target)
             text, code = run_analyze(
                 args.target,
                 state_dir=args.state_dir,
@@ -994,6 +1000,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 workers=args.workers,
                 capacity=args.capacity,
                 json_out=args.json_out,
+                metrics=metrics,
             )
         else:
             from repro.obs.jobtrace import run_report

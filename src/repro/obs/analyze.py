@@ -1165,17 +1165,17 @@ def run_analyze(
     workers: Optional[int] = None,
     capacity: Optional[int] = None,
     json_out: Optional[str] = None,
+    metrics: Optional[dict] = None,
 ) -> Tuple[str, int]:
     """The ``obs analyze`` entry point: returns ``(text, exit_code)``.
 
     Two input modes: a Chrome trace file (``obs analyze trace.json
     [--metrics m.json]``), or a stored job artifact (``obs analyze JOB_ID
-    --state-dir DIR`` — the job's ``trace.json`` and ``metrics.json`` are
-    read from the artifact store).
+    --state-dir DIR`` — the job's ``trace.json`` is read from the artifact
+    store; the caller passes its journaled metrics as ``metrics``).
     """
     from repro.obs.export import validate_chrome_trace
 
-    metrics: Optional[dict] = None
     if state_dir is not None:
         if not target:
             return ("obs analyze: a JOB_ID is required with --state-dir", 2)
@@ -1192,9 +1192,6 @@ def run_analyze(
                 "--trace-jobs)",
                 2,
             )
-        metrics_file = os.path.join(job_dir, "metrics.json")
-        if os.path.isfile(metrics_file):
-            metrics = _load_json_file(metrics_file)
     elif target:
         trace_path = target
         if not os.path.isfile(trace_path):

@@ -58,7 +58,7 @@ class EventKind(IntEnum):
     QUEUE_WAIT = 41       # admission fsync -> scheduler pick (arg=attempt)
     SCHED_PICK = 42       # one FairScheduler.take decision   (arg=queue depth)
     LEASE_DISPATCH = 43   # pool lease -> engine construction (arg=attempt, arg2=workers)
-    ARTIFACT_PERSIST = 44 # result -> artifact store fsync    (arg=attempt)
+    ARTIFACT_PERSIST = 44 # result -> journal append + fsync  (arg=attempt)
     RETRY_BACKOFF = 45    # failure -> next attempt's enqueue (arg=attempt)
 
 

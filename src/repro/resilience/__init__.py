@@ -7,6 +7,8 @@ PR 1's engine made misspeculation survivable; this package makes it
   the committed prefix (iteration index, committed store, accumulator,
   counters) so producer death, budget exhaustion, or an engine-level crash
   resumes from the last checkpoint instead of a cold sequential re-run;
+- :mod:`repro.resilience.recordlog`  — the crc-framed append-only record
+  log that checkpoints and the job server's journal are written in;
 - :mod:`repro.resilience.throttle`   — an AIMD feedback controller over the
   speculative window: exponential backoff under misspeculation storms,
   additive probing back up when they pass — the live-runtime analog of the

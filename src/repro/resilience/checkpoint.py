@@ -7,14 +7,14 @@ exactly that prefix; :class:`CheckpointManager` takes one every
 ``interval`` commits (in the committer, never in a worker) and optionally
 persists it to disk.
 
-On disk a run's checkpoints form one append-only record log: each record is
-a header (magic, body length, crc32 of the body) followed by the pickled
+On disk a run's checkpoints form one append-only record log
+(:mod:`repro.resilience.recordlog`), each record's body a pickled
 :class:`Checkpoint`.  A run's first cut replaces the file atomically (temp
 file + rename), so the file's existence still means "at least one complete
 checkpoint"; each later cut is one append, until the log holds
 :data:`LOG_RECORDS` records and the next cut starts it over with only
-itself.  :meth:`Checkpoint.load` returns the newest record whose length and
-crc check out, so a tail torn by a crash mid-append costs only that record.
+itself.  :meth:`Checkpoint.load` returns the newest record that checks out,
+so a tail torn by a crash mid-append costs only that record.
 
 Resume (:meth:`repro.exec.engine.ExecutionEngine.run` with ``resume_from=``)
 rebuilds the store and accumulator from the checkpoint and starts committing
@@ -32,22 +32,17 @@ taxonomized error, never silent corruption.
 from __future__ import annotations
 
 import copy
-import os
 import pickle
-import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from repro.resilience import recordlog
 
 if TYPE_CHECKING:  # runtime import would be circular: engine imports us
     from repro.exec.metrics import EngineMetrics
     from repro.exec.rollback import CommittedStore, Location
 
 
-#: Record header: magic, body length, crc32 of the body.
-_HEADER = struct.Struct("<4sII")
-_MAGIC = b"RCK1"
 #: A log holding this many records is rewritten with only the next one, so
 #: the file never grows past this many records.
 LOG_RECORDS = 8
@@ -94,27 +89,14 @@ class Checkpoint:
         return copy.deepcopy(self.accumulator)
 
     def _record(self) -> bytes:
-        """This checkpoint as one log record: header, then pickled body."""
-        body = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        return _HEADER.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+        """This checkpoint as one framed log record."""
+        return recordlog.frame(
+            pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def save(self, path: str) -> None:
-        """Atomic persist: write a one-record log to a temp file, then
-        rename it into place."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        handle, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(self._record())
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        """Atomic persist: start the log at ``path`` over with this record."""
+        recordlog.replace(path, [self._record()], durable=False)
 
     def append(self, path: str) -> None:
         """Append one record to the log at ``path`` (no rename)."""
@@ -123,40 +105,20 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str) -> "Checkpoint":
-        """The newest complete record of the log at ``path``.
-
-        Records are scanned from the front; one whose crc fails is skipped,
-        and the scan stops at a bad magic or a length that runs past the
-        end of the file (a torn tail).
-        """
+        """The newest whole record of the log at ``path``."""
         try:
             with open(path, "rb") as stream:
                 raw = stream.read()
-        except OSError as error:
-            raise CheckpointError(
-                f"cannot load checkpoint from {path!r}: {error}"
-            ) from error
-        newest = None
-        offset = 0
-        while offset + _HEADER.size <= len(raw):
-            magic, length, crc = _HEADER.unpack_from(raw, offset)
-            start = offset + _HEADER.size
-            offset = start + length
-            if magic != _MAGIC or offset > len(raw):
-                break
-            body = raw[start:offset]
-            if zlib.crc32(body) == crc:
-                newest = body
-        if newest is None:
-            raise CheckpointError(
-                f"{path!r} holds no complete checkpoint record"
-            )
-        try:
-            checkpoint = pickle.loads(newest)
+            records = recordlog.scan(raw).records
+            checkpoint = records and pickle.loads(raw[slice(*records[-1])])
         except Exception as error:
             raise CheckpointError(
                 f"cannot load checkpoint from {path!r}: {error}"
             ) from error
+        if not records:
+            raise CheckpointError(
+                f"{path!r} holds no complete checkpoint record"
+            )
         if not isinstance(checkpoint, Checkpoint):
             raise CheckpointError(
                 f"{path!r} does not contain a Checkpoint "

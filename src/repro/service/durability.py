@@ -7,38 +7,27 @@ so a server crash silently discarded all tenant work even though the engine
 could already resume a committed prefix.  This module extends the
 commit-is-truth rule to the service layer:
 
-- :class:`JobJournal` — an append-only JSONL write-ahead log of every job
-  state transition (``submitted -> queued -> leased -> running ->
-  completed | failed | cancelled | retry_scheduled | dead_letter``), one
-  record per line, each carrying a strictly increasing ``seq`` number.
-  The recovery discipline is the one proven by :mod:`repro.obs.spool`:
-  embedded sequence numbers, a torn tail (a record cut mid-write by a
-  crash) detected and *truncated in place* before the journal is appended
-  to again, corrupt interior lines skipped loudly and counted, gaps
-  audited.  An acknowledged submission is ``fsync``\\ ed before the HTTP
-  202 leaves the server, so a SIGKILL one instruction later loses nothing.
+- :class:`JobJournal` — the write-ahead log of every job state transition
+  (``submitted -> queued -> leased -> running -> completed | failed |
+  cancelled | retry_scheduled | dead_letter``), in the framed record
+  format the checkpoint log uses too (:mod:`repro.resilience.recordlog`):
+  each body is one JSON object with a strictly increasing ``seq``.  A
+  ``completed`` record carries the job's metrics, and its pickled output
+  after the JSON, so a job completes with one append and one fsync and no
+  acknowledged result is ever off disk; replay indexes where the outputs
+  are, and a result is read back from the log when asked for.  A
+  submission is ``fsync``\\ ed before the HTTP 202 leaves the server.
 
-- :class:`ArtifactStore` — per-job on-disk artifacts
-  (``artifacts/<job>/output.pkl``, ``metrics.json``, ``checkpoint.pkl``).
-  Outputs and metrics are written atomically (fsynced temp file + rename,
-  then one fsync of the job directory so the renames survive power loss).
-  Job outputs spill here the moment they are produced, and the server
-  drops its in-memory copy — results survive restarts and the resident set
-  no longer grows with job history.  The engine's committed-prefix
-  checkpoints for a running job land here too, as one append-only record
-  log (:mod:`repro.resilience.checkpoint`), which is what lets a restarted
-  server resume an interrupted job instead of re-running it.
+- :class:`ArtifactStore` — per-job files off the write-ahead path under
+  ``artifacts/<job>/``: a running job's committed-prefix checkpoint log
+  (dropped, with the directory, once the job is terminal) and a traced
+  job's trace artifacts, plus per-tenant post-mortem bundles.
 
 - :func:`fold_records` — replay: fold the journal into one
   :class:`ReplayedJob` per job (last state wins, payload from the
-  ``submitted`` record, attempt counters preserved), in original
-  submission order, so the restarting server re-admits queued jobs in the
-  order clients submitted them.
-
-The WAL ordering rule: durable side effects land *before* the journal
-record that acknowledges them.  A ``completed`` record is only appended
-after the output artifact is on disk, so replay never points at a result
-that does not exist.
+  ``submitted`` record, attempt counters, metrics and finish time
+  preserved), in original submission order, so the restarting server
+  re-admits queued jobs in the order clients submitted them.
 """
 
 from __future__ import annotations
@@ -47,14 +36,18 @@ import json
 import logging
 import os
 import pickle
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.resilience import recordlog
 
 logger = logging.getLogger(__name__)
 
-JOURNAL_NAME = "journal.jsonl"
+JOURNAL_NAME = "journal.log"
+#: The journal's name when it was JSON lines; a state dir holding one is
+#: refused rather than read.
+LEGACY_JOURNAL_NAME = "journal.jsonl"
 ARTIFACT_DIR = "artifacts"
 
 #: Journal events that mark a job as waiting for dispatch.
@@ -73,16 +66,6 @@ TERMINAL_EVENTS = frozenset(
 KNOWN_EVENTS = QUEUED_EVENTS | RUNNING_EVENTS | TERMINAL_EVENTS
 
 
-def fsync_directory(path: str) -> None:
-    """Make the renames inside ``path`` durable: ``os.replace`` changes the
-    directory, and only an fsync of the directory itself persists that."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class JournalError(RuntimeError):
     """The journal cannot be opened, appended to, or replayed."""
 
@@ -93,63 +76,98 @@ class JournalStats:
 
     records: int = 0
     torn_tail: int = 0  # 0 or 1: a partial last record was truncated away
-    corrupt_records: int = 0  # interior lines that failed to parse
+    corrupt_records: int = 0  # damaged records skipped
     seq_gaps: int = 0  # missing sequence numbers (corrupt or lost records)
     next_seq: int = 0
     compacted: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "records": self.records,
-            "torn_tail": self.torn_tail,
-            "corrupt_records": self.corrupt_records,
-            "seq_gaps": self.seq_gaps,
-            "next_seq": self.next_seq,
-            "compacted": self.compacted,
-        }
+
+def _decode(raw: bytes, found: recordlog.Scan) -> Tuple[List[dict], int]:
+    """The journal records among a log's whole records, plus how many
+    bodies were not one.  A body is a JSON object, then — in a
+    ``completed`` record — a newline and the pickled output, which the
+    record names by its place: ``"output": {"offset": .., "bytes": ..}``.
+    """
+    records: List[dict] = []
+    for start, stop in found.records:
+        split = raw.find(b"\n", start, stop)
+        try:
+            record = json.loads(raw[start:stop if split < 0 else split])
+            if not (record["event"] in KNOWN_EVENTS
+                    and isinstance(record["seq"], int)
+                    and isinstance(record["job"], str)):
+                continue
+        except (ValueError, KeyError, TypeError):
+            continue
+        if split >= 0:
+            record["output"] = {"offset": split + 1, "bytes": stop - split - 1}
+        records.append(record)
+    return records, len(found.records) - len(records)
+
+
+def _outputs(records: List[dict]) -> Dict[str, dict]:
+    """Job id -> where its latest ``completed`` record's output is."""
+    return {r["job"]: r["output"] for r in records if "output" in r}
 
 
 class JobJournal:
-    """Append-only JSONL write-ahead log of job state transitions.
+    """The write-ahead log of job state transitions.  ``open()`` replays
+    it; ``append`` is called under the service lock — one writer,
+    strictly increasing ``seq``."""
 
-    ``open()`` replays the existing file (truncating any torn tail so
-    later appends cannot fuse with a partial record) and positions the
-    writer after the last durable byte.  ``append`` is called under the
-    service lock — one writer, strictly increasing ``seq``.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
+    def __init__(self, log: recordlog.RecordLog) -> None:
+        self.log = log
+        self.path = log.path
         self._next_seq = 0
         self.appended = 0
-        self.fsyncs = 0
         self.stats = JournalStats()
-
-    # -- lifecycle ----------------------------------------------------------------
+        #: job id -> where its pickled output is: ``{"offset", "bytes"}``
+        self.outputs: Dict[str, dict] = {}
 
     @classmethod
     def open(cls, path: str) -> Tuple["JobJournal", List[dict]]:
         """Open (creating if absent) and replay; returns the journal ready
         for appends plus every surviving record in file order."""
-        journal = cls(path)
-        records = journal._replay_and_repair()
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        journal._handle = open(path, "ab")
+        log, raw, found = recordlog.RecordLog.open(path)
+        journal = cls(log)
+        records, bad = _decode(raw, found)
+        stats = journal.stats
+        stats.records = len(records)
+        stats.torn_tail = int(found.torn)
+        stats.corrupt_records = found.damaged + bad
+        stats.seq_gaps = sum(
+            after["seq"] != before["seq"] + 1
+            for before, after in zip(records, records[1:])
+        )
+        if stats.corrupt_records or stats.seq_gaps:
+            logger.warning(
+                "journal %s: skipped %d damaged record(s), %d seq gap(s)",
+                path, stats.corrupt_records, stats.seq_gaps,
+            )
+        stats.next_seq = journal._next_seq = (
+            records[-1]["seq"] + 1 if records else 0
+        )
+        journal.outputs = _outputs(records)
         return journal, records
 
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-            except (OSError, ValueError):
-                pass
-            self._handle.close()
-            self._handle = None
+    @staticmethod
+    def read(path: str) -> List[dict]:
+        """Every whole record of the journal at ``path``, without opening it
+        for appends or repairing it (safe beside a running server)."""
+        raw = recordlog.read(path)
+        return _decode(raw, recordlog.scan(raw))[0]
 
-    # -- writing ------------------------------------------------------------------
+    def close(self) -> None:
+        self.log.close()
+
+    @staticmethod
+    def _head(seq: int, event: str, job_id: str, data: Optional[dict],
+              ts: Optional[float] = None) -> bytes:
+        ts = round(time.time() if ts is None else ts, 3)
+        record = {"seq": seq, "ts": ts, "event": event, "job": job_id}
+        if data:
+            record["data"] = data
+        return json.dumps(record, separators=(",", ":"), default=str).encode()
 
     def append(
         self,
@@ -157,172 +175,91 @@ class JobJournal:
         job_id: str,
         data: Optional[dict] = None,
         fsync: bool = False,
+        output: Optional[bytes] = None,
+        ts: Optional[float] = None,
     ) -> int:
         """One state transition, flushed to the OS before returning.
 
         ``fsync=True`` forces the record to stable storage — used for
         submissions (the 202 acknowledgment must survive anything) and
         terminal transitions (a completed job must never re-run).
+        ``output`` (pickled) rides after the JSON; ``ts`` defaults to now.
         """
-        if self._handle is None:
+        if self.log.handle.closed:
             raise JournalError("journal is closed")
         if event not in KNOWN_EVENTS:
             raise JournalError(f"unknown journal event {event!r}")
-        record = {"seq": self._next_seq, "ts": round(time.time(), 3),
-                  "event": event, "job": job_id}
-        if data:
-            record["data"] = data
-        line = json.dumps(record, separators=(",", ":"), default=str)
-        self._handle.write(line.encode() + b"\n")
-        self._handle.flush()
-        if fsync:
-            os.fsync(self._handle.fileno())
-            self.fsyncs += 1
+        seq = self._next_seq
+        head = self._head(seq, event, job_id, data, ts)
+        if output is None:
+            self.log.append(head, fsync=fsync)
+        else:
+            start = self.log.append(head, b"\n", output, fsync=fsync)
+            self.outputs[job_id] = {
+                "offset": start + len(head) + 1, "bytes": len(output),
+            }
         self._next_seq += 1
         self.appended += 1
-        return record["seq"]
+        return seq
 
-    # -- replay -------------------------------------------------------------------
-
-    def _replay_and_repair(self) -> List[dict]:
-        """Parse every durable record; truncate a torn tail in place.
-
-        A record is durable iff its line is newline-terminated and parses
-        as a JSON object with a ``seq``.  The file is truncated back to
-        the end of the last durable record so the next append starts on a
-        clean line — without this, a crash-torn fragment and the next
-        append would fuse into one unparseable line and a *second* crash
-        would lose both.
-        """
-        stats = self.stats
-        if not os.path.exists(self.path):
-            return []
+    def load_output(self, job_id: str) -> Any:
+        """A completed job's output, read from the log."""
+        output = self.outputs[job_id]
         with open(self.path, "rb") as handle:
-            raw = handle.read()
-        records: List[dict] = []
-        durable_end = 0  # byte offset just past the last good record
-        expected_seq: Optional[int] = None
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                stats.torn_tail = 1
-                logger.warning(
-                    "journal %s: torn tail (%d bytes) truncated",
-                    self.path, len(raw) - offset,
-                )
-                break
-            line = raw[offset:newline]
-            offset = newline + 1
-            record = self._parse(line)
-            if record is None:
-                stats.corrupt_records += 1
-                logger.warning(
-                    "journal %s: skipping corrupt record at byte %d",
-                    self.path, offset - len(line) - 1,
-                )
-                # The line was newline-terminated, so appends after it are
-                # intact; keep scanning rather than discarding the suffix.
-                durable_end = offset
-                continue
-            seq = record["seq"]
-            if expected_seq is not None and seq != expected_seq:
-                stats.seq_gaps += 1
-                logger.warning(
-                    "journal %s: seq gap (expected %d, found %d)",
-                    self.path, expected_seq, seq,
-                )
-            expected_seq = seq + 1
-            records.append(record)
-            durable_end = offset
-        if durable_end < len(raw):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(durable_end)
-        stats.records = len(records)
-        stats.next_seq = (records[-1]["seq"] + 1) if records else 0
-        self._next_seq = stats.next_seq
-        return records
+            handle.seek(output["offset"])
+            return pickle.loads(handle.read(output["bytes"]))
 
-    @staticmethod
-    def _parse(line: bytes) -> Optional[dict]:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        if not isinstance(record.get("seq"), int):
-            return None
-        if record.get("event") not in KNOWN_EVENTS:
-            return None
-        if not isinstance(record.get("job"), str):
-            return None
-        return record
-
-    # -- compaction ---------------------------------------------------------------
-
-    def compact(self, snapshot_records: List[Tuple[str, str, dict]]) -> None:
+    def compact(self, snapshot_records: List[tuple]) -> None:
         """Rewrite the journal as one compact snapshot (atomic rename).
 
-        ``snapshot_records`` is ``[(event, job_id, data), ...]`` — the
-        caller (the service, after recovery) serializes its live state:
+        ``snapshot_records`` is ``[(event, job_id, data[, ts]), ...]`` —
+        the caller (the service, after recovery) serializes its live state:
         one ``submitted`` record per job followed by that job's latest
         state, so a replay of the compacted journal reconstructs exactly
-        the state the compactor saw.  Sequence numbers restart at 0.
+        the state the compactor saw.  A ``completed`` record keeps its
+        job's output.  Sequence numbers restart at 0.
         """
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        handle, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".journal-", suffix=".tmp"
-        )
-        was_open = self._handle is not None
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                for seq, (event, job_id, data) in enumerate(snapshot_records):
-                    record = {"seq": seq, "ts": round(time.time(), 3),
-                              "event": event, "job": job_id}
-                    if data:
-                        record["data"] = data
-                    stream.write(
-                        json.dumps(
-                            record, separators=(",", ":"), default=str
-                        ).encode() + b"\n"
-                    )
-                stream.flush()
-                os.fsync(stream.fileno())
-            if was_open:
-                self._handle.close()
-            os.replace(temp_path, self.path)
-            fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-        finally:
-            if was_open:
-                self._handle = open(self.path, "ab")
+        def records():
+            with open(self.path, "rb") as old:
+                for seq, (event, job_id, data, *ts) in enumerate(
+                    snapshot_records
+                ):
+                    head = self._head(seq, event, job_id, data, *ts)
+                    output = self.outputs.get(job_id)
+                    if event != "completed" or output is None:
+                        yield recordlog.frame(head)
+                        continue
+                    old.seek(output["offset"])
+                    blob = old.read(output["bytes"])
+                    yield recordlog.frame(head, b"\n", blob)
+
+        self.log.rewrite(records())
+        self.outputs = _outputs(self.read(self.path))
         self._next_seq = len(snapshot_records)
         self.stats.compacted = True
+
+
+def stored_metrics(state_dir: str, job_id: str) -> Optional[dict]:
+    """A finished job's metrics, from the journal of ``state_dir`` (a
+    ``serve --state-dir``, or the ``artifacts/`` directory inside one)."""
+    path = os.path.join(state_dir, JOURNAL_NAME)
+    if not os.path.exists(path):
+        path = os.path.join(state_dir, os.pardir, JOURNAL_NAME)
+    for job in fold_records(JobJournal.read(path)):
+        if job.job_id == job_id:
+            return job.metrics
+    return None
 
 
 # -- artifact store -------------------------------------------------------------
 
 
 class ArtifactStore:
-    """Per-job on-disk artifacts under ``<state_dir>/artifacts/<job>/``.
-
-    Outputs are pickled (full Python-object fidelity — the result endpoint
-    serves exactly what the engine produced), metrics are JSON (small,
-    greppable, loaded alone during recovery), and the engine's
-    committed-prefix checkpoint log shares the directory.  Every artifact
-    write is atomic, so a crash mid-write leaves the previous version or
-    nothing; the checkpoint log is appended to, and its reader skips a
-    torn tail.
+    """Per-job on-disk artifacts under ``<state_dir>/artifacts/<job>/``:
+    the checkpoint log of a job not yet terminal, a traced job's trace,
+    timeline and bottleneck analysis (each JSON file written atomically).
     """
 
-    OUTPUT = "output.pkl"
-    METRICS = "metrics.json"
     CHECKPOINT = "checkpoint.pkl"
     TRACE = "trace.json"
     TIMELINE = "timeline.json"
@@ -347,58 +284,12 @@ class ArtifactStore:
         return path
 
     @staticmethod
-    def _atomic_write(path: str, payload: bytes) -> None:
-        directory = os.path.dirname(path)
-        handle, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".artifact-", suffix=".tmp"
+    def _write_json(path: str, payload: dict, **options) -> None:
+        """Atomically (fsynced temp file, rename)."""
+        recordlog.replace(
+            path, [json.dumps(payload, default=str, **options).encode()],
+            durable=True,
         )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(payload)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-    # -- outputs ------------------------------------------------------------------
-
-    def put_result(self, job_id: str, output: Any, metrics: dict) -> None:
-        """Persist a finished job's output and metrics (output first, so a
-        crash between the two leaves a loadable output either way)."""
-        directory = self._job_dir(job_id, create=True)
-        self._atomic_write(
-            os.path.join(directory, self.OUTPUT),
-            pickle.dumps(output, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        self._atomic_write(
-            os.path.join(directory, self.METRICS),
-            json.dumps(metrics, default=str).encode(),
-        )
-        # Both renames reach the disk before the caller journals
-        # ``completed`` (the WAL rule).
-        fsync_directory(directory)
-
-    def has_result(self, job_id: str) -> bool:
-        return os.path.exists(
-            os.path.join(self._job_dir(job_id), self.OUTPUT)
-        )
-
-    def load_output(self, job_id: str) -> Any:
-        with open(os.path.join(self._job_dir(job_id), self.OUTPUT), "rb") as f:
-            return pickle.load(f)
-
-    def load_metrics(self, job_id: str) -> Optional[dict]:
-        path = os.path.join(self._job_dir(job_id), self.METRICS)
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     # -- trace artifacts ----------------------------------------------------------
 
@@ -413,14 +304,8 @@ class ArtifactStore:
     def put_trace(self, job_id: str, trace: dict, timeline: dict) -> None:
         """Persist a job's merged Chrome trace and compact timeline."""
         directory = self._job_dir(job_id, create=True)
-        self._atomic_write(
-            os.path.join(directory, self.TRACE),
-            json.dumps(trace, default=str).encode(),
-        )
-        self._atomic_write(
-            os.path.join(directory, self.TIMELINE),
-            json.dumps(timeline, default=str).encode(),
-        )
+        self._write_json(os.path.join(directory, self.TRACE), trace)
+        self._write_json(os.path.join(directory, self.TIMELINE), timeline)
 
     def load_trace(self, job_id: str) -> Optional[dict]:
         return self._load_json(os.path.join(self._job_dir(job_id), self.TRACE))
@@ -432,9 +317,9 @@ class ArtifactStore:
 
     def put_bottleneck(self, job_id: str, analysis: dict) -> None:
         """Persist a traced job's critical-path bottleneck analysis."""
-        self._atomic_write(
+        self._write_json(
             os.path.join(self._job_dir(job_id, create=True), self.BOTTLENECK),
-            json.dumps(analysis, default=str).encode(),
+            analysis,
         )
 
     def load_bottleneck(self, job_id: str) -> Optional[dict]:
@@ -482,37 +367,20 @@ class ArtifactStore:
             c if c.isalnum() or c in "-_" else "_" for c in name
         ) or "bundle"
         path = os.path.join(directory, f"{safe_name}.json")
-        self._atomic_write(
-            path, json.dumps(payload, default=str, indent=1).encode()
-        )
-        self._prune_postmortems(directory, max(1, keep))
-        return path
-
-    @staticmethod
-    def _prune_postmortems(directory: str, keep: int) -> int:
-        """Evict oldest-by-mtime bundles beyond ``keep``; returns evictions."""
-        try:
-            with os.scandir(directory) as entries:
-                bundles = [
-                    (entry.stat().st_mtime, entry.path)
-                    for entry in entries
-                    if entry.is_file() and entry.name.endswith(".json")
-                ]
-        except OSError:
-            return 0
-        bundles.sort(reverse=True)
-        evicted = 0
-        for _, path in bundles[keep:]:
+        self._write_json(path, payload, indent=1)
+        for stale in self._bundles(directory)[max(1, keep):]:
             try:
-                os.unlink(path)
-                evicted += 1
+                os.unlink(stale)
             except OSError:
                 pass
-        return evicted
+        return path
 
     def list_postmortems(self, tenant: str) -> List[str]:
         """Bundle paths for one tenant, newest first."""
-        directory = self._postmortem_dir(tenant)
+        return self._bundles(self._postmortem_dir(tenant))
+
+    @staticmethod
+    def _bundles(directory: str) -> List[str]:
         try:
             with os.scandir(directory) as entries:
                 bundles = [
@@ -547,35 +415,33 @@ class ArtifactStore:
     def discard_checkpoint(self, job_id: str) -> None:
         """Drop a terminal job's checkpoint — only interrupted or retrying
         jobs need one, and a stale checkpoint must never leak into a
-        *different* job's resume."""
+        *different* job's resume — and its directory, once that is empty."""
+        directory = self._job_dir(job_id)
         try:
-            os.unlink(os.path.join(self._job_dir(job_id), self.CHECKPOINT))
+            os.unlink(os.path.join(directory, self.CHECKPOINT))
         except OSError:
             pass
+        try:
+            os.rmdir(directory)
+        except OSError:
+            pass  # absent, or it holds trace artifacts
 
     # -- introspection ------------------------------------------------------------
 
     def stats(self) -> dict:
-        jobs = 0
-        total_bytes = 0
-        try:
-            entries = os.scandir(self.root)
-        except OSError:
-            return {"jobs": 0, "bytes": 0}
-        with entries:
+        """Jobs with files on disk (a finished untraced job has none), and
+        the bytes directly in their directories."""
+        jobs = total_bytes = 0
+        with os.scandir(self.root) as entries:
             for entry in entries:
                 if not entry.is_dir() or entry.name.startswith("."):
                     continue
                 jobs += 1
                 try:
                     with os.scandir(entry.path) as files:
-                        for item in files:
-                            try:
-                                total_bytes += item.stat().st_size
-                            except OSError:
-                                pass
+                        total_bytes += sum(f.stat().st_size for f in files)
                 except OSError:
-                    pass
+                    pass  # removed as its job finished
         return {"jobs": jobs, "bytes": total_bytes}
 
 
@@ -595,6 +461,10 @@ class ReplayedJob:
     submitted_seq: int = 0
     #: ``resumed_from`` of the last completed attempt (informational).
     resumed_from: Optional[int] = None
+    #: the ``completed`` record's engine metrics
+    metrics: Optional[dict] = None
+    #: the terminal record's ``ts``
+    finished_unix: Optional[float] = None
 
     @property
     def interrupted(self) -> bool:
@@ -636,12 +506,16 @@ def fold_records(records: List[dict]) -> List[ReplayedJob]:
             jobs[job_id] = replayed
             continue
         replayed.last_event = event
+        if event in TERMINAL_EVENTS:
+            replayed.finished_unix = record.get("ts")
         if "attempt" in data:
             replayed.attempts = max(replayed.attempts, int(data["attempt"]))
         if "error" in data:
             replayed.error = data["error"]
         if "resumed_from" in data:
             replayed.resumed_from = data["resumed_from"]
+        if "metrics" in data:
+            replayed.metrics = data["metrics"]
     if orphaned:
         logger.warning(
             "journal replay: dropped %d record(s) for jobs whose submission "
@@ -667,11 +541,4 @@ class RecoveryReport:
         return self.requeued + self.resumed + self.restarted
 
     def to_json(self) -> dict:
-        return {
-            "requeued": self.requeued,
-            "resumed": self.resumed,
-            "restarted": self.restarted,
-            "terminal": self.terminal,
-            "errors": self.errors,
-            "journal": self.journal.to_json(),
-        }
+        return asdict(self)

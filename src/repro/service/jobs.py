@@ -262,7 +262,7 @@ class Job:
         self.attempts = 0
         #: Committed-prefix iteration the last run resumed from (0 = fresh).
         self.resumed_from = 0
-        #: True once the output lives in the artifact store, not in memory.
+        #: True once the output lives in the journal, not in memory.
         self.output_spilled = False
         #: True if this job object was rebuilt from the journal at startup.
         self.recovered = False

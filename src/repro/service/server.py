@@ -28,7 +28,8 @@ stop.  SIGTERM/SIGINT wiring lives in the CLI.
 
 With ``state_dir`` set the service is *durable*
 (:mod:`repro.service.durability`): every job transition is journaled
-(submissions fsynced before the 202 is acknowledged), outputs and engine
+(submissions fsynced before the 202 is acknowledged), a job completes
+with one fsynced journal record carrying its metrics and output, engine
 checkpoints spill to an on-disk artifact store, and ``start()`` replays
 the journal — re-admitting queued jobs in submission order and restarting
 interrupted jobs from their committed-prefix checkpoint, bit-identical to
@@ -44,6 +45,7 @@ from __future__ import annotations
 import functools
 import logging
 import os
+import pickle
 import shutil
 import tempfile
 import threading
@@ -66,6 +68,8 @@ from repro.service.durability import (
     ArtifactStore,
     JOURNAL_NAME,
     JobJournal,
+    JournalError,
+    LEGACY_JOURNAL_NAME,
     RecoveryReport,
     fold_records,
 )
@@ -105,6 +109,15 @@ def _trace_plane():
 
 #: How often the dispatcher re-checks for runnable work when idle.
 _DISPATCH_POLL = 0.05
+
+#: The journal event that ends a job in each terminal state; a tenant's
+#: count of such jobs is named after the event.
+_TERMINAL_EVENT = {
+    JobState.DONE: "completed",
+    JobState.FAILED: "failed",
+    JobState.CANCELLED: "cancelled",
+    JobState.DEAD_LETTER: "dead_letter",
+}
 
 
 @dataclass
@@ -323,6 +336,9 @@ class PipelineService:
         from their committed prefix at next dispatch.
         """
         state_dir = self.config.state_dir
+        legacy = os.path.join(state_dir, LEGACY_JOURNAL_NAME)
+        if os.path.exists(legacy):
+            raise JournalError(f"{legacy}: a JSON-lines journal is not read")
         os.makedirs(state_dir, exist_ok=True)
         self.artifacts = ArtifactStore(os.path.join(state_dir, ARTIFACT_DIR))
         self.journal, records = JobJournal.open(
@@ -416,46 +432,23 @@ class PipelineService:
 
     def _recover_terminal(self, job: Job, tenant: TenantState, entry) -> None:
         """Reload a finished job's record so status/result survive restarts."""
-        state = {
-            "completed": JobState.DONE,
-            "failed": JobState.FAILED,
-            "cancelled": JobState.CANCELLED,
-            "dead_letter": JobState.DEAD_LETTER,
-        }[entry.last_event]
-        job.state = state
+        event = entry.last_event
+        job.state = next(
+            state for state, name in _TERMINAL_EVENT.items() if name == event
+        )
         job.error = entry.error
-        job.finished_unix = job.submitted_unix  # best effort; not journaled
+        job.finished_unix = entry.finished_unix
         job.resumed_from = entry.resumed_from or 0
-        if state is JobState.DONE:
-            if not self.artifacts.has_result(job.id):
-                # WAL ordering says this cannot happen (artifact lands
-                # before the completed record); treat it as a failed job
-                # rather than serve a missing result.
-                job.state = JobState.FAILED
-                job.error = "output artifact missing after recovery"
-                tenant.failed += 1
-                self.recovery.errors += 1
-                return
+        if job.state is JobState.DONE:
+            # The completed record carried the output; the log serves it.
             job.output_spilled = True
-            job.metrics = self.artifacts.load_metrics(job.id)
-            tenant.completed += 1
-        elif state is JobState.FAILED:
-            tenant.failed += 1
-        elif state is JobState.CANCELLED:
-            tenant.cancelled += 1
-        else:
-            tenant.dead_letter += 1
+            job.metrics = entry.metrics
+        setattr(tenant, event, getattr(tenant, event) + 1)
         self.recovery.terminal += 1
 
     def _compact_journal(self) -> None:
         """Rewrite the journal as a snapshot of current job state."""
-        snapshot: List[Tuple[str, str, dict]] = []
-        terminal_event = {
-            JobState.DONE: "completed",
-            JobState.FAILED: "failed",
-            JobState.CANCELLED: "cancelled",
-            JobState.DEAD_LETTER: "dead_letter",
-        }
+        snapshot: List[tuple] = []
         for job in self.jobs.values():
             snapshot.append(("submitted", job.id, self._journal_payload(job)))
             if job.state in TERMINAL_STATES:
@@ -464,7 +457,12 @@ class PipelineService:
                     data["error"] = job.error
                 if job.resumed_from:
                     data["resumed_from"] = job.resumed_from
-                snapshot.append((terminal_event[job.state], job.id, data))
+                if job.metrics is not None:
+                    data["metrics"] = job.metrics
+                snapshot.append((
+                    _TERMINAL_EVENT[job.state], job.id, data,
+                    job.finished_unix,
+                ))
             elif job.state is JobState.RUNNING or job.attempts:
                 snapshot.append(
                     ("queued", job.id,
@@ -499,17 +497,23 @@ class PipelineService:
             job.max_attempts = self.config.default_max_attempts
 
     def _journal(
-        self, event: str, job_id: str, data: dict, fsync: bool = False
-    ) -> None:
-        """Append one journal record (when durable) and mirror it into the
-        in-memory tail that post-mortem bundles capture — so even the
-        in-memory server has a transition history to bundle."""
-        record = {"event": event, "job": job_id, "unix_s": round(time.time(), 3)}
+        self, event: str, job_id: str, data: dict, fsync: bool = False,
+        output: Optional[bytes] = None,
+    ) -> float:
+        """Append one journal record (when durable) and mirror it, less
+        metrics and output, into the in-memory tail that post-mortem
+        bundles capture — so even the in-memory server has a transition
+        history to bundle.  Returns the record's timestamp."""
+        now = time.time()
+        record = {"event": event, "job": job_id, "unix_s": round(now, 3)}
         if data:
-            record["data"] = data
+            record["data"] = {k: v for k, v in data.items() if k != "metrics"}
         self._journal_tail.append(record)
         if self.journal is not None:
-            self.journal.append(event, job_id, data, fsync=fsync)
+            self.journal.append(
+                event, job_id, data, fsync=fsync, output=output, ts=now
+            )
+        return now
 
     # -- tracing plane ------------------------------------------------------------
 
@@ -669,7 +673,7 @@ class PipelineService:
             analysis = self.artifacts.load_bottleneck(job.id)
             if analysis is not None:
                 return analysis
-        # A recovered job's metrics are its durable metrics.json.
+        # A recovered job's metrics came from its completed record.
         if not job.metrics or not job.metrics.get("wall_seconds"):
             return None
         try:
@@ -804,13 +808,13 @@ class PipelineService:
             ]
 
     def job_output(self, job: Job):
-        """A finished job's output, loading it back from the artifact
-        store if it was spilled out of memory."""
-        if job.output_spilled and self.artifacts is not None:
+        """A finished job's output, read back from the journal if it was
+        spilled out of memory."""
+        if job.output_spilled and self.journal is not None:
             try:
-                return self.artifacts.load_output(job.id)
+                return self.journal.load_output(job.id)
             except Exception:
-                logger.exception("job %s: artifact read failed", job.id)
+                logger.exception("job %s: journal output read failed", job.id)
                 return None
         return job.output
 
@@ -988,6 +992,7 @@ class PipelineService:
         lease.job_throttle = tenant.throttle
         error: Optional[str] = None
         result = None
+        output = None  # the pickled output a durable completion journals
         try:
             try:
                 result = self._run_engine(job, lease)
@@ -1000,39 +1005,25 @@ class PipelineService:
                 )
                 self.artifacts.discard_checkpoint(job.id)
                 result = self._run_engine(job, lease, allow_resume=False)
+            if self.durable and not result.metrics.cancelled:
+                persist_t0 = now_ns()
+                output = pickle.dumps(
+                    result.output, protocol=pickle.HIGHEST_PROTOCOL
+                )
         except BaseException as exc:  # a job must never kill the server
             logger.exception("job %s failed", job.id)
             error = repr(exc)
         finally:
             self.pool.release(lease)
-        spilled = False
         metrics_json = None
         if error is None:
             # The verdict is served per job by ``job_bottleneck_json``, off
             # the completion path: the metrics document carries ``null``.
             result.metrics.bottleneck = None
             metrics_json = result.metrics.to_json()
-        if (
-            error is None
-            and self.artifacts is not None
-            and not result.metrics.cancelled
-        ):
-            # WAL ordering: the output artifact is durable *before* the
-            # journal's completed record — replay never acknowledges a
-            # result that is not on disk.
-            persist_t0 = now_ns()
-            try:
-                self.artifacts.put_result(job.id, result.output, metrics_json)
-                spilled = True
-            except Exception:
-                logger.exception("job %s: artifact write failed", job.id)
-            if job.trace is not None:
-                job.trace.span(
-                    EventKind.ARTIFACT_PERSIST, persist_t0, now_ns(),
-                    arg=job.attempts,
-                )
         with self._wake:
-            job.finished_unix = time.time()
+            # ``finished_unix`` is set last, with the terminal record's
+            # ``ts``: readers outside the lock take it to mean "terminal".
             job.lease = None
             job.engine = None
             tenant.running -= 1
@@ -1048,7 +1039,7 @@ class PipelineService:
                     tenant.cancelled += 1
                     if job.deadline_fired:
                         tenant.deadline_cancelled += 1
-                    self._journal(
+                    job.finished_unix = self._journal(
                         "cancelled", job.id,
                         {"reason": "deadline exceeded"
                          if job.deadline_fired else "cancelled by client"},
@@ -1057,21 +1048,27 @@ class PipelineService:
                     if self.artifacts is not None:
                         self.artifacts.discard_checkpoint(job.id)
                 else:
-                    job.state = JobState.DONE
-                    if spilled:
-                        # The artifact store owns the output now; the
-                        # server's resident set stays flat under history.
-                        job.output = None
-                        job.output_spilled = True
-                    else:
-                        job.output = result.output
-                    tenant.completed += 1
-                    self._journal(
+                    # One append, one fsync: the result is on disk before
+                    # the job reads DONE, and the log, not memory, keeps it.
+                    finished = self._journal(
                         "completed", job.id,
                         {"attempt": job.attempts,
-                         "resumed_from": job.resumed_from},
-                        fsync=True,
+                         "resumed_from": job.resumed_from,
+                         "metrics": metrics_json},
+                        fsync=True, output=output,
                     )
+                    if output is None:
+                        job.output = result.output
+                    else:
+                        job.output_spilled = True
+                        if job.trace is not None:
+                            job.trace.span(
+                                EventKind.ARTIFACT_PERSIST, persist_t0,
+                                now_ns(), arg=job.attempts,
+                            )
+                    job.state = JobState.DONE
+                    job.finished_unix = finished
+                    tenant.completed += 1
                     if self.artifacts is not None:
                         self.artifacts.discard_checkpoint(job.id)
                 tenant.committed += metrics.commits
@@ -1152,7 +1149,7 @@ class PipelineService:
         if job.max_attempts > 1:
             job.state = JobState.DEAD_LETTER
             tenant.dead_letter += 1
-            self._journal(
+            job.finished_unix = self._journal(
                 "dead_letter", job.id,
                 {"attempt": job.attempts, "error": error}, fsync=True,
             )
@@ -1163,7 +1160,9 @@ class PipelineService:
         else:
             job.state = JobState.FAILED
             tenant.failed += 1
-            self._journal("failed", job.id, {"error": error}, fsync=True)
+            job.finished_unix = self._journal(
+                "failed", job.id, {"error": error}, fsync=True
+            )
         if self.artifacts is not None:
             self.artifacts.discard_checkpoint(job.id)
 
@@ -1182,7 +1181,9 @@ class PipelineService:
         tenant = self.tenants.get_or_create(job.tenant)
         tenant.cancelled += 1
         if journal:
-            self._journal("cancelled", job.id, {"reason": reason}, fsync=True)
+            job.finished_unix = self._journal(
+                "cancelled", job.id, {"reason": reason}, fsync=True
+            )
         if self.artifacts is not None:
             self.artifacts.discard_checkpoint(job.id)
         self.flight.note("cancelled", job.id, job.tenant, reason=reason)

@@ -409,6 +409,33 @@ class TestObsReport:
         out = capsys.readouterr().out
         assert "jobs with trace artifacts:" in out
 
+    def test_analyze_reads_a_stored_jobs_metrics_from_the_journal(
+        self, traced_service, traced_jobs, tmp_path, monkeypatch
+    ):
+        """``obs analyze JOB --state-dir DIR`` analyzes the stored trace
+        with the metrics the job's completion record carries."""
+        import repro.obs.analyze as analyze
+        from repro.__main__ import main
+
+        seen = []
+        real_analyze_trace = analyze.analyze_trace
+
+        def recording_analyze_trace(merged, metrics=None, **kwargs):
+            seen.append(metrics)
+            return real_analyze_trace(merged, metrics=metrics, **kwargs)
+
+        monkeypatch.setattr(analyze, "analyze_trace", recording_analyze_trace)
+        job = traced_jobs["alpha"]
+        out = tmp_path / "report.json"
+        code = main([
+            "obs", "analyze", job.id,
+            "--state-dir", traced_service.config.state_dir,
+            "--json", str(out),
+        ])
+        assert code == 0
+        assert seen == [json.loads(json.dumps(job.metrics, default=str))]
+        assert json.loads(out.read_text())["iterations"] == 48
+
     def test_corrupt_timeline_warns_but_keeps_other_jobs(self, tmp_path):
         """One damaged job's artifacts must not take down the report —
         skip it loudly, aggregate the rest, exit 0."""

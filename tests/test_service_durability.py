@@ -3,8 +3,8 @@
 Three layers:
 
 - unit: the write-ahead journal's crash discipline (torn-tail truncation,
-  corrupt-interior skip, seq-gap audit, compaction), the artifact store,
-  and journal-replay folding;
+  damaged-interior skip, seq-gap audit, compaction, a cut anywhere in a
+  completion record), the artifact store, and journal-replay folding;
 - in-process service: restart recovery (terminal reload, queued re-admit,
   idempotent resubmit across restart), bounded retry with checkpoint
   resume, poison-job dead-lettering, deadlines, eager quota release on
@@ -16,7 +16,9 @@ Three layers:
 
 import json
 import os
+import pickle
 import re
+import shutil
 import stat
 import signal
 import subprocess
@@ -28,7 +30,7 @@ import pytest
 
 from repro.exec import RobustnessPolicy
 from repro.exec.engine import run_sequential
-from repro.resilience import server_kill_plan
+from repro.resilience import recordlog, server_kill_plan
 from repro.service import (
     AdmissionConfig,
     AdmissionController,
@@ -39,7 +41,13 @@ from repro.service import (
     fold_records,
     retry_delay,
 )
-from repro.service.durability import JournalError
+from repro.obs.serve import Request
+from repro.service.api import handle_api
+from repro.service.durability import (
+    JOURNAL_NAME,
+    LEGACY_JOURNAL_NAME,
+    JournalError,
+)
 from repro.service.jobs import JobState, TERMINAL_STATES, build_spec
 
 FAST_POLICY = RobustnessPolicy(
@@ -72,6 +80,15 @@ def count_directory_fsyncs(monkeypatch):
     return calls
 
 
+def get_result(service, job_id):
+    """``GET /jobs/<id>/result`` through the job API, in process."""
+    path = f"/jobs/{job_id}/result"
+    status, _, body, _ = handle_api(
+        service, Request("GET", path, path.strip("/").split("/"), {}, {}, {})
+    )
+    return status, json.loads(body)
+
+
 def durable_service(state_dir, **overrides):
     kwargs = dict(
         pool_workers=2, slots=2, capacity=8, batch_size=4,
@@ -84,7 +101,7 @@ def durable_service(state_dir, **overrides):
 
 class TestJobJournal:
     def test_append_replay_roundtrip(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / JOURNAL_NAME)
         journal, records = JobJournal.open(path)
         assert records == []
         journal.append("submitted", "j1", {"tenant": "t"}, fsync=True)
@@ -103,14 +120,14 @@ class TestJobJournal:
         journal2.close()
 
     def test_torn_tail_truncated_in_place(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / JOURNAL_NAME)
         journal, _ = JobJournal.open(path)
         journal.append("submitted", "j1")
         journal.append("queued", "j1")
         journal.close()
         intact_size = os.path.getsize(path)
-        with open(path, "ab") as handle:
-            handle.write(b'{"seq":2,"event":"lea')  # crash mid-record
+        with open(path, "ab") as handle:  # crash mid-record
+            handle.write(recordlog.frame(b'{"seq":2,"event":"leased"}')[:20])
         journal2, records = JobJournal.open(path)
         assert len(records) == 2
         assert journal2.stats.torn_tail == 1
@@ -124,16 +141,17 @@ class TestJobJournal:
         ]
 
     def test_corrupt_interior_line_skipped_and_gap_counted(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / JOURNAL_NAME)
         journal, _ = JobJournal.open(path)
         journal.append("submitted", "j1")
         journal.append("queued", "j1")
         journal.append("completed", "j1")
         journal.close()
-        lines = open(path, "rb").read().splitlines(keepends=True)
-        lines[1] = b"#### not json ####\n"
+        raw = bytearray(open(path, "rb").read())
+        start, stop = recordlog.scan(bytes(raw)).records[1]
+        raw[start:stop] = b"#" * (stop - start)
         with open(path, "wb") as handle:
-            handle.writelines(lines)
+            handle.write(raw)
         journal2, records = JobJournal.open(path)
         assert [r["event"] for r in records] == ["submitted", "completed"]
         assert journal2.stats.corrupt_records == 1
@@ -146,7 +164,7 @@ class TestJobJournal:
         """A kill at any byte of an append: replay keeps exactly the
         records that were whole, truncates the file to them, and the next
         append replays cleanly after them."""
-        source = str(tmp_path / "source.jsonl")
+        source = str(tmp_path / "source.log")
         journal, _ = JobJournal.open(source)
         events = ["submitted", "queued", "leased", "running", "completed"]
         ends = []
@@ -155,7 +173,7 @@ class TestJobJournal:
             ends.append(os.path.getsize(source))
         journal.close()
         raw = open(source, "rb").read()
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / JOURNAL_NAME
         for cut in range(len(raw) + 1):
             path.write_bytes(raw[:cut])
             whole = sum(end <= cut for end in ends)
@@ -175,7 +193,7 @@ class TestJobJournal:
             journal.close()
 
     def test_compaction_fsyncs_the_directory(self, tmp_path, monkeypatch):
-        journal, _ = JobJournal.open(str(tmp_path / "journal.jsonl"))
+        journal, _ = JobJournal.open(str(tmp_path / JOURNAL_NAME))
         journal.append("submitted", "j1", {"tenant": "t"})
         directory_fsyncs = count_directory_fsyncs(monkeypatch)
         journal.compact([("submitted", "j1", {"tenant": "t"})])
@@ -183,7 +201,7 @@ class TestJobJournal:
         journal.close()
 
     def test_unknown_event_rejected(self, tmp_path):
-        journal, _ = JobJournal.open(str(tmp_path / "j.jsonl"))
+        journal, _ = JobJournal.open(str(tmp_path / "j.log"))
         with pytest.raises(JournalError):
             journal.append("exploded", "j1")
         journal.close()
@@ -191,7 +209,7 @@ class TestJobJournal:
             journal.append("submitted", "j1")
 
     def test_compaction_preserves_replay_state(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / JOURNAL_NAME)
         journal, _ = JobJournal.open(path)
         for _ in range(3):
             journal.append("submitted", "j1", {"tenant": "t"})
@@ -211,26 +229,111 @@ class TestJobJournal:
         journal2.close()
 
 
-class TestArtifactStore:
     def test_result_roundtrip(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "artifacts"))
+        """The completed record carries the metrics and the output; replay
+        folds the one and the offset index loads the other, across a
+        reopen."""
+        path = str(tmp_path / JOURNAL_NAME)
+        journal, _ = JobJournal.open(path)
         output = {"sum": 123, "items": [1, 2, 3]}
-        store.put_result("j1", output, {"committed": 3})
-        assert store.has_result("j1")
-        assert store.load_output("j1") == output
-        assert store.load_metrics("j1") == {"committed": 3}
-        assert not store.has_result("j2")
-        assert store.load_metrics("j2") is None
+        journal.append("submitted", "j1", {"tenant": "t"})
+        journal.append("completed", "j1", {"metrics": {"committed": 3}},
+                       output=pickle.dumps(output))
+        journal.append("submitted", "j2", {"tenant": "t"})
+        assert journal.load_output("j1") == output
+        journal.close()
+        journal, records = JobJournal.open(path)
+        assert journal.load_output("j1") == output
+        j1, j2 = fold_records(records)
+        assert j1.metrics == {"committed": 3}
+        assert j2.metrics is None
+        with pytest.raises(KeyError):
+            journal.load_output("j2")
+        journal.close()
 
-    def test_put_result_fsyncs_the_directory_once(
-        self, tmp_path, monkeypatch
+    def completion_log(self, tmp_path):
+        """A journal whose last record is a completion; returns its path,
+        bytes, the record's ``(start, stop)`` and the output."""
+        path = str(tmp_path / "source.log")
+        journal, _ = JobJournal.open(path)
+        output = {"digest": bytes(range(256)), "items": list(range(64))}
+        journal.append("submitted", "j1", {"tenant": "t"}, fsync=True)
+        journal.append("leased", "j1", {"attempt": 1})
+        journal.append("completed", "j1",
+                       {"attempt": 1, "metrics": {"commits": 64}},
+                       fsync=True, output=pickle.dumps(output))
+        journal.close()
+        raw = open(path, "rb").read()
+        start, stop = recordlog.scan(raw).records[-1]
+        return raw, start - recordlog.HEADER.size, stop, output
+
+    def test_a_cut_anywhere_in_a_completion_record_reruns_or_loads(
+        self, tmp_path
     ):
-        """Both renames are durable before ``completed`` is journaled."""
-        store = ArtifactStore(str(tmp_path / "artifacts"))
-        directory_fsyncs = count_directory_fsyncs(monkeypatch)
-        store.put_result("j1", {"sum": 1}, {"committed": 1})
-        assert len(directory_fsyncs) == 1
+        """A kill at any byte of the completion append: the job is either
+        still running (it re-runs) or completed with its output whole."""
+        raw, record_start, record_end, output = self.completion_log(tmp_path)
+        path = tmp_path / JOURNAL_NAME
+        for cut in range(record_start, record_end + 1):
+            path.write_bytes(raw[:cut])
+            journal, records = JobJournal.open(str(path))
+            (job,) = fold_records(records)
+            if cut < record_end:
+                assert job.interrupted and job.metrics is None
+                assert journal.stats.torn_tail == int(cut > record_start)
+                assert "j1" not in journal.outputs
+            else:
+                assert job.last_event == "completed"
+                assert job.metrics == {"commits": 64}
+                assert journal.load_output("j1") == output
+            assert os.path.getsize(path) == (
+                record_end if cut == record_end else record_start
+            )
+            journal.close()
 
+    def test_interior_damage_loses_only_the_damaged_record(self, tmp_path):
+        """Flip any byte of an interior record, header included: the scan
+        resyncs on the next whole record, so every later record replays
+        and nothing is truncated but a torn tail after the last one."""
+        raw, _, _, output = self.completion_log(tmp_path)
+        start, stop = recordlog.scan(raw).records[1]  # the ``leased`` one
+        torn = recordlog.frame(b'{"seq":3}')[:-2]
+        path = tmp_path / JOURNAL_NAME
+        for offset in range(start - recordlog.HEADER.size, stop):
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0xFF
+            path.write_bytes(bytes(damaged) + torn)
+            journal, records = JobJournal.open(str(path))
+            assert [r["event"] for r in records] == ["submitted", "completed"]
+            assert journal.stats.corrupt_records == 1
+            assert journal.stats.seq_gaps == 1
+            assert journal.stats.torn_tail == 1
+            assert os.path.getsize(path) == len(raw)
+            assert journal.load_output("j1") == output
+            journal.close()
+
+    def test_compaction_keeps_a_completed_jobs_output(self, tmp_path):
+        path = str(tmp_path / JOURNAL_NAME)
+        journal, _ = JobJournal.open(path)
+        journal.append("submitted", "j1", {"tenant": "t"})
+        journal.append("leased", "j1", {"attempt": 1})
+        journal.append("completed", "j1", {"metrics": {"commits": 2}},
+                       output=pickle.dumps([1, 2]))
+        journal.compact([
+            ("submitted", "j1", {"tenant": "t"}),
+            ("completed", "j1", {"metrics": {"commits": 2}}, 1234.5),
+        ])
+        assert journal.load_output("j1") == [1, 2]
+        journal.close()
+        journal, records = JobJournal.open(path)
+        assert journal.load_output("j1") == [1, 2]
+        (job,) = fold_records(records)
+        assert job.finished_unix == 1234.5
+        assert job.metrics == {"commits": 2}
+        journal.close()
+
+
+class TestArtifactStore:
     def test_checkpoint_lifecycle(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "artifacts"))
         path = store.checkpoint_path("j1")
@@ -240,6 +343,8 @@ class TestArtifactStore:
         assert store.has_checkpoint("j1")
         store.discard_checkpoint("j1")
         assert not store.has_checkpoint("j1")
+        # the job directory goes with its last file
+        assert os.listdir(tmp_path / "artifacts") == []
         store.discard_checkpoint("j1")  # idempotent
 
     def test_path_traversal_rejected(self, tmp_path):
@@ -250,8 +355,8 @@ class TestArtifactStore:
 
     def test_stats_counts_jobs_and_bytes(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "artifacts"))
-        store.put_result("j1", {"x": 1}, {})
-        store.put_result("j2", {"x": 2}, {})
+        store.put_trace("j1", {"x": 1}, {})
+        store.put_trace("j2", {"x": 2}, {})
         stats = store.stats()
         assert stats["jobs"] == 2 and stats["bytes"] > 0
 
@@ -390,6 +495,9 @@ class TestDurableRestart:
             original = svc.job_bottleneck_json(job)
             assert original is not None
             assert validate_bottleneck(original) == []
+            timeline = svc.job_timeline_json(job)
+            trace = svc.job_trace_json(job)
+            assert (timeline is not None) == (trace is not None) == traced
             if not traced:
                 assert job.metrics["bottleneck"] is None
                 assert original["source"] == "metrics"
@@ -409,6 +517,10 @@ class TestDurableRestart:
             assert validate_bottleneck(recovered) == []
             assert recovered["top"] == original["top"]
             assert recovered["iterations"] == 24
+            # the trace artifacts come back from the store, not memory
+            assert reloaded.timeline_data is None
+            assert svc2.job_timeline_json(reloaded) == timeline
+            assert svc2.job_trace_json(reloaded) == trace
             if not traced:
                 assert reloaded.metrics["bottleneck"] is None
                 assert recovered == original
@@ -464,16 +576,17 @@ class TestDurableRestart:
         try:
             jobs = [
                 svc.submit(
-                    "acme", "synthetic", {"iterations": 8},
+                    "acme", "synthetic", {"iterations": 8 + n},
                     idempotency_key=f"req-{n}",
                 )[0]
                 for n in range(3)
             ]
             wait_terminal(jobs)
+            outputs = {job.id: svc.job_output(job) for job in jobs}
         finally:
             svc.drain_and_stop()
         # a poison job bounced through 150 retries: 302 more records
-        journal, _ = JobJournal.open(str(state / "journal.jsonl"))
+        journal, _ = JobJournal.open(str(state / JOURNAL_NAME))
         journal.append("submitted", "j900", {
             "tenant": "acme", "workload": "synthetic",
             "params": {"iterations": 8}, "idempotency_key": "req-poison",
@@ -495,6 +608,11 @@ class TestDurableRestart:
                 job.id: (job.state, job.error)
                 for job in service.jobs.values()
             }
+            # a DONE job's result stays loadable from the compacted log
+            assert {
+                job.id: service.job_output(service.get_job(job.id))
+                for job in jobs
+            } == outputs
             return states, keys
 
         expected_states = {job.id: (JobState.DONE, None) for job in jobs}
@@ -508,7 +626,7 @@ class TestDurableRestart:
             assert replayed(svc2) == (expected_states, expected_keys)
         finally:
             svc2.drain_and_stop()
-        _, records = JobJournal.open(str(state / "journal.jsonl"))
+        _, records = JobJournal.open(str(state / JOURNAL_NAME))
         assert len(records) < 20  # the snapshot, not the 300-record history
 
         svc3 = durable_service(state)
@@ -518,6 +636,216 @@ class TestDurableRestart:
             assert replayed(svc3) == (expected_states, expected_keys)
         finally:
             svc3.drain_and_stop()
+
+
+    def test_recovered_jobs_keep_their_finish_time(self, tmp_path):
+        svc = durable_service(tmp_path / "state")
+        try:
+            job, _ = svc.submit(
+                "acme", "synthetic", {"iterations": 24, "spin": 2000}
+            )
+            wait_terminal(job)
+            assert job.state is JobState.DONE
+        finally:
+            svc.drain_and_stop()
+        svc2 = durable_service(tmp_path / "state")
+        try:
+            reloaded = svc2.get_job(job.id)
+            # the completed record's ts, stamped to the millisecond
+            assert reloaded.finished_unix == pytest.approx(
+                job.finished_unix, abs=1e-3
+            )
+            assert reloaded.finished_unix > reloaded.submitted_unix
+        finally:
+            svc2.drain_and_stop()
+
+    def test_finished_jobs_leave_nothing_in_the_artifact_store(
+        self, tmp_path
+    ):
+        """An untraced job's checkpoint log and its directory go when it
+        ends: the result lives in the journal."""
+        svc = durable_service(tmp_path / "state")
+        try:
+            jobs = [
+                svc.submit("acme", "synthetic", {"iterations": 24})[0]
+                for _ in range(3)
+            ]
+            wait_terminal(jobs)
+            assert all(job.state is JobState.DONE for job in jobs)
+            assert all(job.metrics["checkpoints_taken"] for job in jobs)
+            assert os.listdir(tmp_path / "state" / "artifacts") == []
+            assert svc.health_json()[1]["durability"]["artifacts"] == {
+                "jobs": 0, "bytes": 0,
+            }
+        finally:
+            svc.drain_and_stop()
+
+    def test_outputs_stay_spilled(self, tmp_path):
+        expected, _ = run_sequential(
+            build_spec("synthetic", {"iterations": 24})
+        )
+        svc = durable_service(tmp_path / "state")
+        try:
+            job, _ = svc.submit("acme", "synthetic", {"iterations": 24})
+            wait_terminal(job)
+            assert job.state is JobState.DONE
+            assert job.output is None and job.output_spilled
+            status, body = get_result(svc, job.id)
+            assert status == 200
+            assert body["output"] == expected
+        finally:
+            svc.drain_and_stop()
+
+    def test_a_json_lines_state_dir_is_refused(self, tmp_path):
+        state = tmp_path / "state"
+        state.mkdir()
+        legacy = state / LEGACY_JOURNAL_NAME
+        legacy.write_bytes(b'{"seq":0,"event":"submitted","job":"j1"}\n')
+        with pytest.raises(JournalError, match=re.escape(str(legacy))):
+            durable_service(state)
+        assert legacy.read_bytes().startswith(b'{"seq":0')
+        assert not (state / JOURNAL_NAME).exists()
+
+
+class TestCompletionRecord:
+    def test_completion_fsyncs_twice_and_renames_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Submit to terminal: one fsync for ``submitted``, one for the
+        completion record that carries metrics and output; no directory
+        fsync, and no rename but the one that starts a checkpoint log."""
+        fsyncs = {"file": 0, "directory": 0}
+        replaced = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            fsyncs[kind] += 1
+            real_fsync(fd)
+
+        def replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        svc = durable_service(tmp_path / "state", checkpoint_interval=8)
+        try:
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, "replace", replace)
+            job, _ = svc.submit(
+                "acme", "synthetic", {"iterations": 48, "spin": 100}
+            )
+            wait_terminal(job)
+            monkeypatch.undo()
+            assert job.state is JobState.DONE
+        finally:
+            svc.drain_and_stop()
+        assert job.metrics["checkpoints_taken"] >= 2
+        assert fsyncs == {"file": 2, "directory": 0}
+        assert replaced == [ArtifactStore.CHECKPOINT]
+
+    def test_a_job_reads_finished_only_once_its_result_is_on_disk(
+        self, tmp_path
+    ):
+        """Readers outside the service lock take ``finished_unix`` (and
+        the state) to mean terminal: neither moves before the completion
+        record is appended."""
+        svc = durable_service(tmp_path / "state")
+        seen = []
+        real_append = svc.journal.append
+
+        def append(event, job_id, *args, **kwargs):
+            if event == "completed":
+                job = svc.jobs[job_id]
+                seen.append((job.state, job.finished_unix, job.output_spilled))
+            return real_append(event, job_id, *args, **kwargs)
+
+        svc.journal.append = append
+        try:
+            job, _ = svc.submit("acme", "synthetic", {"iterations": 16})
+            wait_terminal(job)
+        finally:
+            svc.drain_and_stop()
+        assert seen == [(JobState.RUNNING, None, False)]
+        assert job.state is JobState.DONE and job.output_spilled
+        assert job.finished_unix is not None
+
+    @pytest.mark.parametrize("where", ["header", "body", "one-short"])
+    def test_a_restart_on_a_cut_completion_record(self, tmp_path, where):
+        """The server dies while appending a completion: restarted, the job
+        re-runs to the sequential output (or, had the record been whole,
+        serves it)."""
+        params = {"iterations": 32, "spin": 200}
+        expected, _ = run_sequential(build_spec("synthetic", params))
+        state = tmp_path / "state"
+        svc = durable_service(state)
+        try:
+            job, _ = svc.submit("acme", "synthetic", params)
+            wait_terminal(job)
+            assert job.state is JobState.DONE
+        finally:
+            svc.drain_and_stop()
+        log = state / JOURNAL_NAME
+        raw = log.read_bytes()
+        start, stop = recordlog.scan(raw).records[-1]
+        assert json.loads(raw[start:raw.index(b"\n", start)])["event"] \
+            == "completed"
+        cut = {
+            "header": start - recordlog.HEADER.size // 2,
+            "body": (start + stop) // 2,
+            "one-short": stop - 1,
+        }[where]
+        for name, size in (("cut", cut), ("whole", len(raw))):
+            copy = tmp_path / name
+            shutil.copytree(state, copy)
+            with open(copy / JOURNAL_NAME, "r+b") as handle:
+                handle.truncate(size)
+            svc2 = durable_service(copy)
+            try:
+                rerun = svc2.get_job(job.id)
+                assert rerun.recovered == (name == "cut")
+                wait_terminal(rerun)
+                assert rerun.state is JobState.DONE
+                assert svc2.job_output(rerun) == expected
+                status, body = get_result(svc2, job.id)
+                assert status == 200
+                assert body["output"] == expected
+            finally:
+                svc2.drain_and_stop()
+
+
+class TestOneFraming:
+    def test_the_journal_and_the_checkpoint_log_share_one_framing(self):
+        """Neither log frames or scans records itself: no header struct,
+        no crc, only :mod:`repro.resilience.recordlog`."""
+        import ast
+
+        from repro.resilience import checkpoint
+        from repro.service import durability
+
+        for module in (checkpoint, durability):
+            tree = ast.parse(open(module.__file__).read())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+            names = {
+                node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+            } | {
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+            }
+            assert not {"struct", "zlib", "binascii"} & imported, module
+            assert not {"crc32", "unpack_from", "Struct"} & names, module
+            used = {
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "recordlog"
+            }
+            assert {"frame", "scan"} <= used, (module, used)
 
 
 class TestCheckpointLogRatchet:
