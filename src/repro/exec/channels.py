@@ -46,9 +46,20 @@ counters: a flush blocks while ``produces - consumes + frame_len`` would
 exceed ``capacity``.  :meth:`sample_occupancy` likewise reports
 item-granular occupancy, never frames.
 
-**Lock-light counters.**  Shared produce/consume counters are updated once
-per *frame* (one lock acquisition carries up to ``batch_size`` items)
-instead of once per item.
+**Counter cells, no locks.**  Every counter — produces, consumes,
+flushes, STOP tokens, (de)serialize seconds — is a row of shared cells,
+one cell per *seat*: the creating process has seat 0 and every
+:meth:`~ProcessChannel.for_caller` / :meth:`~ProcessChannel.for_stage`
+view gets one of its own, given back by :meth:`~ProcessChannel.unseat`.
+A cell has one writer, so an update is a plain aligned store and a stage
+killed at any instant leaves every cell whole and no lock held; a reader
+sums the row, consumes before produces (the registry's reverse-causal
+order, :mod:`repro.obs.registry`).  Credit is check-then-add on the
+producer's own cell, so producers that check at once can each pass: with
+``P`` producers putting at once a channel holds at most
+:meth:`~ProcessChannel.occupancy_bound` items — ``capacity`` plus one
+frame for every producer past the first.  A channel with one producer
+(phase A on ``work``) never holds more than ``capacity``.
 
 **Back-pressure is a wake-up, not a poll.**  A flush that finds no credit
 blocks on the channel's :class:`Wakeup`; whoever advances the consume
@@ -68,6 +79,7 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -98,6 +110,17 @@ _FRAME_TAG = "__repro.exec.frame__"
 #: Queue waits shorter than this are not traced: they are scheduling
 #: noise, and recording them would swamp the bounded spool ring.
 _TRACE_WAIT_NS = 100_000
+
+#: Counter seats of one channel: the creating process's own plus one per
+#: view alive at once (a stage, a thread, phase A of a pool job).
+SEATS = 32
+
+#: Where each counter's row of ``SEATS`` cells starts.  Item counts are
+#: int64 cells (``_counts``), seconds are double cells (``_seconds``).
+_PRODUCES, _CONSUMES, _FLUSHES, _STOPS_PUT, _STOPS_TAKEN = (
+    k * SEATS for k in range(5)
+)
+_SERIALIZE, _DESERIALIZE = 0, SEATS
 
 
 class ChannelTimeout(Exception):
@@ -318,20 +341,20 @@ class ProcessChannel:
             if not isinstance(transport, str)
             else make_transport(transport, ctx, capacity)
         )
-        self._produces = ctx.Value("L", 0)
-        self._consumes = ctx.Value("L", 0)
+        #: The counter cells (see the module docstring): a row of ``SEATS``
+        #: per counter.  ``STOP`` tokens hold credit like any item, so they
+        #: are in produces/consumes and counted apart too: the stats
+        #: report payload only.
+        self._counts = ctx.RawArray("q", 5 * SEATS)
+        self._seconds = ctx.RawArray("d", 2 * SEATS)
+        #: This view's seat: the column of cells only it writes.
+        self._seat = 0
+        #: Seats not handed out, shared by the creating process's views.
+        self._free_seats = list(range(SEATS - 1, 0, -1))
+        self._owner_pid = os.getpid()
         #: Where a credit-starved flush sleeps; posted by whoever advances
-        #: ``_consumes`` (:meth:`_recv_frame`, :meth:`drain`).
+        #: the consume count (:meth:`_recv_frame`, :meth:`drain`).
         self._credit = Wakeup(ctx)
-        self._flushes = ctx.Value("L", 0)
-        #: ``STOP`` tokens put (guarded by ``_flushes``' lock) and taken
-        #: (by ``_consumes``'): they hold credit like any item, but the
-        #: stats report payload only.
-        self._stops_put = ctx.Value("L", 0, lock=False)
-        self._stops_taken = ctx.Value("L", 0, lock=False)
-        self._serialize_seconds = ctx.Value("d", 0.0)
-        self._deserialize_seconds = ctx.Value("d", 0.0)
-        self._serialize_local = 0.0
         self._send_buffer: List[Any] = []
         self._send_since: Optional[float] = None
         self._recv: deque = deque()
@@ -413,8 +436,7 @@ class ProcessChannel:
         if item == STOP:
             self.flush(timeout=timeout)
             self._send_frame([STOP], self._deadline(timeout), framed=False)
-            with self._flushes.get_lock():
-                self._stops_put.value += 1
+            self._counts[_STOPS_PUT + self._seat] += 1
             return
         self._append(item)
         if len(self._send_buffer) >= self.batch_size:
@@ -499,26 +521,20 @@ class ProcessChannel:
             if deadline is None
             else max(0.0, min(5.0, deadline - time.monotonic()))
         )
+        counts, seat = self._counts, self._seat
         try:
-            self._serialize_local += self._transport.send(
-                items, framed, wait, abort
-            )
+            seconds = self._transport.send(items, framed, wait, abort)
         except TransportFull:
-            with self._produces.get_lock():
-                self._produces.value -= len(items)
+            counts[_PRODUCES + seat] -= len(items)
             raise ChannelTimeout(
                 f"channel {self.name or id(self)} transport full"
             ) from None
         except Exception:
-            with self._produces.get_lock():
-                self._produces.value -= len(items)
+            counts[_PRODUCES + seat] -= len(items)
             raise
-        with self._flushes.get_lock():
-            self._flushes.value += 1
-            if self._serialize_local:
-                with self._serialize_seconds.get_lock():
-                    self._serialize_seconds.value += self._serialize_local
-                self._serialize_local = 0.0
+        counts[_FLUSHES + seat] += 1
+        if seconds:
+            self._seconds[_SERIALIZE + seat] += seconds
 
     def _acquire_credit(
         self,
@@ -528,7 +544,7 @@ class ProcessChannel:
     ) -> None:
         """Block until ``count`` items fit under ``capacity`` — the
         full-side of the synchronization-array blocking discipline, one
-        lock acquisition per frame.
+        check per frame.
 
         The wait is event-driven (:class:`Wakeup`), and so is the
         throttle gate's: the two have to be.  A flat 1 ms sleep here once
@@ -565,12 +581,26 @@ class ProcessChannel:
         )
 
     def _take_credit(self, count: int) -> bool:
-        with self._produces.get_lock():
-            occupancy = self._produces.value - self._consumes.value
-            if occupancy + count <= self.capacity:
-                self._produces.value += count
-                return True
-        return False
+        """Check, then book ``count`` on this seat's own produces cell.
+        Consumes are read first, so the check never sees fewer items in
+        flight than there were when it started; another producer's
+        check-then-add racing this one is the over-reservation
+        :meth:`occupancy_bound` allows for."""
+        counts = self._counts
+        consumed = sum(counts[_CONSUMES:_CONSUMES + SEATS])
+        if sum(counts[_PRODUCES:_PRODUCES + SEATS]) - consumed + count > (
+            self.capacity
+        ):
+            return False
+        counts[_PRODUCES + self._seat] += count
+        return True
+
+    def occupancy_bound(self, producers: int) -> int:
+        """The most items this channel can hold while ``producers`` put
+        into it at once: ``capacity``, plus a frame for every producer past
+        the first (each can pass its credit check before another's booking
+        lands, once).  One producer: exactly ``capacity``."""
+        return self.capacity + (producers - 1) * self.batch_size
 
     def wake(self) -> None:
         """Make every flush blocked on credit re-check now — its ``abort``
@@ -605,20 +635,19 @@ class ProcessChannel:
                 time.perf_counter_ns(),
             )
         if deserialize_seconds:
-            with self._deserialize_seconds.get_lock():
-                self._deserialize_seconds.value += deserialize_seconds
+            self._seconds[_DESERIALIZE + self._seat] += deserialize_seconds
         self._consumed(items, single)
         return items, single
 
     def _consumed(self, items: Optional[list], single: Any) -> None:
         """Count one transport read as consumed and free its credit."""
-        with self._consumes.get_lock():
-            if items is not None:
-                self._consumes.value += len(items)
-            else:
-                self._consumes.value += 1
-                if single == STOP:
-                    self._stops_taken.value += 1
+        counts, seat = self._counts, self._seat
+        if items is not None:
+            counts[_CONSUMES + seat] += len(items)
+        else:
+            counts[_CONSUMES + seat] += 1
+            if single == STOP:
+                counts[_STOPS_TAKEN + seat] += 1
         self._credit.wake()
 
     def get(self, timeout: Optional[float] = None) -> Any:
@@ -670,13 +699,16 @@ class ProcessChannel:
             out.append(recv.popleft())
         return out
 
+    def _total(self, row: int) -> int:
+        return sum(self._counts[row:row + SEATS])
+
     @property
     def produces(self) -> int:
-        return self._produces.value
+        return self._total(_PRODUCES)
 
     @property
     def consumes(self) -> int:
-        return self._consumes.value
+        return self._total(_CONSUMES)
 
     def sample_occupancy(self) -> int:
         """Record one item-granular occupancy observation.
@@ -685,9 +717,12 @@ class ProcessChannel:
         and not yet decoded by a consumer.  Counting items (never frames)
         keeps the bounded-queue invariant's 32-entry semantics under
         batching, and the shared counters are exact where ``qsize`` is
-        advisory.
+        advisory.  Produces are read *first* here, unlike in a credit
+        check: items consumed between the two reads can only lower the
+        sample, so it never reports more than the channel ever held.
         """
-        occupancy = max(0, self.produces - self.consumes)
+        produces = self.produces
+        occupancy = max(0, produces - self.consumes)
         self.max_occupancy_seen = max(self.max_occupancy_seen, occupancy)
         self.occupancy_samples += 1
         self.occupancy_total += occupancy
@@ -699,16 +734,20 @@ class ProcessChannel:
             if self.occupancy_samples
             else 0.0
         )
-        # Payload only: each end-of-stream STOP is a one-item frame.
-        stops = self._stops_put.value
+        # Reverse-causal: what was consumed, then what was sent, then what
+        # was booked.  Payload only: each end-of-stream STOP is a one-item
+        # frame.
+        consumes = self.consumes - self._total(_STOPS_TAKEN)
+        stops = self._total(_STOPS_PUT)
+        flushes = self._total(_FLUSHES) - stops
         produces = self.produces - stops
-        flushes = self._flushes.value - stops
+        seconds = self._seconds
         return {
             "capacity": self.capacity,
             "batch_size": self.batch_size,
             "transport": self.transport_kind,
             "produces": produces,
-            "consumes": self.consumes - self._stops_taken.value,
+            "consumes": consumes,
             "max_occupancy": self.max_occupancy_seen,
             "mean_occupancy": round(mean, 3),
             "samples": self.occupancy_samples,
@@ -716,9 +755,11 @@ class ProcessChannel:
             "mean_frame_items": (
                 round(produces / flushes, 3) if flushes else 0.0
             ),
-            "serialize_seconds": round(self._serialize_seconds.value, 6),
+            "serialize_seconds": round(
+                sum(seconds[_SERIALIZE:_SERIALIZE + SEATS]), 6
+            ),
             "deserialize_seconds": round(
-                self._deserialize_seconds.value, 6
+                sum(seconds[_DESERIALIZE:_DESERIALIZE + SEATS]), 6
             ),
         }
 
@@ -755,49 +796,24 @@ class ProcessChannel:
         timed out during teardown, results the committer never read) must
         not leak those items into the next job's stream.  Dropped send
         items never acquired credit and dropped receive items already
-        released theirs, so the shared counters stay consistent.
+        released theirs, so the counter cells stay consistent.
         """
         self._send_buffer.clear()
         self._send_since = None
         self._recv.clear()
 
     def reset_counters(self) -> None:
-        """Zero the shared produce/consume/flush counters.
+        """Zero every counter cell, of every seat.
 
         Only legal while the channel is quiescent (no process is putting
         or getting — the pool calls this between leases, after a full
-        drain).  Keeps per-job occupancy stats meaningful and the unsigned
-        counters from creeping toward wraparound over a long-lived server.
-
-        Raises :class:`ChannelTimeout` if a counter lock cannot be acquired
-        promptly — a process terminated mid-update orphans the lock, and a
-        blocking acquire would wedge the caller forever; the pool reacts by
-        quarantining the slot instead of reusing it.
+        drain).  Keeps per-job occupancy stats meaningful and the counters
+        from creeping toward wraparound over a long-lived server.  There
+        is no lock to take: a writer killed mid-update left its cell whole.
         """
-        for value in (self._produces, self._consumes, self._flushes):
-            lock = value.get_lock()
-            if not lock.acquire(timeout=1.0):
-                raise ChannelTimeout(
-                    f"channel {self.name or id(self)} counter lock wedged"
-                )
-            try:
-                value.value = 0
-            finally:
-                lock.release()
-        for value in (self._serialize_seconds, self._deserialize_seconds):
-            lock = value.get_lock()
-            if not lock.acquire(timeout=1.0):
-                raise ChannelTimeout(
-                    f"channel {self.name or id(self)} counter lock wedged"
-                )
-            try:
-                value.value = 0.0
-            finally:
-                lock.release()
-        self._stops_put.value = 0
-        self._stops_taken.value = 0
+        self._counts[:] = [0] * len(self._counts)
+        self._seconds[:] = [0.0] * len(self._seconds)
         self._credit.reset()
-        self._serialize_local = 0.0
         self._put_index = 0
         self.max_occupancy_seen = 0
         self.occupancy_samples = 0
@@ -835,18 +851,30 @@ class ProcessChannel:
         return self._transport.kind
 
     def for_caller(self) -> "ProcessChannel":
-        """A thread-local view of this channel: shared wire, counters, and
-        chaos schedule, but private send/receive buffers and put index.
+        """A view of this channel for one more stage: shared wire, counter
+        cells and chaos schedule, but a counter seat of its own and private
+        send/receive buffers and put index.  Made by the process that
+        created the channel, which keeps the seats; :meth:`unseat` gives
+        the seat back once the stage is gone.
 
         Thread-mode pipelines hand each producer/worker thread its own
         view — the same isolation a process gets implicitly from fork
         (which copies the local buffers) — so concurrent stages never race
-        on ``_send_buffer``/``_recv``.
+        on ``_send_buffer``/``_recv`` or write one cell from two places.
         """
+        if os.getpid() != self._owner_pid:
+            raise RuntimeError(
+                f"channel {self.name!r}: views are made by the process "
+                "that created the channel"
+            )
+        if not self._free_seats:
+            raise RuntimeError(
+                f"channel {self.name!r}: all {SEATS} counter seats taken"
+            )
         clone = object.__new__(ProcessChannel)
         clone.__dict__.update(self.__dict__)
+        clone._seat = self._free_seats.pop()
         clone._put_index = 0
-        clone._serialize_local = 0.0
         clone._send_buffer = []
         clone._send_since = None
         clone._recv = deque()
@@ -865,9 +893,15 @@ class ProcessChannel:
         return view
 
     def unseat(self, view: "ProcessChannel") -> None:
-        """Give back the seat of a :meth:`for_stage` view whose stage is
-        gone (see :meth:`Wakeup.unseat`)."""
-        self._credit.unseat(view._credit)
+        """Give back the seats of a view whose stage is gone — its counter
+        seat and, for a :meth:`for_stage` view, its bell (see
+        :meth:`Wakeup.unseat`).  The cells keep what the stage counted;
+        the next view seated there counts on from it.  Only for a stage
+        that can no longer write: exited, not merely abandoned."""
+        if view._credit is not self._credit:
+            self._credit.unseat(view._credit)
+        if view._seat not in self._free_seats:
+            self._free_seats.append(view._seat)
 
     def __repr__(self) -> str:
         return (

@@ -127,16 +127,17 @@ class Committer:
         self.pending: Dict[int, Any] = {}
         self.serial_needed: Set[int] = set()
         self.replay = PhaseAReplay(spec.produce)
-        # Per-item latency samples collect in plain lists and reach
-        # ``metrics.latency`` in bulk (``fold_samples``): a list append per
-        # sample on the commit path instead of a histogram update.
+        # Per-item latency samples collect in plain lists, a list append
+        # per sample on the commit path.  ``hand_over_samples`` makes each
+        # list the histogram's own, as it is: aggregates are derived when
+        # somebody reads them, never after the last commit.
         self.samples: Dict[str, List[float]] = {
             "task_a": [], "task_b": [], "task_c": [], "commit_lag": [],
         }
 
-    def fold_samples(self) -> None:
+    def hand_over_samples(self) -> None:
         for series, values in self.samples.items():
-            self.metrics.fold_latency(series, values)
+            self.metrics.adopt_samples(series, values)
 
     # -- reports in ---------------------------------------------------------------
 
@@ -529,7 +530,7 @@ class Committer:
 
     def _checkpoint(self, i: int) -> None:
         manager, metrics = self.manager, self.metrics
-        self.fold_samples()  # the cut's counters carry each sample count
+        self.hand_over_samples()  # the cut's counters carry each sample count
         manager.take(i, self.store, self.accumulator, metrics)
         metrics.checkpoints_taken = manager.taken
         if self.registry is not None:

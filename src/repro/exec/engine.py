@@ -417,7 +417,7 @@ class ExecutionEngine:
                 raise
             finally:
                 rt.signal_shutdown()
-                committer.fold_samples()
+                committer.hand_over_samples()
             loop_ended = time.monotonic()
 
             # The telemetry plane stops here, not after teardown: on the
@@ -440,7 +440,7 @@ class ExecutionEngine:
             if degraded:
                 metrics.degraded_to_sequential = True
                 committer.finish_serially()
-                committer.fold_samples()
+                committer.hand_over_samples()
 
             if throttle is not None:
                 metrics.throttle_shrinks = throttle.shrinks

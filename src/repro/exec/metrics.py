@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.obs.hist import LatencyHistogram, format_seconds, summarize
 
@@ -109,7 +109,8 @@ class EngineMetrics:
     #: Per-event latency histograms the committer populates live (no
     #: tracing required): ``task_a``/``task_b``/``task_c`` execution time
     #: per iteration, ``commit_lag`` (claim arrival -> commit), and
-    #: ``queue_wait`` (the committer's blocking done-channel reads).
+    #: ``queue_wait`` (the committer's blocking done-channel reads).  Each
+    #: derives its aggregates when read, never on the run's wall.
     latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
 
     def _histogram(self, series: str) -> LatencyHistogram:
@@ -121,13 +122,14 @@ class EngineMetrics:
     def record_latency(self, series: str, seconds: float) -> None:
         self._histogram(series).add(seconds)
 
-    def fold_latency(self, series: str, samples: list) -> None:
-        """Move a batch of locally collected samples into ``series`` (the
-        committer appends per-item samples to plain lists and folds them
-        here in bulk); empties ``samples``."""
-        if samples:
-            self._histogram(series).extend(samples)
-            samples.clear()
+    def adopt_samples(self, series: str, samples: List[float]) -> None:
+        """Make ``samples`` the retained samples of ``series``, as they are:
+        a list its one writer goes on appending to (the committer's
+        per-item series).  No pass over them — nothing is aggregated until
+        the histogram is read.  A no-op while the list is empty, so an
+        unused series stays absent, and once adopted."""
+        if samples and series not in self.latency:
+            self.latency[series] = LatencyHistogram(samples=samples)
 
     @property
     def bottleneck(self) -> Optional[dict]:

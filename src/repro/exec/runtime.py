@@ -153,7 +153,7 @@ class StageSet:
 
     def unseat(self, view: "StageSet") -> None:
         """Take back the seats of a stage that is gone (see
-        :meth:`repro.exec.channels.Wakeup.unseat`)."""
+        :meth:`repro.exec.channels.ProcessChannel.unseat`)."""
         self.work.unseat(view.work)
         self.done.unseat(view.done)
         self.gate.unseat(view.gate)
@@ -334,7 +334,8 @@ class LocalRuntime(StageSet):
         if proc.is_alive():
             proc.terminate()
         proc.join(self._policy.join_timeout)
-        self.unseat(self._views[wid])
+        if not proc.is_alive():  # a hung thread is abandoned, still seated
+            self.unseat(self._views[wid])
 
     def cancelled(self) -> bool:
         return False  # nobody else holds a run of the engine's own

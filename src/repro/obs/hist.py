@@ -13,13 +13,19 @@ Memory is bounded: up to ``max_samples`` raw samples are kept verbatim
 that the histogram degrades to deterministic reservoir sampling (seeded,
 so two identical runs report identical numbers) while ``count``, ``total``,
 ``min``/``max`` stay exact forever.
+
+Aggregates are derived on read: recording a sample is a list append, and
+``count``, ``total``, ``min``/``max`` fold in whatever arrived since the
+last read, in arrival order — the same numbers, bit for bit, as folding
+each sample when it came.  A writer that appends to ``samples`` directly
+(the engine's committer) holds the overflow past ``max_samples`` until
+the next read sends it down the reservoir path.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Optional
 
@@ -52,57 +58,113 @@ def _rank(ordered: List[float], q: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
-@dataclass
 class LatencyHistogram:
-    """One event series' latency distribution (samples in seconds)."""
+    """One event series' latency distribution (samples in seconds).
 
-    max_samples: int = DEFAULT_MAX_SAMPLES
-    samples: List[float] = field(default_factory=list)
-    count: int = 0
-    total: float = 0.0
-    min_value: Optional[float] = None
-    max_value: Optional[float] = None
-    #: Deterministic reservoir RNG, created lazily on first overflow.
-    _rng: Optional[random.Random] = field(default=None, repr=False)
+    Recording is an append: ``count``, ``total``, ``min_value`` and
+    ``max_value`` are derived from the retained samples when first read
+    after new ones arrived (:meth:`_fold`), so a run that records 4 x 12 000
+    samples pays for their aggregates when somebody looks, not on its own
+    wall.  A writer may append to :attr:`samples` directly — the committer
+    does — as long as it only ever appends; the aggregates read the same
+    as if each sample had gone through :meth:`add`.
+    """
+
+    def __init__(
+        self, max_samples: int = DEFAULT_MAX_SAMPLES,
+        samples: Optional[List[float]] = None, count: int = 0,
+        total: float = 0.0, min_value: Optional[float] = None,
+        max_value: Optional[float] = None,
+    ) -> None:
+        self.max_samples = max_samples
+        #: Retained samples, the list given (not a copy) if there is one.
+        #: Those from ``_folded`` on are not in the aggregates yet; past
+        #: ``max_samples`` they are still to go through the reservoir.
+        self.samples: List[float] = [] if samples is None else samples
+        self._folded = 0
+        #: Aggregates of every sample before ``_folded`` (plus those given:
+        #: a count with no retained samples is a merged summary's).
+        self._count = count
+        self._total = total
+        self._min = min_value
+        self._max = max_value
+        #: Deterministic reservoir RNG, created lazily on first overflow.
+        self._rng: Optional[random.Random] = None
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
         if len(self.samples) < self.max_samples:
             self.samples.append(value)
             return
+        self._fold()
+        self._sample(value)
+
+    def extend(self, values) -> None:
+        """Bulk :meth:`add`, same end state."""
+        self.samples.extend(values)
+        if len(self.samples) > self.max_samples:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Bring the aggregates up to date with the samples appended since
+        the last read: whatever fits under ``max_samples`` with one C-speed
+        call per aggregate, the overflow down the reservoir path sample by
+        sample — the state one :meth:`add` per sample would have left."""
+        samples = self.samples
+        end = min(len(samples), self.max_samples)
+        if self._folded < end:
+            bulk = samples[self._folded:end]
+            self._count += len(bulk)
+            # reduce, not sum(): plain left-to-right adds on every Python,
+            # so the total is bit-identical to one add per sample.
+            self._total = reduce(operator.add, bulk, self._total)
+            low, high = min(bulk), max(bulk)
+            if self._min is None or low < self._min:
+                self._min = low
+            if self._max is None or high > self._max:
+                self._max = high
+            self._folded = end
+        if len(samples) > end:
+            overflow = samples[end:]
+            del samples[end:]  # in place: a writer may hold this list
+            for value in overflow:
+                self._sample(value)
+
+    def _sample(self, value: float) -> None:
+        """One sample past ``max_samples``: exact aggregates, and a place
+        in the retained set with probability k/n."""
+        self._count += 1
+        self._total += value
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
         # Algorithm R reservoir: every sample keeps probability k/n, with a
         # fixed seed so identical runs summarize identically.
         if self._rng is None:
             self._rng = random.Random(0xC0FFEE)
-        slot = self._rng.randrange(self.count)
+        slot = self._rng.randrange(self._count)
         if slot < self.max_samples:
             self.samples[slot] = value
 
-    def extend(self, values) -> None:
-        """Bulk :meth:`add`, same end state: whatever fits under
-        ``max_samples`` is folded in with one C-speed call per aggregate;
-        the overflow takes the reservoir path sample by sample."""
-        values = list(values)
-        room = max(0, self.max_samples - len(self.samples))
-        bulk = values if len(values) <= room else values[:room]
-        if bulk:
-            self.count += len(bulk)
-            # reduce, not sum(): plain left-to-right adds on every Python,
-            # so the total is bit-identical to one add() per sample.
-            self.total = reduce(operator.add, bulk, self.total)
-            low, high = min(bulk), max(bulk)
-            if self.min_value is None or low < self.min_value:
-                self.min_value = low
-            if self.max_value is None or high > self.max_value:
-                self.max_value = high
-            self.samples.extend(bulk)
-        for value in values[room:]:
-            self.add(value)
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def min_value(self) -> Optional[float]:
+        self._fold()
+        return self._min
+
+    @property
+    def max_value(self) -> Optional[float]:
+        self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
@@ -114,6 +176,7 @@ class LatencyHistogram:
         return self.count == len(self.samples)
 
     def percentile(self, q: float) -> float:
+        self._fold()
         return percentile(self.samples, q)
 
     def summary(self) -> dict:

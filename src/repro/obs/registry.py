@@ -12,7 +12,9 @@ traced process owns a private row of the counter/histogram arrays
 (``writer`` index), so an update is a plain aligned-int64 store — readers
 may observe a value a few stores stale, never a torn or double-counted
 one.  Batched producers amortize further: one ``add(..., n=len(chunk))``
-per dispatched frame, exactly like the channels' credit counters.
+per dispatched frame, exactly like the channels' counter cells
+(:class:`repro.exec.channels.ProcessChannel`: one seat per stage view,
+summed in the same reverse-causal order).
 
 Snapshot consistency is by *read order*, not locking.  The pipeline's
 causal chain is ``produced -> claimed -> executed/committed``: an item is

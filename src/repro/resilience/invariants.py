@@ -10,8 +10,9 @@ audited against the invariants the paper's execution model promises:
   (``in_order_commits == commits``; the sequential-equivalence contract of
   observationally cooperative multithreading);
 - **output fidelity** — bit-identical output to the sequential oracle;
-- **bounded queues** — no channel ever observed above its capacity (the
-  paper's full/empty-blocking discipline);
+- **bounded queues** — no channel ever observed above its occupancy bound
+  (the paper's full/empty-blocking discipline: capacity, plus a frame per
+  producer that passed its credit check at the same instant as another);
 - **monotone checkpoints** — checkpoint indices strictly increase and the
   covered prefix never regresses;
 - **metric consistency** — internal counters agree with each other (every
@@ -103,12 +104,21 @@ def check_run(
             )
         )
     for name, stats in metrics.channel_stats.items():
-        if stats.get("max_occupancy", 0) > stats.get("capacity", 0):
+        # ``ProcessChannel.occupancy_bound``: capacity plus a frame per
+        # producer past the first.  Phase A and every worker may put on
+        # either channel (a crashing worker hands its chunk back to
+        # ``work``), so at most ``workers + 1`` producers at once.
+        bound = (
+            stats.get("capacity", 0)
+            + metrics.workers * stats.get("batch_size", 1)
+        )
+        if stats.get("max_occupancy", 0) > bound:
             violations.append(
                 InvariantViolation(
                     InvariantKind.QUEUE_OCCUPANCY,
                     f"channel {name!r} observed occupancy "
-                    f"{stats['max_occupancy']} > capacity {stats['capacity']}",
+                    f"{stats['max_occupancy']} > its bound {bound} "
+                    f"(capacity {stats['capacity']})",
                 )
             )
         if stats.get("consumes", 0) > stats.get("produces", 0):

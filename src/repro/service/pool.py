@@ -31,8 +31,9 @@ Between leases a slot is scrubbed: channels are drained, local buffers and
 the shared credit counters are reset, and the
 registry is zeroed so each job's watchdog sees counters that start at zero.
 Workers that died mid-job (chaos, hung-task kills) are retired at release —
-their seats on every slot's wake-ups given back — and the pool respawns
-replacements to hold its configured size.
+their seats on every slot's channels and wake-ups given back — and the pool
+respawns replacements to hold its configured size.  A job's phase A gives
+its counter seat back when the slot is next claimed, its thread gone.
 
 One staleness caveat, by design: a worker respawned *mid-job* is leased the
 job's initial state snapshot, not the committed prefix (the prefix lives in
@@ -52,7 +53,7 @@ import time
 from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec.channels import ChannelTimeout, ProcessChannel
+from repro.exec.channels import ProcessChannel
 from repro.exec.faults import RobustnessPolicy
 from repro.exec.runtime import StageSet, ThreadStage
 from repro.exec.workers import (
@@ -157,6 +158,9 @@ class LeaseRuntime(StageSet):
         self._cancel = threading.Event()
         self._job: tuple = ()
         self.producer: Optional[ThreadStage] = None
+        #: Phase A's view of ``work``; its seat goes back to the slot once
+        #: the thread is gone (:meth:`WorkerPool._claim_slot`).
+        self.producer_view: Optional[ProcessChannel] = None
         #: Members holding this job's lease message (none before ``start``),
         #: less the ones reaped.
         self.processes: Dict[int, Any] = {}
@@ -183,14 +187,15 @@ class LeaseRuntime(StageSet):
         )
         for worker in self._members.values():
             self._send_lease(worker)
-        # Phase A gets buffers (and a tracer slot) of its own but waits on
-        # the slot's own bell: the members were forked before this job
-        # existed, and ring only the bells that existed then.  It runs a
-        # copy of ``produce``: the spec's own is the committer's, for
-        # replaying the values of re-executed tasks.
+        # Phase A gets buffers, a counter seat (and a tracer slot) of its
+        # own but waits on the slot's own bell: the members were forked
+        # before this job existed, and ring only the bells that existed
+        # then.  It runs a copy of ``produce``: the spec's own is the
+        # committer's, for replaying the values of re-executed tasks.
+        self.producer_view = self.work.for_caller()
         self.producer = ThreadStage(
             producer_main,
-            (self.work.for_caller(), spec.iterations,
+            (self.producer_view, spec.iterations,
              copy.deepcopy(spec.produce), fault_plan,
              self.shutdown, start, batch_size, self.trace_config,
              self.registry, WRITER_PRODUCER, False, len(self._members),
@@ -250,11 +255,10 @@ class LeaseRuntime(StageSet):
         shutdown is set and the members holding the job's lease get the
         join window to leave ``worker_main`` on their own.
         Terminating a worker that is blocked inside a channel ``get``
-        would orphan the channel's shared read lock and silently wedge the
-        slot for every later lease (each subsequent job stalls at commit
-        frontier zero until its watchdog degrades it to sequential) — so
-        only members that fail to exit in time are terminated, and the
-        release-time counter reset quarantines the slot if they wedged it.
+        would orphan the wire's shared read lock and wedge the slot for
+        every later lease (each subsequent job stalls at commit frontier
+        zero until its watchdog degrades it to sequential) — so only
+        members that fail to exit in time are terminated.
         """
         self.signal_shutdown()
         deadline = time.monotonic() + max(self._pool.policy.join_timeout, 1.0)
@@ -369,8 +373,8 @@ class WorkerPool:
             for _ in range(slots)
         ]
         self._free_slots: List[int] = list(range(slots))
-        self._quarantined: List[int] = []
-        self._slot_producers: Dict[int, Optional[ThreadStage]] = {}
+        #: Each slot's previous lease, whose phase A may still be unwinding.
+        self._slot_leases: Dict[int, LeaseRuntime] = {}
         self._pool_shutdown = self._ctx.Event()
         self._workers: Dict[int, _PoolWorker] = {}
         self._free_rows = set(range(self._row_budget))
@@ -462,9 +466,9 @@ class WorkerPool:
         Scrubs the slot for reuse: joins the producer thread, drains what
         the channels still hold, zeroes counters
         and the registry, retires dead members, and tops the pool back up
-        to its configured size.  A slot whose counters cannot be reset
-        (a worker killed mid-update orphaned a counter lock — vanishingly
-        rare) is quarantined rather than reused.
+        to its configured size.  Every counter is a single-writer cell, so
+        a member killed mid-update leaves nothing that could wedge the
+        reset.
         """
         with self._lock:
             if lease.released:
@@ -484,18 +488,10 @@ class WorkerPool:
                 else:
                     self._retire(worker)
             self._maintain_size()
-            self._slot_producers[lease.index] = producer
-            try:
-                slot.work.reset_counters()
-                slot.done.reset_counters()
-                slot.registry.reset()
-            except ChannelTimeout:
-                logger.error(
-                    "slot %d counters wedged (worker killed mid-update?); "
-                    "quarantining the slot", lease.index,
-                )
-                self._quarantined.append(lease.index)
-                return
+            self._slot_leases[lease.index] = lease
+            slot.work.reset_counters()
+            slot.done.reset_counters()
+            slot.registry.reset()
             self._free_slots.append(lease.index)
 
     def _settle_channel(self, channel: ProcessChannel) -> None:
@@ -564,13 +560,17 @@ class WorkerPool:
 
     def _claim_slot(self) -> Optional[int]:
         """Pop (the index of) a free slot whose previous producer thread
-        has exited, and arm it for the next job."""
+        has exited, give back that thread's counter seat, and arm the slot
+        for the next job."""
         for position, index in enumerate(self._free_slots):
-            previous = self._slot_producers.get(index)
-            if previous is not None and previous.is_alive():
-                continue  # stale phase-A thread still unwinding; skip
-            self._free_slots.pop(position)
             slot = self._slots[index]
+            previous = self._slot_leases.get(index)
+            if previous is not None and previous.producer_view is not None:
+                if previous.producer.is_alive():
+                    continue  # stale phase-A thread still unwinding; skip
+                slot.work.unseat(previous.producer_view)
+            self._slot_leases.pop(index, None)
+            self._free_slots.pop(position)
             slot.work.reset_local()
             slot.done.reset_local()
             slot.shutdown.clear()
@@ -601,6 +601,5 @@ class WorkerPool:
                 "leased": sum(1 for w in alive if w.leased_to is not None),
                 "slots": len(self._slots),
                 "slots_free": len(self._free_slots),
-                "slots_quarantined": len(self._quarantined),
                 "spawned_total": self._next_wid,
             }

@@ -1247,7 +1247,7 @@ class PipelineService:
             pool = self.pool.stats()
             if self._draining or self._stopping:
                 status = "draining"
-            elif pool["alive"] == 0 or pool["slots_quarantined"] >= pool["slots"]:
+            elif pool["alive"] == 0:
                 status = "failed"  # service-wide: nothing can run
             elif self._shedding():
                 status = "shedding"

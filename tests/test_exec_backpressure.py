@@ -266,7 +266,9 @@ class TestCreditInvariants:
                 stage.join(DEADLINE)
             assert failures == []
             assert received == list(range(total))
-            assert channel.max_occupancy_seen <= channel.capacity
+            # one writer: the bound is the capacity itself
+            assert channel.occupancy_bound(producers=1) == channel.capacity
+            assert channel.max_occupancy_seen <= channel.occupancy_bound(1)
             assert channel.produces == channel.consumes == total
             assert channel._credit.waiters == 0
         finally:

@@ -261,7 +261,9 @@ class TestOccupancy:
             assert channel.sample_occupancy() == 0
             stats = channel.occupancy_stats()
             assert stats["max_occupancy"] == 8
-            assert stats["max_occupancy"] <= stats["capacity"]
+            # one producer: the occupancy bound is the capacity
+            assert stats["max_occupancy"] <= channel.occupancy_bound(1)
+            assert channel.occupancy_bound(1) == stats["capacity"]
             assert stats["mean_frame_items"] == 4.0
         finally:
             channel.close()

@@ -28,7 +28,7 @@ from repro.exec import (
     RobustnessPolicy,
     run_sequential,
 )
-from repro.exec.channels import Wakeup
+from repro.exec.channels import SEATS, Wakeup
 from repro.obs.events import TraceConfig
 from repro.resilience.throttle import SpeculationThrottle, ThrottleConfig
 from repro.service.pool import WorkerPool
@@ -217,6 +217,10 @@ def _bells(stages):
     )
 
 
+def _seats_taken(channel):
+    return SEATS - 1 - len(channel._free_seats)
+
+
 def test_unseated_bell_is_gone_and_a_parked_survivor_is_still_woken(
     no_backstop,
 ):
@@ -267,6 +271,11 @@ def test_pool_gives_back_the_bells_of_every_worker_it_replaces(no_backstop):
             assert result.metrics.respawns == 1
             assert not result.metrics.degraded_to_sequential
             assert [_bells(slot) for slot in pool._slots] == seated
+            # counter seats too: the two members' views, plus on ``work``
+            # the last job's phase A until its slot is claimed again
+            for slot in pool._slots:
+                assert _seats_taken(slot.done) == 2
+                assert _seats_taken(slot.work) in (2, 3)
         assert pool.stats()["spawned_total"] == 2 + 3
         assert pool.stats()["alive"] == 2
     finally:

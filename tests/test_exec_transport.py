@@ -895,8 +895,10 @@ class TestLifecycle:
         )
         try:
             proc.stdout.readline()  # engine is up
-            time.sleep(0.8)  # mid-flight: segments exist
-            assert set(orphaned_segments()) - before
+            _until(
+                lambda: set(orphaned_segments()) - before,
+                "the run's segments to exist",
+            )
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10.0)
         finally:
